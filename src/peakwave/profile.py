@@ -66,17 +66,21 @@ class WaveParameters:
 def validate_params(lambda1: float, lambda2: float, omega: float, z: float) -> WaveParameters:
     """Check the admissibility inequalities and tag the regime.
 
-    Raises :class:`RegimeError` naming the first violated inequality.  All
-    inequalities are strict: boundary parameter values are rejected.
+    Raises :class:`RegimeError` for a non-finite parameter or naming the
+    first violated inequality.  All inequalities are strict: boundary
+    parameter values are rejected.
     """
     lambda1 = float(lambda1)
     lambda2 = float(lambda2)
     omega = float(omega)
     z = float(z)
+    for name, value in (("lambda1", lambda1), ("lambda2", lambda2), ("omega", omega), ("Z", z)):
+        if not math.isfinite(value):
+            raise RegimeError(f"{name} must be finite, got {value}")
     if not lambda1 > 0.0:
         raise RegimeError(f"cubic coefficient must satisfy lambda1 > 0, got {lambda1}")
-    if lambda2 == 0.0 or not math.isfinite(lambda2):
-        raise RegimeError(f"quintic coefficient must be nonzero and finite, got {lambda2}")
+    if lambda2 == 0.0:
+        raise RegimeError(f"quintic coefficient must be nonzero, got {lambda2}")
     if not (-omega > z * z / 4.0):
         raise RegimeError(
             f"-omega > Z^2/4 violated: -omega = {-omega}, Z^2/4 = {z * z / 4.0}"

@@ -53,6 +53,17 @@ class TestProfileCommand:
         assert code == 2
         assert "RegimeError" in err
 
+    @pytest.mark.parametrize("flags", [
+        ["--l1", "inf", "--l2", "1", "--omega", "-2", "--z", "0"],
+        ["--l1", "1", "--l2", "1", "--omega=-inf", "--z", "0"],
+        ["--l1", "1", "--l2", "nan", "--omega", "-2", "--z", "0"],
+    ])
+    def test_nonfinite_parameter_exit_code(self, flags, capsys):
+        code, out, err = run(["profile"] + flags, capsys)
+        assert code == 2
+        assert "RegimeError" in err and "finite" in err
+        assert out == ""
+
 
 class TestVkScanCommand:
     def test_schema(self, capsys):
@@ -134,6 +145,21 @@ class TestSimulateCommand:
         assert len(lines) > 3
         leftovers = [f for f in out_file.parent.iterdir() if f.suffix == ".tmp"]
         assert leftovers == []
+
+    def test_nonfinite_field_exits_3(self, nan_on_fifth_step, capsys):
+        code, out, err = run(
+            ["simulate", "--l1", "1", "--l2", "1", "--omega", "-2", "--z", "1",
+             "--horizon", "0.5", "--n", "501"], capsys)
+        assert code == 3
+        assert "BlowupError" in err
+        assert out == ""
+
+    def test_nonfinite_parameter_exits_2(self, capsys):
+        code, _, err = run(
+            ["simulate", "--l1", "1", "--l2", "1", "--omega=-inf", "--z", "0",
+             "--horizon", "0.5", "--n", "501"], capsys)
+        assert code == 2
+        assert "RegimeError" in err
 
 
 class TestUsage:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from peakwave import validate_params
-from peakwave.errors import DomainError, StepError
+from peakwave.errors import BlowupError, DomainError, StepError
 from peakwave import dynamics, spectral, vk
 from peakwave.dynamics import (
     FieldState,
@@ -130,6 +130,12 @@ class TestCnLinearStep:
     def test_positive_dt_required(self):
         with pytest.raises(StepError):
             cn_linear_step(make_state(P), -0.1)
+
+    def test_real_samples_step_like_complex(self):
+        u = make_state(P)
+        real = FieldState(u.samples.real.copy(), u.grid, 0.0, P)
+        dt = 0.25 * u.grid.spacing
+        assert np.array_equal(cn_linear_step(real, dt).samples, cn_linear_step(u, dt).samples)
 
 
 class TestNonlinearPhaseStep:
@@ -281,3 +287,65 @@ class TestSimulate:
         pairing = complex(np.sum(u.samples * phi))
         aligned = u.samples * cmath.exp(-1j * cmath.phase(pairing))
         assert float(np.max(np.abs(aligned - phi))) < 1e-3
+
+    def test_nonfinite_field_raises_blowup(self, nan_on_fifth_step):
+        with pytest.raises(BlowupError):
+            simulate(P, Perturbation(PerturbationKind.NONE, 0.0), 0.2,
+                     grid=spectral.default_grid(P, n_points=501))
+
+    @pytest.mark.parametrize("factor", [0.0, -0.25, 0.75])
+    def test_dt_checked_up_front(self, factor):
+        grid = spectral.default_grid(P, n_points=501)
+        with pytest.raises(StepError):
+            simulate(P, Perturbation(PerturbationKind.NONE, 0.0), 1.0,
+                     dt=factor * grid.spacing, grid=grid)
+
+
+class TestSimulateEquivalence:
+    """simulate's raw-array loop against the public one-step functions."""
+
+    GRID = spectral.default_grid(P, n_points=1001)
+    PERT = Perturbation(PerturbationKind.ODD_BUMP, 1e-2)
+    STEPS = 900  # the default stride is STEPS // 400 = 2, so half rotations merge
+
+    def _strang_states(self, dt):
+        u = dynamics._initial_state(P, self.PERT, self.GRID, sampled_profile(P, self.GRID))
+        states = [u]
+        for _ in range(self.STEPS):
+            u = strang_step(u, dt)
+            states.append(u)
+        return states
+
+    @pytest.mark.parametrize("stride", [1, 7, None])
+    def test_matches_repeated_strang_steps(self, stride):
+        dt = 0.25 * self.GRID.spacing
+        states = self._strang_states(dt)
+        result = simulate(P, self.PERT, self.STEPS * dt, dt, self.GRID, output_stride=stride)
+        every = stride or self.STEPS // 400
+        recorded = [states[k] for k in range(self.STEPS + 1) if k % every == 0 or k == self.STEPS]
+        assert len(result.rows) == len(recorded)
+        for row, u in zip(result.rows, recorded):
+            assert row.time == u.time
+            assert row.charge == pytest.approx(discrete_charge(u), rel=1e-12)
+            assert row.energy == pytest.approx(discrete_energy(u), rel=1e-12)
+        assert result.final.time == states[-1].time
+        assert float(np.max(np.abs(result.final.samples - states[-1].samples))) < 1e-12
+
+    def test_even_start_at_unstable_point_stays_bitwise_even(self):
+        p = validate_params(1.0, 1.0, -2.0, -0.5)
+        result = simulate(p, Perturbation(PerturbationKind.EVEN_BUMP, 1e-2), 3.0,
+                          grid=spectral.default_grid(p, n_points=1001))
+        u = result.final.samples
+        assert np.array_equal(u, u[::-1])
+
+    def test_stepper_factored_once_per_key(self):
+        dynamics._stepper.cache_clear()
+        dt = 0.25 * self.GRID.spacing
+        simulate(P, self.PERT, 10 * dt, dt, self.GRID)
+        simulate(P, self.PERT, 10 * dt, dt, self.GRID, output_stride=1)
+        u = make_state(P, n=self.GRID.n_points)
+        strang_step(cn_linear_step(u, dt), dt)
+        info = dynamics._stepper.cache_info()
+        assert (info.misses, info.currsize) == (1, 1)
+        cn_linear_step(u, 0.5 * dt)
+        assert dynamics._stepper.cache_info().misses == 2

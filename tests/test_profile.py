@@ -87,6 +87,22 @@ class TestValidateParams:
         with pytest.raises(RegimeError):
             validate_params(2, -1, -0.25, -1.0)  # -omega == Z^2/4 exactly
 
+    @pytest.mark.parametrize("point", [
+        (math.inf, 1, -2, 0),
+        (1, 1, -math.inf, 0),
+        (1, math.inf, -2, 0),
+        (1, -math.inf, -0.5, 0),
+        (1, 1, -2, math.inf),
+        (math.nan, 1, -2, 0),
+        (1, math.nan, -2, 0),
+        (1, 1, math.nan, 0),
+        (1, 1, -2, math.nan),
+    ])
+    def test_nonfinite_rejected(self, point):
+        # inf passes the sign inequalities, so finiteness is checked first.
+        with pytest.raises(RegimeError, match="finite"):
+            validate_params(*point)
+
 
 class TestRMap:
     def test_zero(self):
