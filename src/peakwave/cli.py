@@ -19,6 +19,8 @@ import sys
 import tempfile
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import dynamics, spectral, stability, vk
 from .errors import DomainError, PeakwaveError, RegimeError
 from .profile import ProfileEvaluator, Side, validate_params
@@ -41,6 +43,8 @@ def _format_value(value) -> str:
         return "1" if value else "0"
     if isinstance(value, int):
         return str(value)
+    if isinstance(value, str):
+        return value
     return format(float(value), ".17g")
 
 
@@ -155,10 +159,8 @@ def _cmd_profile(args) -> int:
     ev = ProfileEvaluator.from_params(p)
     n = args.n if args.n % 2 == 1 else args.n + 1
     h = 2.0 * args.xmax / (n - 1)
-    rows = []
-    for i in range(n):
-        x = h * (i - (n - 1) // 2)
-        rows.append((x, float(ev.value(x)), float(ev.derivative(x, Side.RIGHT))))
+    x = h * (np.arange(n) - (n - 1) // 2)
+    rows = list(zip(x.tolist(), ev.value(x).tolist(), ev.derivative(x, Side.RIGHT).tolist()))
     cfg = RunConfig(
         "profile",
         {
@@ -206,7 +208,7 @@ def _cmd_spectrum(args) -> int:
     grid = spectral.default_grid(p, n_points=args.n if args.n % 2 == 1 else args.n + 1)
     if sector is Sector.EVEN_SECTOR:
         grid = grid.even_half()
-    report = spectral.spectrum_report(kind, p, grid, k=min(args.k, 5))
+    report = spectral.spectrum_report(kind, p, grid, k=args.k)
     rows = [(i, lam) for i, (lam, _) in enumerate(report.lowest_pairs)]
     cfg = RunConfig(
         "spectrum",

@@ -348,9 +348,15 @@ def simulate(
     Records (time, energy, charge, orbital distance) every `output_stride`
     steps.  Between recorded steps the closing half rotation of one Strang
     step and the opening half rotation of the next are applied as one full
-    rotation.  Raises BlowupError if the amplitude exceeds one thousand
-    times its initial peak or the field stops being finite.
+    rotation.  Raises DomainError unless `horizon_T` is finite and positive
+    and `output_stride` is None or at least 1, and BlowupError if the
+    amplitude exceeds one thousand times its initial peak or the field stops
+    being finite.
     """
+    if not (math.isfinite(horizon_T) and horizon_T > 0.0):
+        raise DomainError(f"horizon_T must be finite and positive, got {horizon_T}")
+    if output_stride is not None and output_stride < 1:
+        raise DomainError(f"output_stride must be at least 1, got {output_stride}")
     if grid is None:
         n = 4001
         grid = GridSpec(30.0 / math.sqrt(-p.omega), n, Sector.FULL_LINE)

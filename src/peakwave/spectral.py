@@ -295,18 +295,22 @@ class KernelReport:
     grid: GridSpec
 
 
+def _zero_mode_residual(op: TridiagonalOperator) -> float:
+    """|lowest eigenvalue|, the distance of L2's zero mode from 0."""
+    return abs(_eigenvalue_by_index(op, 0))
+
+
+def _distance_to_zero(op: TridiagonalOperator) -> float:
+    """Distance from 0 to the spectrum: the nearer of the eigenvalues either side."""
+    below = inertia_below(op, 0.0)
+    above = abs(_eigenvalue_by_index(op, below))
+    return above if below == 0 else min(abs(_eigenvalue_by_index(op, below - 1)), above)
+
+
 def kernel_residual(p: WaveParameters, grid: GridSpec) -> KernelReport:
     """Measure the L2 zero mode and the spectral gap of L1 around zero."""
-    op2 = discretize_operator(OperatorKind.L2, p, grid)
-    l2_zero = abs(_eigenvalue_by_index(op2, 0))
-    op1 = discretize_operator(OperatorKind.L1, p, grid)
-    below = inertia_below(op1, 0.0)
-    lam_above = _eigenvalue_by_index(op1, below)
-    if below == 0:
-        gap = abs(lam_above)
-    else:
-        lam_below = _eigenvalue_by_index(op1, below - 1)
-        gap = min(abs(lam_below), abs(lam_above))
+    l2_zero = _zero_mode_residual(discretize_operator(OperatorKind.L2, p, grid))
+    gap = _distance_to_zero(discretize_operator(OperatorKind.L1, p, grid))
     return KernelReport(l2_zero, gap, grid)
 
 
@@ -333,11 +337,9 @@ def spectrum_report(kind: OperatorKind, p: WaveParameters, grid: GridSpec, k: in
     pairs = [(lam, v) for lam, v in lowest_eigenpairs(op, k) if lam < edge]
     negative = inertia_below(op, -zero_exclusion_shift(grid, p))
     if kind is OperatorKind.L2:
-        resid = abs(_eigenvalue_by_index(op, 0))
+        resid = _zero_mode_residual(op)
     elif kind is OperatorKind.L1:
-        below = inertia_below(op, 0.0)
-        above = _eigenvalue_by_index(op, below)
-        resid = abs(above) if below == 0 else min(abs(_eigenvalue_by_index(op, below - 1)), abs(above))
+        resid = _distance_to_zero(op)
     else:
         resid = math.nan
     return SpectrumReport(negative, pairs, resid, edge, grid)

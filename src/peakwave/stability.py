@@ -13,8 +13,10 @@ inherited by the full space (an even field escaping the orbit witnesses
 escape in the full norm), which is how the unstable strengths below the
 threshold are classified.
 
-`classify_numeric` derives both indices from the discretized operators and
-the charge slope; `classify_analytic` is a lookup of the proven
+`classify_numeric` and `compare` share one numeric pass per parameter point:
+the kernel preconditions, the slope index p and the negative count n of each
+sector are computed once, and both verdicts are built from those values.
+`classify_analytic` is a lookup of the proven
 classification: for unit coefficients, stable for Z >= 0, unstable on
 (z*, 0), stable in the even sector for Z > z*, unstable in both spaces below
 z*; for a focusing cubic with defocusing quintic, stable for Z > 0, unstable
@@ -80,6 +82,8 @@ class Verdict:
 #: classification (slope index degenerates there).
 ZSTAR_EXCLUSION = 1e-6
 
+_ODD_NOTE = "index difference odd: nonlinear instability inferred from the linearized flow"
+
 
 def _bookkeep(n: int, p: int) -> Outcome:
     if n == p:
@@ -114,35 +118,38 @@ def _check_preconditions(p: WaveParameters, grid: GridSpec) -> None:
         )
 
 
-def _indices(p: WaveParameters, grid: GridSpec, space: Space) -> int:
-    g = grid if space is Space.FULL_H1 else grid.even_half()
-    n1 = spectral.morse_index(OperatorKind.L1, p, g)
-    n2 = spectral.morse_index(OperatorKind.L2, p, g)
+def _indices(p: WaveParameters, grid: GridSpec) -> int:
+    n1 = spectral.morse_index(OperatorKind.L1, p, grid)
+    n2 = spectral.morse_index(OperatorKind.L2, p, grid)
     return n1 + n2
 
 
-def classify_numeric(p: WaveParameters, space: Space, grid: GridSpec | None = None) -> Verdict:
-    """Verdict from discretized Morse indices and the measured charge slope."""
+def _numeric_verdicts(p: WaveParameters, grid: GridSpec | None) -> dict[Space, Verdict]:
+    """Both numeric verdicts from one precondition check, one slope index and
+    one negative count per sector."""
     if grid is None:
         grid = spectral.default_grid(p, n_points=2001)
     if grid.sector is not Sector.FULL_LINE:
         raise PreconditionError("classification grids are full-line; the even sector is derived internally")
     _check_preconditions(p, grid)
     p_idx = vk.p_index(p)
-    n = _indices(p, grid, space)
-    outcome = _bookkeep(n, p_idx)
-    note = ""
-    if outcome is Outcome.ORBITALLY_UNSTABLE:
-        note = "index difference odd: nonlinear instability inferred from the linearized flow"
-    if outcome is Outcome.INDETERMINATE and space is Space.FULL_H1:
-        n_even = _indices(p, grid, Space.EVEN_H1)
-        if _bookkeep(n_even, p_idx) is Outcome.ORBITALLY_UNSTABLE:
-            outcome = Outcome.ORBITALLY_UNSTABLE
-            note = (
-                "full-space index difference is even; instability inherited from the "
-                "invariant even sector"
-            )
-    return Verdict(space, n, p_idx, outcome, Provenance.NUMERIC_PIPELINE, note)
+    n = {Space.FULL_H1: _indices(p, grid), Space.EVEN_H1: _indices(p, grid.even_half())}
+    outcome = {space: _bookkeep(count, p_idx) for space, count in n.items()}
+    note = {space: _ODD_NOTE if o is Outcome.ORBITALLY_UNSTABLE else "" for space, o in outcome.items()}
+    if (outcome[Space.FULL_H1] is Outcome.INDETERMINATE
+            and outcome[Space.EVEN_H1] is Outcome.ORBITALLY_UNSTABLE):
+        outcome[Space.FULL_H1] = Outcome.ORBITALLY_UNSTABLE
+        note[Space.FULL_H1] = (
+            "full-space index difference is even; instability inherited from the "
+            "invariant even sector"
+        )
+    return {space: Verdict(space, n[space], p_idx, outcome[space], Provenance.NUMERIC_PIPELINE, note[space])
+            for space in Space}
+
+
+def classify_numeric(p: WaveParameters, space: Space, grid: GridSpec | None = None) -> Verdict:
+    """Verdict from discretized Morse indices (both sectors) and the measured charge slope."""
+    return _numeric_verdicts(p, grid)[space]
 
 
 def classify_analytic(p: WaveParameters, space: Space, zstar: float | None = None) -> Verdict:
@@ -156,8 +163,7 @@ def classify_analytic(p: WaveParameters, space: Space, zstar: float | None = Non
             note = "" if space is Space.FULL_H1 else "even-sector stability follows from full-space stability"
             return Verdict(space, n, 1, Outcome.ORBITALLY_STABLE, Provenance.ANALYTIC_TABLE, note)
         if space is Space.FULL_H1:
-            return Verdict(space, n, 1, Outcome.ORBITALLY_UNSTABLE, Provenance.ANALYTIC_TABLE,
-                           "index difference odd: nonlinear instability inferred from the linearized flow")
+            return Verdict(space, n, 1, Outcome.ORBITALLY_UNSTABLE, Provenance.ANALYTIC_TABLE, _ODD_NOTE)
         return Verdict(space, n, 1, Outcome.ORBITALLY_STABLE, Provenance.ANALYTIC_TABLE, "")
     if p.lambda1 != 1.0 or p.lambda2 != 1.0:
         n_full = 1 if p.z > 0.0 else 2
@@ -176,14 +182,11 @@ def classify_analytic(p: WaveParameters, space: Space, zstar: float | None = Non
     if space is Space.FULL_H1:
         if p.z >= 0.0:
             return Verdict(space, n, p_idx, Outcome.ORBITALLY_STABLE, Provenance.ANALYTIC_TABLE, "")
-        note = ("index difference odd: nonlinear instability inferred from the linearized flow"
-                if p.z > zs else
-                "instability inherited from the invariant even sector")
+        note = _ODD_NOTE if p.z > zs else "instability inherited from the invariant even sector"
         return Verdict(space, n, p_idx, Outcome.ORBITALLY_UNSTABLE, Provenance.ANALYTIC_TABLE, note)
     if p.z > zs:
         return Verdict(space, n, p_idx, Outcome.ORBITALLY_STABLE, Provenance.ANALYTIC_TABLE, "")
-    return Verdict(space, n, p_idx, Outcome.ORBITALLY_UNSTABLE, Provenance.ANALYTIC_TABLE,
-                   "index difference odd: nonlinear instability inferred from the linearized flow")
+    return Verdict(space, n, p_idx, Outcome.ORBITALLY_UNSTABLE, Provenance.ANALYTIC_TABLE, _ODD_NOTE)
 
 
 def compare(p: WaveParameters, grid: GridSpec | None = None) -> bool:
@@ -192,9 +195,5 @@ def compare(p: WaveParameters, grid: GridSpec | None = None) -> bool:
     Raises DegenerateError near the threshold (both classifiers decline
     there, which is a shared exclusion, not a disagreement).
     """
-    for space in (Space.FULL_H1, Space.EVEN_H1):
-        numeric = classify_numeric(p, space, grid)
-        analytic = classify_analytic(p, space)
-        if numeric.outcome is not analytic.outcome:
-            return False
-    return True
+    numeric = _numeric_verdicts(p, grid)
+    return all(numeric[space].outcome is classify_analytic(p, space).outcome for space in Space)

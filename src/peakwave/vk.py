@@ -56,13 +56,9 @@ DEFAULT_PROBE_GRID = (-1.5, -2.0, -3.0, -5.0, -10.0, -50.0)
 class ClosedFormCoefficients:
     """Frequency-dependent constants of the unit-coefficient closed forms."""
 
-    alpha_w: float   # -1/(4*omega)
-    beta_w: float    # sqrt(9 - 48*omega) / (-12*omega)
-    gamma_w: float   # sqrt(3)/sqrt(3 - 16*omega)
     theta_w: float   # (sqrt(3) - sqrt(3 - 16*omega)) / (4*sqrt(-omega))
     h_w: float       # 3 - 16*omega
     s_w: float       # 2*sqrt(-omega)
-    u_w: float       # h + sqrt(3*h)
     t_w: float       # h^{3/2} * (2*s*b + sinh(2*s*b))
     b: float         # profile shift
 
@@ -73,13 +69,9 @@ class ClosedFormCoefficients:
         h = 3.0 - 16.0 * omega
         s = 2.0 * math.sqrt(-omega)
         return cls(
-            alpha_w=-1.0 / (4.0 * omega),
-            beta_w=math.sqrt(9.0 - 48.0 * omega) / (-12.0 * omega),
-            gamma_w=SQRT3 / math.sqrt(h),
             theta_w=(SQRT3 - math.sqrt(h)) / (4.0 * math.sqrt(-omega)),
             h_w=h,
             s_w=s,
-            u_w=h + math.sqrt(3.0 * h),
             t_w=h**1.5 * (2.0 * s * b + math.sinh(2.0 * s * b)),
             b=b,
         )

@@ -1,5 +1,6 @@
 """Command-line interface: schemas, determinism, round-trips, exit codes."""
 
+import csv
 import json
 
 import pytest
@@ -38,6 +39,23 @@ class TestProfileCommand:
         for line in lines[2:10]:
             x, phi, _ = (float(tok) for tok in line.split(","))
             assert float(ev.value(x)) == phi  # lossless binary64 round-trip
+
+    @pytest.mark.parametrize("point", [(1, 1, -3, 2), (1, 1, -2, -1), (2, -1, -0.5, 0.8),
+                                       (2, 3, -4, 0.5), (1, 0.1, -2.5, -1.2)])
+    def test_rows_match_scalar_evaluation(self, point, tmp_path, capsys):
+        from peakwave import ProfileEvaluator, Side, validate_params
+        out_file = tmp_path / "profile.csv"
+        flags = ["--l1", "--l2", "--omega", "--z"]
+        argv = ["profile"] + [tok for f, v in zip(flags, point) for tok in (f, str(v))]
+        assert run(argv + ["--xmax", "7", "--n", "41", "--out", str(out_file)], capsys)[0] == 0
+        ev = ProfileEvaluator.from_params(validate_params(*point))
+        h = 14.0 / 40
+        lines = out_file.read_text().strip().split("\n")[2:]
+        assert len(lines) == 41
+        for i, line in enumerate(lines):
+            x = h * (i - 20)
+            expected = (x, float(ev.value(x)), float(ev.derivative(x, Side.RIGHT)))
+            assert tuple(float(tok) for tok in line.split(",")) == expected
 
     def test_deterministic_bytes(self, tmp_path, capsys):
         args = ["profile", "--l1", "1", "--l2", "1", "--omega", "-2", "--z", "1",
@@ -96,6 +114,15 @@ class TestSpectrumCommand:
         assert header["negative_count"] == 2
         assert header["essential_edge"] == 2.0
 
+    @pytest.mark.parametrize("k", ["0", "7"])
+    def test_k_outside_range_exits_2(self, k, capsys):
+        code, out, err = run(
+            ["spectrum", "--l1", "1", "--l2", "1", "--omega", "-2", "--z", "-1",
+             "--kind", "L1", "--n", "2001", "--k", k], capsys)
+        assert code == 2
+        assert "DomainError" in err
+        assert out == ""
+
 
 class TestClassifyCommand:
     def test_stable_line(self, capsys):
@@ -118,6 +145,21 @@ class TestClassifyCommand:
              "--z", "-0.866025403784", "--space", "full"], capsys)
         assert code == 3
         assert "DegenerateError" in err
+
+    def test_out_writes_both_formats(self, tmp_path, capsys):
+        args = ["classify", "--l1", "1", "--l2", "1", "--omega", "-2", "--z", "-0.5", "--space", "full"]
+        csv_file, json_file = tmp_path / "v.csv", tmp_path / "v.json"
+        assert run(args + ["--out", str(csv_file)], capsys)[0] == 0
+        assert run(args + ["--out", str(json_file), "--format", "json"], capsys)[0] == 0
+        columns = ["provenance", "n_hessian", "p_index", "outcome", "note"]
+        records = list(csv.reader(csv_file.read_text().split("\n")[1:-1]))
+        assert records[0] == columns
+        assert [len(r) for r in records[1:]] == [5, 5]
+        assert [r[:4] for r in records[1:]] == [
+            ["numeric", "2", "1", "OrbitallyUnstable"], ["analytic", "2", "1", "OrbitallyUnstable"]]
+        payload = json.loads(json_file.read_text())
+        assert payload["columns"] == columns
+        assert payload["rows"] == records[1:]
 
 
 class TestFindZstarCommand:
@@ -160,6 +202,14 @@ class TestSimulateCommand:
              "--horizon", "0.5", "--n", "501"], capsys)
         assert code == 2
         assert "RegimeError" in err
+
+    def test_nonfinite_horizon_exits_2(self, capsys):
+        code, out, err = run(
+            ["simulate", "--l1", "1", "--l2", "1", "--omega", "-2", "--z", "1",
+             "--horizon", "nan", "--n", "501"], capsys)
+        assert code == 2
+        assert "DomainError" in err
+        assert out == ""
 
 
 class TestUsage:

@@ -300,6 +300,18 @@ class TestSimulate:
             simulate(P, Perturbation(PerturbationKind.NONE, 0.0), 1.0,
                      dt=factor * grid.spacing, grid=grid)
 
+    @pytest.mark.parametrize("horizon", [math.nan, math.inf, -math.inf, -1.0, 0.0])
+    def test_horizon_must_be_finite_and_positive(self, horizon):
+        with pytest.raises(DomainError, match="horizon_T"):
+            simulate(P, Perturbation(PerturbationKind.NONE, 0.0), horizon,
+                     grid=spectral.default_grid(P, n_points=201))
+
+    @pytest.mark.parametrize("stride", [0, -2])
+    def test_output_stride_must_be_at_least_one(self, stride):
+        with pytest.raises(DomainError, match="output_stride"):
+            simulate(P, Perturbation(PerturbationKind.NONE, 0.0), 0.1,
+                     grid=spectral.default_grid(P, n_points=201), output_stride=stride)
+
 
 class TestSimulateEquivalence:
     """simulate's raw-array loop against the public one-step functions."""

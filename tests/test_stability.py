@@ -1,5 +1,7 @@
 """Index bookkeeping against the proven classification, in both spaces."""
 
+import collections
+
 import numpy as np
 import pytest
 
@@ -130,6 +132,33 @@ class TestCompare:
     def test_agreement(self, point):
         p = validate_params(*point)
         assert compare(p, grid_for(p)) is True
+
+    @pytest.mark.parametrize(
+        "point",
+        [
+            (1.0, 1.0, -2.0, 1.0),    # stable: n = p
+            (1.0, 1.0, -2.0, -0.5),   # odd difference
+            (1.0, 1.0, -2.0, -1.0),   # even difference, inherited from the even sector
+        ],
+    )
+    def test_one_numeric_pass_per_point(self, point, monkeypatch):
+        calls = collections.Counter()
+
+        def counting(module, name):
+            real = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counting(spectral, "kernel_residual")
+        counting(vk, "p_index")
+        counting(spectral, "morse_index")
+        p = validate_params(*point)
+        assert compare(p, grid_for(p)) is True
+        assert calls == {"kernel_residual": 1, "p_index": 1, "morse_index": 4}
 
     def test_shared_exclusion_near_threshold(self):
         zstar = vk.find_zstar()

@@ -22,8 +22,6 @@ class TestClosedFormCoefficients:
         assert c.h_w == 3.0 - 16.0 * -2.0
         assert c.h_w > 3.0
         assert c.theta_w < 0.0
-        assert c.gamma_w == pytest.approx(math.sqrt(3.0) / math.sqrt(c.h_w), rel=1e-15)
-        assert c.u_w == pytest.approx(c.h_w + math.sqrt(3.0 * c.h_w), rel=1e-15)
 
     def test_inadmissible_rejected(self):
         # Closed forms accept only (omega, z) admissible for unit coefficients.
