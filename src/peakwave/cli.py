@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -156,6 +157,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_profile(args) -> int:
     p = validate_params(args.l1, args.l2, args.omega, args.z)
+    if args.n < 2:
+        raise DomainError(f"--n must be >= 2, got {args.n}")
+    if not (math.isfinite(args.xmax) and args.xmax > 0.0):
+        raise DomainError(f"--xmax must be finite and positive, got {args.xmax}")
     ev = ProfileEvaluator.from_params(p)
     n = args.n if args.n % 2 == 1 else args.n + 1
     h = 2.0 * args.xmax / (n - 1)
@@ -191,8 +196,6 @@ def _cmd_vk_scan(args) -> int:
             "omega_min": args.omega_min, "omega_max": args.omega_max,
             "omega_points": args.omega_points,
             "z_min": args.z_min, "z_max": z_max, "z_points": args.z_points,
-            "slope_path": "closed" if args.l1 == 1.0 and args.l2 == 1.0 else "quadrature",
-            "fd_step_rule": "1e-5*|omega|",
         },
         ["omega", "z", "norm_sq", "dnorm_domega", "p_index"],
         _resolve_out(args), args.format,

@@ -35,6 +35,7 @@ repulsive defect; it is not used in the main time loop.
 
 from __future__ import annotations
 
+import cmath
 import enum
 import functools
 import math
@@ -280,15 +281,15 @@ def orbital_distance(u: FieldState, p: WaveParameters, phi: np.ndarray | None = 
     """inf over theta of the discrete H^1 distance to e^{i theta} phi.
 
     The minimizing phase is the argument of the H^1 pairing with the (real)
-    profile, so the infimum is evaluated in closed form.  `phi` is the
-    profile sampled on u's grid; it is sampled here when not given.
+    profile; the distance to that rotation is then taken directly, which
+    resolves it down to rounding of the field rather than of its O(1) norm.
+    `phi` is the profile sampled on u's grid; it is sampled here when not given.
     """
     h = u.grid.spacing
     if phi is None:
         phi = sampled_profile(p, u.grid)
     pairing = complex(np.sum(u.samples * phi) * h + np.sum(np.diff(u.samples) * np.diff(phi)) / h)
-    value = _h1_norm_sq(u.samples, h) + _h1_norm_sq(phi, h) - 2.0 * abs(pairing)
-    return math.sqrt(max(value, 0.0))
+    return math.sqrt(_h1_norm_sq(u.samples - cmath.exp(1j * cmath.phase(pairing)) * phi, h))
 
 
 class PerturbationKind(enum.Enum):

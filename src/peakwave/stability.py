@@ -19,14 +19,17 @@ sector are computed once, and both verdicts are built from those values.
 `classify_analytic` is a lookup of the proven
 classification: for unit coefficients, stable for Z >= 0, unstable on
 (z*, 0), stable in the even sector for Z > z*, unstable in both spaces below
-z*; for a focusing cubic with defocusing quintic, stable for Z > 0, unstable
-(full) / stable (even) for Z < 0.
+z* = -sqrt(3)/2; for a focusing cubic with defocusing quintic, stable for
+Z > 0, unstable (full) / stable (even) for Z < 0.  Any other focusing pair
+is reduced to the unit table by the exact scaling u = A v(Bx, B^2 t) with
+A^2 = lambda1/lambda2 and B^2 = lambda1^2/lambda2, which maps the strength to
+Z * sqrt(lambda2) / lambda1 and keeps the Morse counts and the slope sign.
 """
 
 from __future__ import annotations
 
 import enum
-import functools
+import math
 from dataclasses import dataclass
 
 from . import spectral, vk
@@ -63,12 +66,7 @@ class Provenance(enum.Enum):
 
 @dataclass(frozen=True)
 class Verdict:
-    """Stability verdict with the indices that produced it.
-
-    `n_hessian` or `p_index` is -1 when the analytic table does not pin the
-    value (general attractive-attractive coefficients without a proven
-    threshold).
-    """
+    """Stability verdict with the indices that produced it."""
 
     space: Space
     n_hessian: int
@@ -91,11 +89,6 @@ def _bookkeep(n: int, p: int) -> Outcome:
     if (n - p) % 2 == 1:
         return Outcome.ORBITALLY_UNSTABLE
     return Outcome.INDETERMINATE
-
-
-@functools.lru_cache(maxsize=1)
-def _reference_zstar() -> float:
-    return vk.find_zstar()
 
 
 def _check_preconditions(p: WaveParameters, grid: GridSpec) -> None:
@@ -153,7 +146,11 @@ def classify_numeric(p: WaveParameters, space: Space, grid: GridSpec | None = No
 
 
 def classify_analytic(p: WaveParameters, space: Space, zstar: float | None = None) -> Verdict:
-    """Verdict from the proven classification tables."""
+    """Verdict from the proven classification tables.
+
+    `zstar` overrides the unit-coefficient threshold -sqrt(3)/2; a general
+    focusing pair is compared with it after scaling Z onto unit coefficients.
+    """
     if p.regime is Regime.ATTRACTIVE_REPULSIVE:
         if p.z == 0.0:
             raise DegenerateError("the attractive-repulsive classification covers Z != 0 only")
@@ -165,26 +162,23 @@ def classify_analytic(p: WaveParameters, space: Space, zstar: float | None = Non
         if space is Space.FULL_H1:
             return Verdict(space, n, 1, Outcome.ORBITALLY_UNSTABLE, Provenance.ANALYTIC_TABLE, _ODD_NOTE)
         return Verdict(space, n, 1, Outcome.ORBITALLY_STABLE, Provenance.ANALYTIC_TABLE, "")
-    if p.lambda1 != 1.0 or p.lambda2 != 1.0:
-        n_full = 1 if p.z > 0.0 else 2
-        n = n_full if space is Space.FULL_H1 else 1
-        return Verdict(
-            space, n, -1, Outcome.INDETERMINATE, Provenance.ANALYTIC_TABLE,
-            "threshold for general focusing-focusing coefficients is conjectural; "
-            "only the unit-coefficient table is proven",
+    # Exact scaling onto unit coefficients; z_u == Z for lambda1 = lambda2 = 1.
+    z_u = p.z * math.sqrt(p.lambda2) / p.lambda1
+    zs = vk.ZSTAR_REFERENCE if zstar is None else zstar
+    if abs(z_u - zs) <= ZSTAR_EXCLUSION:
+        raise DegenerateError(
+            f"scaled strength Z * sqrt(lambda2) / lambda1 = {z_u} within {ZSTAR_EXCLUSION} "
+            f"of the unit threshold {zs}"
         )
-    zs = _reference_zstar() if zstar is None else zstar
-    if abs(p.z - zs) <= ZSTAR_EXCLUSION:
-        raise DegenerateError(f"Z = {p.z} within {ZSTAR_EXCLUSION} of the threshold {zs}")
-    p_idx = 1 if p.z > zs else 0
-    n_full = 1 if p.z >= 0.0 else 2
+    p_idx = 1 if z_u > zs else 0
+    n_full = 1 if z_u >= 0.0 else 2
     n = n_full if space is Space.FULL_H1 else 1
     if space is Space.FULL_H1:
-        if p.z >= 0.0:
+        if z_u >= 0.0:
             return Verdict(space, n, p_idx, Outcome.ORBITALLY_STABLE, Provenance.ANALYTIC_TABLE, "")
-        note = _ODD_NOTE if p.z > zs else "instability inherited from the invariant even sector"
+        note = _ODD_NOTE if z_u > zs else "instability inherited from the invariant even sector"
         return Verdict(space, n, p_idx, Outcome.ORBITALLY_UNSTABLE, Provenance.ANALYTIC_TABLE, note)
-    if p.z > zs:
+    if z_u > zs:
         return Verdict(space, n, p_idx, Outcome.ORBITALLY_STABLE, Provenance.ANALYTIC_TABLE, "")
     return Verdict(space, n, p_idx, Outcome.ORBITALLY_UNSTABLE, Provenance.ANALYTIC_TABLE, _ODD_NOTE)
 

@@ -2,24 +2,31 @@
 
 The squared L^2 norm ("charge") of the profile decides stability through the
 sign of -d/domega ||phi||^2: the slope index p is 1 when that quantity is
-positive and 0 when it is negative.  For unit cubic and quintic coefficients
-the norm has the closed form
+positive and 0 when it is negative.  Integrating phi^2 with the substitution
+u = tanh((|x| + b)*nu) gives the charge in closed form for every admissible
+coefficient pair,
 
-    ||phi||^2 = -2*sqrt(3) * [arctan(theta) - arctan(theta * tanh(nu*b))],
+    ||phi||^2 = (2/sqrt(beta)) * [arctan(c) - arctan(c*t)]        (lambda2 > 0),
+    ||phi||^2 = (2/sqrt(-beta)) * [artanh(c) - artanh(c*t)]       (lambda2 < 0),
 
-with theta(omega) = (sqrt(3) - sqrt(3 - 16*omega)) / (4*nu), nu = sqrt(-omega)
-and b the profile shift.  Differentiating in omega (b depends on omega through
-the shift equation) gives an explicit two-term expression; both are
-cross-checked against adaptive quadrature and finite differences in the test
-suite.  For general coefficients only the quadrature path is provided.
+with alpha = lambda1/4, beta = lambda2/3, kappa = sqrt(alpha^2 - beta*omega),
+nu = sqrt(-omega), c = nu*sqrt(|beta|)/(kappa + alpha) and t = tanh(nu*b),
+where b is the profile shift.  t comes from the shift equation in closed form,
+so the charge is an analytic function of omega and its derivative is taken by
+the complex step Im f(omega + i*h)/h (Squire & Trapp, SIAM Rev. 1998), exact
+to rounding with no subtraction.  Adaptive quadrature and a Richardson-checked
+finite difference are kept as independent oracles for the test suite.
 
-A sign change of the slope occurs at a unique defect strength z* ~ -0.8660254;
-`find_zstar` locates it by bisection on the minimum slope over a frequency
-probe grid.
+A sign change of the slope occurs for unit coefficients at the defect
+strength z* = -sqrt(3)/2; `find_zstar` locates it by bisection on the minimum
+slope over a frequency probe grid.  The scaling u = A v(Bx, B^2 t) with
+A^2 = lambda1/lambda2, B^2 = lambda1^2/lambda2 carries it to
+Z*(lambda1, lambda2) = z* * lambda1/sqrt(lambda2) for every focusing pair.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -29,12 +36,10 @@ from .errors import BracketError, DegenerateError, RegimeError, StepError
 from .profile import ProfileEvaluator, Regime, WaveParameters, validate_params
 
 __all__ = [
-    "ClosedFormCoefficients",
     "VkScanRow",
     "ZSTAR_REFERENCE",
     "norm_sq_closed",
     "norm_sq_quadrature",
-    "db_domega",
     "dnorm_domega_closed",
     "dnorm_domega_numeric",
     "slope",
@@ -43,51 +48,44 @@ __all__ = [
     "scan",
 ]
 
-SQRT3 = math.sqrt(3.0)
-
-#: Reference threshold for lambda1 = lambda2 = 1, reproduced by find_zstar.
-ZSTAR_REFERENCE = -0.866025403784
+#: Slope threshold for lambda1 = lambda2 = 1, reproduced by find_zstar.
+ZSTAR_REFERENCE = -math.sqrt(3.0) / 2.0
 
 #: Default frequency probe grid for threshold detection.
 DEFAULT_PROBE_GRID = (-1.5, -2.0, -3.0, -5.0, -10.0, -50.0)
 
+#: Imaginary frequency step of the complex-step derivative.
+_COMPLEX_STEP = 1e-30
 
-@dataclass(frozen=True)
-class ClosedFormCoefficients:
-    """Frequency-dependent constants of the unit-coefficient closed forms."""
 
-    theta_w: float   # (sqrt(3) - sqrt(3 - 16*omega)) / (4*sqrt(-omega))
-    h_w: float       # 3 - 16*omega
-    s_w: float       # 2*sqrt(-omega)
-    t_w: float       # h^{3/2} * (2*s*b + sinh(2*s*b))
-    b: float         # profile shift
+def _charge(p: WaveParameters, omega: complex) -> complex:
+    """||phi||^2 at frequency omega for p's coefficients and strength.
 
-    @classmethod
-    def from_omega_z(cls, omega: float, z: float) -> "ClosedFormCoefficients":
-        p = validate_params(1.0, 1.0, omega, z)
-        b = ProfileEvaluator.from_params(p).shift_b
-        h = 3.0 - 16.0 * omega
-        s = 2.0 * math.sqrt(-omega)
-        return cls(
-            theta_w=(SQRT3 - math.sqrt(h)) / (4.0 * math.sqrt(-omega)),
-            h_w=h,
-            s_w=s,
-            t_w=h**1.5 * (2.0 * s * b + math.sinh(2.0 * s * b)),
-            b=b,
-        )
+    Analytic in omega: a complex omega near the real axis returns the value
+    in the real part and omega's imaginary part times the derivative in the
+    imaginary part.  The defocusing case uses artanh with sqrt(-beta), so no
+    intermediate carries an O(1) imaginary part that would cancel.
+    """
+    alpha = p.lambda1 / 4.0
+    beta = p.lambda2 / 3.0
+    root_beta = math.sqrt(abs(beta))
+    nu = cmath.sqrt(-omega)
+    kappa = cmath.sqrt(alpha * alpha - beta * omega)
+    c = nu * root_beta / (kappa + alpha)
+    t = p.z * (alpha + kappa) / (
+        2.0 * nu * (kappa + cmath.sqrt(kappa * kappa - beta * p.z * p.z / 4.0))
+    )
+    # arctan(c) - arctan(c*t) and artanh(c) - artanh(c*t) as one term each
+    # (the subtraction formulas hold because c^2*|t| < 1).
+    if p.regime is Regime.ATTRACTIVE_ATTRACTIVE:
+        return 2.0 / root_beta * cmath.atan(c * (1.0 - t) / (1.0 + c * c * t))
+    return 2.0 / root_beta * cmath.atanh(c * (1.0 - t) / (1.0 - c * c * t))
 
 
 def norm_sq_closed(omega: float, z: float) -> float:
-    """||phi||^2 for lambda1 = lambda2 = 1 in closed form.
-
-    Admissibility of (omega, z) for unit coefficients is validated; the
-    closed forms are wired only to this coefficient pair by construction.
-    """
-    c = ClosedFormCoefficients.from_omega_z(omega, z)
-    nu = math.sqrt(-omega)
-    return -2.0 * SQRT3 * (
-        math.atan(c.theta_w) - math.atan(c.theta_w * math.tanh(nu * c.b))
-    )
+    """||phi||^2 for lambda1 = lambda2 = 1 in closed form; (omega, z) is validated."""
+    p = validate_params(1.0, 1.0, omega, z)
+    return _charge(p, p.omega).real
 
 
 def _truncation_length(ev: ProfileEvaluator, tail_bound: float = 1e-13) -> float:
@@ -121,43 +119,9 @@ def norm_sq_quadrature(p: WaveParameters) -> float:
     return 2.0 * val
 
 
-def db_domega(omega: float, z: float) -> float:
-    """d(shift)/d(omega) at fixed Z for lambda1 = lambda2 = 1, in closed form."""
-    c = ClosedFormCoefficients.from_omega_z(omega, z)
-    h, s, b = c.h_w, c.s_w, c.b
-    nu = math.sqrt(-omega)
-    num = (
-        4.0 * SQRT3 * nu * h * b * math.cosh(s * b)
-        + 2.0 * SQRT3 * (3.0 - 32.0 * omega) * math.sinh(s * b)
-        + c.t_w
-    )
-    den = 8.0 * (-omega) ** 1.5 * math.sqrt(h) * (h + SQRT3 * math.sqrt(h) * math.cosh(s * b))
-    return num / den
-
-
 def dnorm_domega_closed(omega: float, z: float) -> float:
-    """d/domega of ||phi||^2 for lambda1 = lambda2 = 1, in closed form.
-
-    Differentiates the arctan expression of `norm_sq_closed` directly:
-
-        d/domega = -2*sqrt(3) * [ theta'/(1 + theta^2)
-                                  - (theta'*tau + theta*tau')/(1 + theta^2*tau^2) ],
-
-    with tau = tanh(nu*b), theta'/(1 + theta^2) simplifying to
-    sqrt(3)/(nu*h), and tau' = sech^2(nu*b)*(nu*b'(omega) - b/(2*nu)) fed by
-    the closed-form `db_domega`.
-    """
-    c = ClosedFormCoefficients.from_omega_z(omega, z)
-    nu = math.sqrt(-omega)
-    h, b = c.h_w, c.b
-    bp = db_domega(omega, z)
-    theta = c.theta_w
-    theta_p = (math.sqrt(3.0 * h) - 3.0) / (8.0 * (-omega) ** 1.5 * math.sqrt(h))
-    tau = math.tanh(nu * b)
-    tau_p = (nu * bp - b / (2.0 * nu)) / math.cosh(nu * b) ** 2
-    term_a = SQRT3 / (nu * h)
-    term_b = (theta_p * tau + theta * tau_p) / (1.0 + theta * theta * tau * tau)
-    return -2.0 * SQRT3 * (term_a - term_b)
+    """d/domega of ||phi||^2 for lambda1 = lambda2 = 1 in closed form; (omega, z) is validated."""
+    return -slope(validate_params(1.0, 1.0, omega, z))
 
 
 def dnorm_domega_numeric(p: WaveParameters, step: float | None = None) -> float:
@@ -195,11 +159,9 @@ def dnorm_domega_numeric(p: WaveParameters, step: float | None = None) -> float:
     return d_half
 
 
-def slope(p: WaveParameters, step: float | None = None) -> float:
-    """-d/domega ||phi||^2, closed form when available, quadrature otherwise."""
-    if p.lambda1 == 1.0 and p.lambda2 == 1.0:
-        return -dnorm_domega_closed(p.omega, p.z)
-    return -dnorm_domega_numeric(p, step)
+def slope(p: WaveParameters) -> float:
+    """-d/domega ||phi||^2, by the complex step of the closed-form charge."""
+    return -_charge(p, complex(p.omega, _COMPLEX_STEP)).imag / _COMPLEX_STEP
 
 
 def p_index(p: WaveParameters) -> int:
@@ -260,15 +222,9 @@ class VkScanRow:
 def scan(lambda1: float, lambda2: float, omegas, zs) -> list[VkScanRow]:
     """Tabulate charge, slope, and slope index over an (omega, z) grid."""
     rows = []
-    unit = lambda1 == 1.0 and lambda2 == 1.0
     for z in zs:
         for omega in omegas:
             p = validate_params(lambda1, lambda2, omega, z)
-            if unit:
-                n = norm_sq_closed(omega, z)
-                d = dnorm_domega_closed(omega, z)
-            else:
-                n = norm_sq_quadrature(p)
-                d = dnorm_domega_numeric(p)
-            rows.append(VkScanRow(omega, z, n, d, 1 if -d > 0.0 else 0))
+            s = slope(p)
+            rows.append(VkScanRow(omega, z, _charge(p, p.omega).real, -s, 1 if s > 0.0 else 0))
     return rows

@@ -82,6 +82,17 @@ class TestProfileCommand:
         assert "RegimeError" in err and "finite" in err
         assert out == ""
 
+    @pytest.mark.parametrize("flags", [
+        ["--n", "0"], ["--n", "-5"], ["--n", "1"],
+        ["--xmax", "nan"], ["--xmax", "-1"], ["--xmax", "0"], ["--xmax", "inf"],
+    ])
+    def test_bad_grid_exits_2(self, flags, capsys):
+        code, out, err = run(
+            ["profile", "--l1", "1", "--l2", "1", "--omega", "-2", "--z", "1"] + flags, capsys)
+        assert code == 2
+        assert "DomainError" in err
+        assert out == ""
+
 
 class TestVkScanCommand:
     def test_schema(self, capsys):
@@ -93,6 +104,9 @@ class TestVkScanCommand:
         assert lines[1] == "omega,z,norm_sq,dnorm_domega,p_index"
         assert len(lines) == 5
         assert lines[2].endswith(",1")  # p_index = 1 on this branch
+        # One closed form serves every coefficient pair, so no path is recorded.
+        header = json.loads(lines[0][2:])
+        assert "slope_path" not in header and "fd_step_rule" not in header
 
     def test_json_format(self, capsys):
         code, out, _ = run(
@@ -138,6 +152,14 @@ class TestClassifyCommand:
              "--space", "even"], capsys)
         assert code == 0
         assert out.strip() == "OrbitallyStable (numeric=analytic)"
+
+    def test_general_focusing_pair_agreement(self, capsys):
+        # The scaled strength -0.6 * sqrt(3) / 2 lies between the threshold and 0.
+        code, out, _ = run(
+            ["classify", "--l1", "2", "--l2", "3", "--omega", "-2.7", "--z", "-0.6",
+             "--space", "full"], capsys)
+        assert code == 0
+        assert out.strip() == "OrbitallyUnstable (numeric=analytic)"
 
     def test_degenerate_exit_code(self, capsys):
         code, _, err = run(

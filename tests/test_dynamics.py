@@ -229,6 +229,18 @@ class TestKernelPropagator:
 
 
 class TestOrbitalDistance:
+    @pytest.mark.parametrize("eps", [1e-8, 1e-10])
+    def test_small_distance_resolved(self, eps):
+        # An odd real perturbation is H^1-orthogonal to the even profile, so
+        # the distance of e^{0.3i}(phi + eps*psi) is eps*||psi||_{H^1}.
+        grid = spectral.default_grid(P, n_points=4001)
+        x = grid.nodes()
+        psi = x * np.exp(-x * x)
+        h = grid.spacing
+        norm = math.sqrt(float(np.sum(psi**2)) * h + float(np.sum(np.diff(psi) ** 2)) / h)
+        u = FieldState(cmath.exp(0.3j) * (sampled_profile(P, grid) + eps * psi), grid, 0.0, P)
+        assert orbital_distance(u, P) == pytest.approx(eps * norm, rel=1e-5)
+
     def test_orbit_point_is_zero(self):
         u = make_state(P)
         for theta in (0.0, 0.9, -2.2):

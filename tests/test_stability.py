@@ -1,6 +1,8 @@
 """Index bookkeeping against the proven classification, in both spaces."""
 
 import collections
+import math
+import random
 
 import numpy as np
 import pytest
@@ -78,12 +80,26 @@ class TestClassifyAnalytic:
         assert classify_analytic(p, Space.FULL_H1).outcome is Outcome.ORBITALLY_UNSTABLE
         assert classify_analytic(p, Space.EVEN_H1).outcome is Outcome.ORBITALLY_STABLE
 
-    def test_general_focusing_pair_indeterminate(self):
+    def test_general_focusing_pair_scaled(self):
+        # The scaled strength 1 * sqrt(2) / 2 > 0: the unit table says stable.
         p = validate_params(2.0, 2.0, -3.0, 1.0)
         v = classify_analytic(p, Space.FULL_H1)
-        assert v.outcome is Outcome.INDETERMINATE
-        assert "conjectural" in v.note
-        assert v.p_index == -1
+        assert (v.n_hessian, v.p_index, v.outcome) == (1, 1, Outcome.ORBITALLY_STABLE)
+        assert v.provenance is Provenance.ANALYTIC_TABLE
+
+    @pytest.mark.parametrize("pair", [(2.0, 3.0), (3.0, 2.0), (1.0, 0.1)])
+    @pytest.mark.parametrize("z_u", [-1.2, -0.5, 0.7])
+    def test_general_focusing_pair_equals_unit_preimage(self, pair, z_u):
+        l1, l2 = pair
+        unit = validate_params(1.0, 1.0, -3.0, z_u)
+        p = validate_params(l1, l2, -3.0 * l1 * l1 / l2, z_u * l1 / math.sqrt(l2))
+        for space in Space:
+            assert classify_analytic(p, space) == classify_analytic(unit, space)
+
+    def test_degenerate_at_scaled_threshold(self):
+        p = validate_params(2.0, 3.0, -4.0, vk.ZSTAR_REFERENCE * 2.0 / math.sqrt(3.0))
+        with pytest.raises(DegenerateError):
+            classify_analytic(p, Space.FULL_H1)
 
     def test_degenerate_at_threshold(self):
         zstar = vk.find_zstar()
@@ -159,6 +175,19 @@ class TestCompare:
         p = validate_params(*point)
         assert compare(p, grid_for(p)) is True
         assert calls == {"kernel_residual": 1, "p_index": 1, "morse_index": 4}
+
+    @pytest.mark.parametrize("pair", [(2.0, 3.0), (3.0, 2.0), (1.0, 0.1)])
+    def test_agreement_general_focusing_pairs(self, pair):
+        # Seeded unit-box points mapped through the exact scaling.
+        l1, l2 = pair
+        rng = random.Random(f"{l1}/{l2}")
+        for _ in range(2):
+            z_u = rng.uniform(-1.8, 2.2)
+            while abs(z_u) < 0.2 or abs(z_u - vk.ZSTAR_REFERENCE) < 0.05:
+                z_u = rng.uniform(-1.8, 2.2)
+            omega_u = -rng.uniform(max(1.3 * z_u * z_u / 4.0 + 0.2, 1.2), 6.0)
+            p = validate_params(l1, l2, omega_u * l1 * l1 / l2, z_u * l1 / math.sqrt(l2))
+            assert compare(p, grid_for(p)) is True, (p.omega, p.z)
 
     def test_shared_exclusion_near_threshold(self):
         zstar = vk.find_zstar()

@@ -2,9 +2,12 @@
 differences, slope-sign structure, and the threshold search."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from peakwave import ProfileEvaluator, RegimeError, StepError, validate_params
@@ -16,19 +19,86 @@ def _fd(fun, x, h):
     return (fun(x + h) - fun(x - h)) / (2.0 * h)
 
 
-class TestClosedFormCoefficients:
-    def test_fields(self):
-        c = vk.ClosedFormCoefficients.from_omega_z(-2.0, 1.0)
-        assert c.h_w == 3.0 - 16.0 * -2.0
-        assert c.h_w > 3.0
-        assert c.theta_w < 0.0
+def _unit_omega(z_u, frac):
+    """A frequency of the unit-coefficient box at strength z_u; frac in [0, 1]."""
+    lo = max(1.3 * z_u * z_u / 4.0 + 0.2, 1.2)
+    return -(lo + frac * (40.0 - lo))
 
+
+@st.composite
+def focusing_points(draw):
+    """Focusing-focusing points: the unit box mapped through the exact scaling
+    u = A v(Bx, B^2 t), A^2 = l1/l2, B^2 = l1^2/l2."""
+    l1 = draw(st.floats(0.2, 5.0))
+    l2 = draw(st.floats(0.05, 5.0))
+    z_u = draw(st.floats(-1.8, 2.2))
+    assume(abs(z_u - vk.ZSTAR_REFERENCE) >= 0.05)
+    omega_u = _unit_omega(z_u, draw(st.floats(0.0, 1.0)))
+    return validate_params(l1, l2, omega_u * l1 * l1 / l2, z_u * l1 / math.sqrt(l2))
+
+
+@st.composite
+def defocusing_points(draw):
+    """Focusing-defocusing points with 5 % margins inside the admissible window."""
+    l1 = draw(st.floats(0.5, 4.0))
+    l2 = -draw(st.floats(0.2, 3.0))
+    z = draw(st.floats(-0.9, 0.9)) * math.sqrt(3.0) * l1 / (2.0 * math.sqrt(-l2))
+    lo, hi = z * z / 4.0, -3.0 * l1 * l1 / (16.0 * l2)
+    minus_omega = lo + draw(st.floats(0.05, 0.95)) * (hi - lo)
+    return validate_params(l1, l2, -minus_omega, z)
+
+
+admissible_points = st.one_of(focusing_points(), defocusing_points())
+
+
+def closed_form_only():
+    """Make the quadrature oracle raise, so a result cannot have come from quadrature."""
+    return mock.patch.object(vk, "norm_sq_quadrature", side_effect=AssertionError("quadrature called"))
+
+
+class TestClosedFormCoefficients:
     def test_inadmissible_rejected(self):
         # Closed forms accept only (omega, z) admissible for unit coefficients.
         with pytest.raises(RegimeError):
             vk.norm_sq_closed(-0.5, 2.0)
-        with pytest.raises(RegimeError):
-            vk.db_domega(-0.2, 1.0)
+
+
+class TestClosedFormAllCoefficients:
+    @given(admissible_points)
+    @settings(max_examples=60, deadline=None)
+    def test_charge_matches_quadrature(self, p):
+        expected = vk.norm_sq_quadrature(p)
+        with closed_form_only():
+            row = vk.scan(p.lambda1, p.lambda2, [p.omega], [p.z])[0]
+        assert row.norm_sq == pytest.approx(expected, rel=1e-10)
+
+    @given(admissible_points)
+    @settings(max_examples=40, deadline=None)
+    def test_slope_matches_finite_difference(self, p):
+        expected = -vk.dnorm_domega_numeric(p)
+        with closed_form_only():
+            assert vk.slope(p) == pytest.approx(expected, rel=1e-6)
+
+    @given(
+        l1=st.floats(0.2, 5.0),
+        l2=st.floats(0.05, 5.0),
+        minus_omega_u=st.floats(1.0, 40.0),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_slope_sign_flips_at_scaled_threshold(self, l1, l2, minus_omega_u):
+        # Z*(l1, l2) = -(sqrt(3)/2) * l1 / sqrt(l2).
+        zstar = -(math.sqrt(3.0) / 2.0) * l1 / math.sqrt(l2)
+        omega = -minus_omega_u * l1 * l1 / l2
+        above = validate_params(l1, l2, omega, zstar * (1.0 - 1e-3))
+        below = validate_params(l1, l2, omega, zstar * (1.0 + 1e-3))
+        with closed_form_only():
+            assert vk.slope(above) > 0.0 > vk.slope(below)
+            assert vk.p_index(above) == 1 and vk.p_index(below) == 0
+
+    def test_threshold_is_root_three_over_two(self):
+        assert vk.ZSTAR_REFERENCE == -math.sqrt(3.0) / 2.0
+        for omega in (-1.0, -2.0, -10.0, -400.0):
+            assert abs(vk.slope(validate_params(1.0, 1.0, omega, vk.ZSTAR_REFERENCE))) < 1e-14
 
 
 class TestNormSqClosed:
@@ -83,22 +153,6 @@ class TestNormSqQuadrature:
         p = validate_params(2.0, -1.0, -0.5, 1.0)
         value = vk.norm_sq_quadrature(p)
         assert math.isfinite(value) and value > 0.0
-
-
-class TestDbDomega:
-    def test_zero_strength_is_flat(self):
-        # b == 0 for every omega at Z = 0, so the derivative vanishes.
-        for omega in (-1.0, -3.0, -10.0):
-            assert vk.db_domega(omega, 0.0) == pytest.approx(0.0, abs=1e-15)
-
-    @pytest.mark.parametrize("omega,z", [(-2.0, -0.86), (-5.0, 0.5)])
-    def test_matches_finite_difference(self, omega, z):
-        def b_of(w):
-            p = validate_params(1.0, 1.0, w, z)
-            return ProfileEvaluator.from_params(p).shift_b
-
-        fd = _fd(b_of, omega, 1e-5)
-        assert vk.db_domega(omega, z) == pytest.approx(fd, rel=1e-6)
 
 
 class TestDnormDomegaClosed:
