@@ -25,14 +25,13 @@ import numpy as np
 from . import dynamics, spectral, stability, vk
 from .errors import DomainError, PeakwaveError, RegimeError
 from .profile import ProfileEvaluator, Side, validate_params
-from .spectral import GridSpec, OperatorKind, Sector
+from .spectral import OperatorKind, Sector
 
 __all__ = ["main", "RunConfig", "emit_report"]
 
 
 @dataclass
 class RunConfig:
-    command: str
     header: dict
     columns: list[str]
     output_path: str | None
@@ -162,12 +161,11 @@ def _cmd_profile(args) -> int:
     if not (math.isfinite(args.xmax) and args.xmax > 0.0):
         raise DomainError(f"--xmax must be finite and positive, got {args.xmax}")
     ev = ProfileEvaluator.from_params(p)
-    n = args.n if args.n % 2 == 1 else args.n + 1
+    n = _odd(args.n)
     h = 2.0 * args.xmax / (n - 1)
     x = h * (np.arange(n) - (n - 1) // 2)
     rows = list(zip(x.tolist(), ev.value(x).tolist(), ev.derivative(x, Side.RIGHT).tolist()))
     cfg = RunConfig(
-        "profile",
         {
             "command": "profile",
             "lambda1": args.l1, "lambda2": args.l2, "omega": args.omega, "z": args.z,
@@ -190,7 +188,6 @@ def _cmd_vk_scan(args) -> int:
         for r in vk.scan(args.l1, args.l2, omegas, zs)
     ]
     cfg = RunConfig(
-        "vk-scan",
         {
             "command": "vk-scan", "lambda1": args.l1, "lambda2": args.l2,
             "omega_min": args.omega_min, "omega_max": args.omega_max,
@@ -208,13 +205,12 @@ def _cmd_spectrum(args) -> int:
     p = validate_params(args.l1, args.l2, args.omega, args.z)
     kind = {"L1": OperatorKind.L1, "L2": OperatorKind.L2, "free": OperatorKind.FREE_WITH_DELTA}[args.kind]
     sector = Sector.FULL_LINE if args.sector == "full" else Sector.EVEN_SECTOR
-    grid = spectral.default_grid(p, n_points=args.n if args.n % 2 == 1 else args.n + 1)
+    grid = spectral.default_grid(p, _odd(args.n))
     if sector is Sector.EVEN_SECTOR:
         grid = grid.even_half()
     report = spectral.spectrum_report(kind, p, grid, k=args.k)
     rows = [(i, lam) for i, (lam, _) in enumerate(report.lowest_pairs)]
     cfg = RunConfig(
-        "spectrum",
         {
             "command": "spectrum", "kind": args.kind, "sector": args.sector,
             "lambda1": args.l1, "lambda2": args.l2, "omega": args.omega, "z": args.z,
@@ -235,7 +231,7 @@ def _cmd_spectrum(args) -> int:
 def _cmd_classify(args) -> int:
     p = validate_params(args.l1, args.l2, args.omega, args.z)
     space = stability.Space.FULL_H1 if args.space == "full" else stability.Space.EVEN_H1
-    grid = spectral.default_grid(p, n_points=args.n if args.n % 2 == 1 else args.n + 1)
+    grid = spectral.default_grid(p, _odd(args.n))
     numeric = stability.classify_numeric(p, space, grid)
     analytic = stability.classify_analytic(p, space)
     agreement = "numeric=analytic" if numeric.outcome is analytic.outcome else "numeric!=analytic"
@@ -246,7 +242,6 @@ def _cmd_classify(args) -> int:
     ]
     if args.out is not None:
         cfg = RunConfig(
-            "classify",
             {
                 "command": "classify", "space": args.space,
                 "lambda1": args.l1, "lambda2": args.l2, "omega": args.omega, "z": args.z,
@@ -265,7 +260,6 @@ def _cmd_find_zstar(args) -> int:
     print(f"Z* = {zstar:.9f}")
     if args.out is not None:
         cfg = RunConfig(
-            "find-zstar",
             {
                 "command": "find-zstar", "bracket_lo": lo, "bracket_hi": hi,
                 "probes": list(args.probes), "bisection_width": 1e-7,
@@ -284,15 +278,13 @@ def _cmd_simulate(args) -> int:
         "even": dynamics.PerturbationKind.EVEN_BUMP,
         "odd": dynamics.PerturbationKind.ODD_BUMP,
     }[args.perturbation]
-    n = args.n if args.n % 2 == 1 else args.n + 1
-    grid = GridSpec(30.0 / (-args.omega) ** 0.5, n, Sector.FULL_LINE)
+    grid = spectral.default_grid(p, _odd(args.n))
     dt = args.dt if args.dt is not None else 0.25 * grid.spacing
     result = dynamics.simulate(
         p, dynamics.Perturbation(kind, args.amplitude), args.horizon, dt, grid
     )
     rows = [(r.time, r.energy, r.charge, r.orbital_distance) for r in result.rows]
     cfg = RunConfig(
-        "simulate",
         {
             "command": "simulate", "perturbation": args.perturbation,
             "amplitude": args.amplitude, "horizon": args.horizon, "dt": dt,
@@ -304,6 +296,11 @@ def _cmd_simulate(args) -> int:
     )
     emit_report(rows, cfg)
     return 0
+
+
+def _odd(n: int) -> int:
+    """Node count rounded up to odd, so a full-line grid has a node at x = 0."""
+    return n if n % 2 == 1 else n + 1
 
 
 def _linspace(lo: float, hi: float, count: int) -> list[float]:

@@ -46,11 +46,10 @@ from scipy.linalg.lapack import zgttrf, zgttrs
 
 from .errors import BlowupError, DomainError, SolveError, StepError
 from .profile import ProfileEvaluator, WaveParameters
-from .spectral import GridSpec, Sector
+from .spectral import GridSpec, Sector, default_grid
 
 __all__ = [
     "FieldState",
-    "ConservedPair",
     "PerturbationKind",
     "Perturbation",
     "SimRow",
@@ -85,12 +84,6 @@ class FieldState:
             )
         if not np.all(np.isfinite(self.samples.view(float))):
             raise DomainError("field samples must be finite")
-
-
-@dataclass(frozen=True)
-class ConservedPair:
-    energy: float
-    charge: float
 
 
 def discrete_energy(u: FieldState) -> float:
@@ -359,8 +352,7 @@ def simulate(
     if output_stride is not None and output_stride < 1:
         raise DomainError(f"output_stride must be at least 1, got {output_stride}")
     if grid is None:
-        n = 4001
-        grid = GridSpec(30.0 / math.sqrt(-p.omega), n, Sector.FULL_LINE)
+        grid = default_grid(p)
     if dt is None:
         dt = 0.25 * grid.spacing
     _check_dt_cap(dt, grid)

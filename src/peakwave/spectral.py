@@ -17,18 +17,20 @@ full operator.
 
 Eigenvalue counts come from Sturm/Sylvester inertia (negative pivots of the
 shifted triangular factorization), eigenvalues from bisection on the count,
-and eigenvectors from inverse iteration.
+and eigenvectors from one LAPACK stein call (inverse iteration with
+reorthogonalization) at the bisected eigenvalues.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dstein
 
 from .errors import ConvergenceError, DomainError, GridError, InstabilityError, RegimeError
 from .profile import ProfileEvaluator, Regime, WaveParameters, phi_center_sq
@@ -215,44 +217,23 @@ def _eigenvalue_by_index(op: TridiagonalOperator, index: int, tol: float = 1e-10
     return 0.5 * (lo + hi)
 
 
-def _inverse_iteration(op: TridiagonalOperator, lam: float, max_iter: int = 50) -> np.ndarray:
-    n = op.size
-    h = op.grid.spacing
-    shift = lam + 1e-12 * max(1.0, abs(lam))
-    ab = np.zeros((3, n))
-    ab[0, 1:] = op.offdiagonal
-    ab[1, :] = op.diagonal - shift
-    ab[2, :-1] = op.offdiagonal
-    v = np.ones(n) / math.sqrt(n * h)
-    for _ in range(max_iter):
-        try:
-            w = solve_banded((1, 1), ab, v, check_finite=False)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - singular shift
-            raise ConvergenceError(f"inverse iteration solve failed at shift {shift}") from exc
-        w = w / math.sqrt(float(np.sum(w * w)) * h)
-        residual = float(np.linalg.norm(op.apply(w) - lam * w) / np.linalg.norm(w))
-        v = w
-        if residual < 1e-8:
-            break
-    else:
-        raise ConvergenceError(
-            f"inverse iteration stalled at eigenvalue {lam}: residual {residual} after {max_iter} iterations"
-        )
-    if v[int(np.argmax(np.abs(v)))] < 0.0:
-        v = -v
-    return v
-
-
 def lowest_eigenpairs(op: TridiagonalOperator, k: int) -> list[tuple[float, np.ndarray]]:
     """k smallest eigenpairs; eigenvalues by inertia bisection to 1e-10,
-    eigenvectors by inverse iteration, normalized in the h-weighted norm."""
+    eigenvectors by LAPACK stein (inverse iteration with reorthogonalization)
+    at those eigenvalues, normalized in the h-weighted norm and signed so the
+    entry of largest magnitude at x >= 0 is positive."""
     if not 1 <= k <= 5:
         raise DomainError(f"k must be between 1 and 5, got {k}")
-    pairs = []
-    for j in range(k):
-        lam = _eigenvalue_by_index(op, j)
-        pairs.append((lam, _inverse_iteration(op, lam)))
-    return pairs
+    n = op.size
+    lams = [_eigenvalue_by_index(op, j) for j in range(k)]
+    # Every coupling is -1/h^2 or -sqrt(2)/h^2, so the matrix is one unsplit block.
+    vecs, info = dstein(op.diagonal, op.offdiagonal, lams, np.ones(n, np.int32), np.full(n, n, np.int32))
+    if info != 0:
+        raise ConvergenceError(f"LAPACK stein failed with info = {info} at eigenvalues {lams}")
+    vecs = vecs.T / math.sqrt(op.grid.spacing)
+    c = op.grid.center_index
+    # Signing on x >= 0 alone keeps the mirrored peaks of an odd vector from tying.
+    return [(lam, v if v[c + int(np.argmax(np.abs(v[c:])))] > 0.0 else -v) for lam, v in zip(lams, vecs)]
 
 
 def zero_exclusion_shift(grid: GridSpec, p: WaveParameters) -> float:
@@ -295,21 +276,20 @@ class KernelReport:
     grid: GridSpec
 
 
-def _zero_mode_residual(op: TridiagonalOperator) -> float:
-    """|lowest eigenvalue|, the distance of L2's zero mode from 0."""
-    return abs(_eigenvalue_by_index(op, 0))
+def _distance_to_zero(op: TridiagonalOperator, lowest: Sequence[float] = ()) -> float:
+    """Distance from 0 to the spectrum: the nearer of the eigenvalues either side.
 
-
-def _distance_to_zero(op: TridiagonalOperator) -> float:
-    """Distance from 0 to the spectrum: the nearer of the eigenvalues either side."""
+    Eigenvalues 0, 1, ... already bisected are passed in `lowest`; any other
+    index is bisected here.
+    """
     below = inertia_below(op, 0.0)
-    above = abs(_eigenvalue_by_index(op, below))
-    return above if below == 0 else min(abs(_eigenvalue_by_index(op, below - 1)), above)
+    either_side = range(max(below - 1, 0), below + 1)
+    return min(abs(lowest[j] if j < len(lowest) else _eigenvalue_by_index(op, j)) for j in either_side)
 
 
 def kernel_residual(p: WaveParameters, grid: GridSpec) -> KernelReport:
     """Measure the L2 zero mode and the spectral gap of L1 around zero."""
-    l2_zero = _zero_mode_residual(discretize_operator(OperatorKind.L2, p, grid))
+    l2_zero = abs(_eigenvalue_by_index(discretize_operator(OperatorKind.L2, p, grid), 0))
     gap = _distance_to_zero(discretize_operator(OperatorKind.L1, p, grid))
     return KernelReport(l2_zero, gap, grid)
 
@@ -334,12 +314,14 @@ def spectrum_report(kind: OperatorKind, p: WaveParameters, grid: GridSpec, k: in
     """
     op = discretize_operator(kind, p, grid)
     edge = 0.0 if kind is OperatorKind.FREE_WITH_DELTA else -p.omega
-    pairs = [(lam, v) for lam, v in lowest_eigenpairs(op, k) if lam < edge]
+    lowest = lowest_eigenpairs(op, k)
+    lams = [lam for lam, _ in lowest]
+    pairs = [(lam, v) for lam, v in lowest if lam < edge]
     negative = inertia_below(op, -zero_exclusion_shift(grid, p))
     if kind is OperatorKind.L2:
-        resid = _zero_mode_residual(op)
+        resid = abs(lams[0])
     elif kind is OperatorKind.L1:
-        resid = _distance_to_zero(op)
+        resid = _distance_to_zero(op, lams)
     else:
         resid = math.nan
     return SpectrumReport(negative, pairs, resid, edge, grid)

@@ -164,14 +164,18 @@ def slope(p: WaveParameters) -> float:
     return -_charge(p, complex(p.omega, _COMPLEX_STEP)).imag / _COMPLEX_STEP
 
 
-def p_index(p: WaveParameters) -> int:
-    """Slope index: 1 when -d/domega ||phi||^2 > 0, else 0."""
-    s = slope(p)
+def _index_of_slope(s: float, p: WaveParameters) -> int:
+    """Slope index of slope s at p; DegenerateError when |s| <= 1e-9."""
     if abs(s) <= 1e-9:
         raise DegenerateError(
             f"slope magnitude {abs(s)} <= 1e-9 at omega={p.omega}, Z={p.z}: too close to the threshold"
         )
     return 1 if s > 0.0 else 0
+
+
+def p_index(p: WaveParameters) -> int:
+    """Slope index: 1 when -d/domega ||phi||^2 > 0, else 0."""
+    return _index_of_slope(slope(p), p)
 
 
 def find_zstar(
@@ -220,11 +224,12 @@ class VkScanRow:
 
 
 def scan(lambda1: float, lambda2: float, omegas, zs) -> list[VkScanRow]:
-    """Tabulate charge, slope, and slope index over an (omega, z) grid."""
+    """Tabulate charge, slope, and slope index over an (omega, z) grid;
+    DegenerateError, as in `p_index`, where |slope| <= 1e-9."""
     rows = []
     for z in zs:
         for omega in omegas:
             p = validate_params(lambda1, lambda2, omega, z)
             s = slope(p)
-            rows.append(VkScanRow(omega, z, _charge(p, p.omega).real, -s, 1 if s > 0.0 else 0))
+            rows.append(VkScanRow(omega, z, _charge(p, p.omega).real, -s, _index_of_slope(s, p)))
     return rows

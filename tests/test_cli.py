@@ -3,6 +3,7 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
 from peakwave import cli
@@ -117,6 +118,14 @@ class TestVkScanCommand:
         assert payload["columns"] == ["omega", "z", "norm_sq", "dnorm_domega", "p_index"]
         assert len(payload["rows"]) == 1
 
+    def test_threshold_strength_exits_3(self, capsys):
+        code, out, err = run(
+            ["vk-scan", "--omega-min", "-6", "--omega-max", "-1.5", "--omega-points", "6",
+             "--z-min", "-0.8660254037844386"], capsys)
+        assert code == 3
+        assert "DegenerateError" in err
+        assert out == ""
+
 
 class TestSpectrumCommand:
     def test_header_counts(self, capsys):
@@ -127,6 +136,16 @@ class TestSpectrumCommand:
         header = json.loads(out.split("\n")[0][2:])
         assert header["negative_count"] == 2
         assert header["essential_edge"] == 2.0
+
+    def test_stein_failure_exits_3(self, monkeypatch, capsys):
+        from peakwave import spectral
+        monkeypatch.setattr(spectral, "dstein", lambda d, e, w, *_: (np.zeros((len(d), len(w))), 1))
+        code, out, err = run(
+            ["spectrum", "--l1", "1", "--l2", "1", "--omega", "-2", "--z", "-1",
+             "--kind", "L2", "--n", "2001", "--k", "2"], capsys)
+        assert code == 3
+        assert "ConvergenceError" in err
+        assert out == ""
 
     @pytest.mark.parametrize("k", ["0", "7"])
     def test_k_outside_range_exits_2(self, k, capsys):
@@ -209,6 +228,16 @@ class TestSimulateCommand:
         assert len(lines) > 3
         leftovers = [f for f in out_file.parent.iterdir() if f.suffix == ".tmp"]
         assert leftovers == []
+
+    def test_header_grid_is_default_grid(self, capsys):
+        from peakwave import spectral, validate_params
+        code, out, _ = run(
+            ["simulate", "--l1", "1", "--l2", "1", "--omega", "-9.85", "--z", "1",
+             "--horizon", "0.01", "--n", "401"], capsys)
+        assert code == 0
+        header = json.loads(out.split("\n")[0][2:])
+        grid = spectral.default_grid(validate_params(1, 1, -9.85, 1), 401)
+        assert (header["half_width"], header["spacing"]) == (grid.half_width, grid.spacing)
 
     def test_nonfinite_field_exits_3(self, nan_on_fifth_step, capsys):
         code, out, err = run(

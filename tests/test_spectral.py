@@ -2,13 +2,14 @@
 the proven values, kernel checks, parity of eigenvectors, and the quadratic
 form with the sampled wave."""
 
+import collections
 import math
 
 import numpy as np
 import pytest
 
 from peakwave import validate_params
-from peakwave.errors import DomainError, GridError, RegimeError
+from peakwave.errors import ConvergenceError, DomainError, GridError, RegimeError
 from peakwave import spectral
 from peakwave.spectral import (
     GridSpec,
@@ -195,6 +196,39 @@ class TestEigenpairs:
         assert ratio > 1.0 - 1e-4
 
 
+class TestSteinEigenvectors:
+    # Nearly degenerate box states, where orthogonality is hardest to keep.
+    POINTS = [((1.0, 1.0, -2.0, 1.0), OperatorKind.L2),
+              ((1.0, 1.0, -3.0, 2.0), OperatorKind.FREE_WITH_DELTA)]
+
+    @staticmethod
+    def pairs(point, kind):
+        p = validate_params(*point)
+        g = grid_for(p, 4001)
+        return g, lowest_eigenpairs(discretize_operator(kind, p, g), 3)
+
+    @pytest.mark.parametrize("point,kind", POINTS)
+    def test_h_weighted_gram_is_identity(self, point, kind):
+        g, pairs = self.pairs(point, kind)
+        vecs = np.array([v for _, v in pairs])
+        gram = vecs @ vecs.T * g.spacing
+        assert float(np.max(np.abs(gram - np.eye(3)))) < 1e-12
+
+    @pytest.mark.parametrize("point,kind", POINTS)
+    def test_largest_entry_at_nonnegative_x_is_positive(self, point, kind):
+        g, pairs = self.pairs(point, kind)
+        c = g.center_index
+        for _, v in pairs:
+            right = v[c:]
+            assert right[int(np.argmax(np.abs(right)))] > 0.0
+
+    def test_stein_failure_raises(self, monkeypatch):
+        monkeypatch.setattr(spectral, "dstein", lambda d, e, w, *_: (np.zeros((len(d), len(w))), 1))
+        op = discretize_operator(OperatorKind.L2, P_AA_POS, grid_for(P_AA_POS))
+        with pytest.raises(ConvergenceError):
+            lowest_eigenpairs(op, 2)
+
+
 class TestKernelResidual:
     def test_l2_zero_mode_small_at_reference_spacing(self):
         # h ~ 0.01: n chosen so spacing lands at the reference value.
@@ -222,6 +256,20 @@ class TestSpectrumReport:
         assert report.essential_edge == -P_AA_NEG.omega
         assert report.negative_count == 2
         assert all(lam < report.essential_edge for lam, _ in report.lowest_pairs)
+
+    @pytest.mark.parametrize("kind,p", [(OperatorKind.L1, P_AA_POS), (OperatorKind.L1, P_AA_NEG),
+                                        (OperatorKind.L2, P_AA_POS)])
+    def test_each_eigenvalue_bisected_once(self, kind, p, monkeypatch):
+        calls = collections.Counter()
+        real = spectral._eigenvalue_by_index
+
+        def counting(op, index, *args, **kwargs):
+            calls[index] += 1
+            return real(op, index, *args, **kwargs)
+
+        monkeypatch.setattr(spectral, "_eigenvalue_by_index", counting)
+        spectrum_report(kind, p, grid_for(p), k=3)
+        assert calls == {0: 1, 1: 1, 2: 1}
 
     def test_free_delta_edge_is_zero(self):
         report = spectrum_report(OperatorKind.FREE_WITH_DELTA, P_DELTA, grid_for(P_DELTA), k=1)

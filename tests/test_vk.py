@@ -255,6 +255,11 @@ class TestScan:
         for r in rows:
             assert (r.p_index == 1) == (-r.dnorm_domega > 0.0)
 
+    def test_degenerate_at_threshold(self):
+        # |slope| is rounding noise here; p_index refuses these points, and so must scan.
+        with pytest.raises(DegenerateError):
+            vk.scan(1.0, 1.0, [-6.0, -1.5], [vk.ZSTAR_REFERENCE])
+
     def test_general_coefficients_use_quadrature(self):
         rows = vk.scan(2.0, -1.0, [-0.5], [1.0])
         assert rows[0].p_index == 1
