@@ -1,18 +1,22 @@
 """Command-line front end with deterministic CSV/JSON report emission.
 
-Every report starts with a JSON header recording the command, parameters, and
-numerical defaults, so a saved file is self-describing and reruns are
-byte-identical.  Floats are written with 17 significant digits (lossless for
-binary64 round-trips).  Files are written to a temporary path and renamed, so
-no command leaves a partial file behind.
+Every report starts with a JSON header holding `command`, whichever of the
+coefficient and wave flags the command takes (`lambda1`, `lambda2`, `omega`,
+`z`) and the command's own parameters and numerical defaults, so a saved file
+is self-describing and reruns are byte-identical.  Choice flags take the
+values of the library enums they select (`OperatorKind`, `Sector`,
+`stability.Space`, `dynamics.PerturbationKind`).  Floats are written with 17
+significant digits (lossless for binary64 round-trips).  Files are written to
+a temporary path and renamed, so no command leaves a partial file behind.
 
-Exit codes: 0 success, 2 parameter/usage error, 3 numerical error, 4 I/O
-error.
+Exit codes: 0 success, 2 parameter/usage error, 3 numerical error (grid
+errors included), 4 I/O error.
 """
 
 from __future__ import annotations
 
 import argparse
+import enum
 import json
 import math
 import os
@@ -20,12 +24,10 @@ import sys
 import tempfile
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import dynamics, spectral, stability, vk
-from .errors import DomainError, PeakwaveError, RegimeError
+from .errors import DomainError, GridError, PeakwaveError, RegimeError
 from .profile import ProfileEvaluator, Side, validate_params
-from .spectral import OperatorKind, Sector
+from .spectral import GridSpec, OperatorKind, Sector
 
 __all__ = ["main", "RunConfig", "emit_report"]
 
@@ -77,6 +79,21 @@ def emit_report(rows, cfg: RunConfig) -> None:
         raise
 
 
+#: Header key of each coefficient and wave flag, echoed by every command that takes it.
+_WAVE_KEYS = {"l1": "lambda1", "l2": "lambda2", "omega": "omega", "z": "z"}
+
+
+def _report(args, columns: list[str], rows, **fields) -> None:
+    """Emit `rows` under a header of the command, its wave flags and `fields`."""
+    header = {"command": args.command}
+    header.update({key: getattr(args, flag) for flag, key in _WAVE_KEYS.items() if hasattr(args, flag)})
+    header.update(fields)
+    out = args.out
+    if out is not None and args.outdir is not None and not os.path.isabs(out):
+        out = os.path.join(args.outdir, out)
+    emit_report(rows, RunConfig(header, columns, out, args.format))
+
+
 def _add_wave_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--l1", type=float, required=True, help="cubic coefficient lambda1")
     parser.add_argument("--l2", type=float, required=True, help="quintic coefficient lambda2")
@@ -84,18 +101,15 @@ def _add_wave_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--z", type=float, required=True, help="defect strength Z")
 
 
+def _add_choice(parser: argparse.ArgumentParser, flag: str, default: enum.Enum) -> None:
+    """A flag whose choices are the values of `default`'s enum, in declaration order."""
+    parser.add_argument(flag, choices=[m.value for m in type(default)], default=default.value)
+
+
 def _add_output_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", type=str, default=None, help="output file (stdout when omitted)")
     parser.add_argument("--format", choices=("csv", "json"), default="csv", help="output format")
     parser.add_argument("--outdir", type=str, default=None, help="directory for relative output paths")
-
-
-def _resolve_out(args) -> str | None:
-    if args.out is None:
-        return None
-    if args.outdir is not None and not os.path.isabs(args.out):
-        return os.path.join(args.outdir, args.out)
-    return args.out
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -125,15 +139,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_spec = sub.add_parser("spectrum", help="discrete spectrum of a linearized operator")
     _add_wave_flags(p_spec)
-    p_spec.add_argument("--kind", choices=("L1", "L2", "free"), default="L1")
-    p_spec.add_argument("--sector", choices=("full", "even"), default="full")
+    _add_choice(p_spec, "--kind", OperatorKind.L1)
+    _add_choice(p_spec, "--sector", Sector.FULL_LINE)
     p_spec.add_argument("--n", type=int, default=4001)
     p_spec.add_argument("--k", type=int, default=3, help="number of eigenpairs to extract")
     _add_output_flags(p_spec)
 
     p_cls = sub.add_parser("classify", help="stability verdict, numeric and analytic")
     _add_wave_flags(p_cls)
-    p_cls.add_argument("--space", choices=("full", "even"), default="full")
+    _add_choice(p_cls, "--space", stability.Space.FULL_H1)
     p_cls.add_argument("--n", type=int, default=2001)
     _add_output_flags(p_cls)
 
@@ -145,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="time-domain run with conserved-quantity series")
     _add_wave_flags(p_sim)
-    p_sim.add_argument("--perturbation", choices=("none", "even", "odd"), default="none")
+    _add_choice(p_sim, "--perturbation", dynamics.PerturbationKind.NONE)
     p_sim.add_argument("--amplitude", type=float, default=0.0)
     p_sim.add_argument("--horizon", type=float, default=10.0)
     p_sim.add_argument("--dt", type=float, default=None)
@@ -160,22 +174,15 @@ def _cmd_profile(args) -> int:
         raise DomainError(f"--n must be >= 2, got {args.n}")
     if not (math.isfinite(args.xmax) and args.xmax > 0.0):
         raise DomainError(f"--xmax must be finite and positive, got {args.xmax}")
-    ev = ProfileEvaluator.from_params(p)
     n = _odd(args.n)
-    h = 2.0 * args.xmax / (n - 1)
-    x = h * (np.arange(n) - (n - 1) // 2)
+    try:
+        x = GridSpec(args.xmax, n).nodes()
+    except GridError as exc:
+        raise DomainError(f"--xmax {args.xmax} is too large: {exc}") from None
+    ev = ProfileEvaluator.from_params(p)
     rows = list(zip(x.tolist(), ev.value(x).tolist(), ev.derivative(x, Side.RIGHT).tolist()))
-    cfg = RunConfig(
-        {
-            "command": "profile",
-            "lambda1": args.l1, "lambda2": args.l2, "omega": args.omega, "z": args.z,
-            "regime": p.regime.value, "shift_b": ev.shift_b,
-            "xmax": args.xmax, "n": n,
-        },
-        ["x", "phi", "dphi"],
-        _resolve_out(args), args.format,
-    )
-    emit_report(rows, cfg)
+    _report(args, ["x", "phi", "dphi"], rows,
+            regime=p.regime.value, shift_b=ev.shift_b, xmax=args.xmax, n=n)
     return 0
 
 
@@ -187,70 +194,41 @@ def _cmd_vk_scan(args) -> int:
         (r.omega, r.z, r.norm_sq, r.dnorm_domega, r.p_index)
         for r in vk.scan(args.l1, args.l2, omegas, zs)
     ]
-    cfg = RunConfig(
-        {
-            "command": "vk-scan", "lambda1": args.l1, "lambda2": args.l2,
-            "omega_min": args.omega_min, "omega_max": args.omega_max,
-            "omega_points": args.omega_points,
-            "z_min": args.z_min, "z_max": z_max, "z_points": args.z_points,
-        },
-        ["omega", "z", "norm_sq", "dnorm_domega", "p_index"],
-        _resolve_out(args), args.format,
-    )
-    emit_report(rows, cfg)
+    _report(args, ["omega", "z", "norm_sq", "dnorm_domega", "p_index"], rows,
+            omega_min=args.omega_min, omega_max=args.omega_max, omega_points=args.omega_points,
+            z_min=args.z_min, z_max=z_max, z_points=args.z_points)
     return 0
 
 
 def _cmd_spectrum(args) -> int:
     p = validate_params(args.l1, args.l2, args.omega, args.z)
-    kind = {"L1": OperatorKind.L1, "L2": OperatorKind.L2, "free": OperatorKind.FREE_WITH_DELTA}[args.kind]
-    sector = Sector.FULL_LINE if args.sector == "full" else Sector.EVEN_SECTOR
     grid = spectral.default_grid(p, _odd(args.n))
-    if sector is Sector.EVEN_SECTOR:
+    if Sector(args.sector) is Sector.EVEN_SECTOR:
         grid = grid.even_half()
-    report = spectral.spectrum_report(kind, p, grid, k=args.k)
+    report = spectral.spectrum_report(OperatorKind(args.kind), p, grid, k=args.k)
     rows = [(i, lam) for i, (lam, _) in enumerate(report.lowest_pairs)]
-    cfg = RunConfig(
-        {
-            "command": "spectrum", "kind": args.kind, "sector": args.sector,
-            "lambda1": args.l1, "lambda2": args.l2, "omega": args.omega, "z": args.z,
-            "half_width": grid.half_width, "n_points": grid.n_points,
-            "spacing": grid.spacing,
-            "negative_count": report.negative_count,
-            "kernel_residual": report.kernel_residual,
-            "essential_edge": report.essential_edge,
-            "zero_exclusion_shift": spectral.zero_exclusion_shift(grid, p),
-        },
-        ["index", "eigenvalue"],
-        _resolve_out(args), args.format,
-    )
-    emit_report(rows, cfg)
+    _report(args, ["index", "eigenvalue"], rows,
+            kind=args.kind, sector=args.sector,
+            half_width=grid.half_width, n_points=grid.n_points, spacing=grid.spacing,
+            negative_count=report.negative_count, kernel_residual=report.kernel_residual,
+            essential_edge=report.essential_edge,
+            zero_exclusion_shift=spectral.zero_exclusion_shift(grid, p))
     return 0
 
 
 def _cmd_classify(args) -> int:
     p = validate_params(args.l1, args.l2, args.omega, args.z)
-    space = stability.Space.FULL_H1 if args.space == "full" else stability.Space.EVEN_H1
+    space = stability.Space(args.space)
     grid = spectral.default_grid(p, _odd(args.n))
     numeric = stability.classify_numeric(p, space, grid)
     analytic = stability.classify_analytic(p, space)
     agreement = "numeric=analytic" if numeric.outcome is analytic.outcome else "numeric!=analytic"
     print(f"{numeric.outcome.value} ({agreement})")
-    rows = [
-        ("numeric", numeric.n_hessian, numeric.p_index, numeric.outcome.value, numeric.note),
-        ("analytic", analytic.n_hessian, analytic.p_index, analytic.outcome.value, analytic.note),
-    ]
     if args.out is not None:
-        cfg = RunConfig(
-            {
-                "command": "classify", "space": args.space,
-                "lambda1": args.l1, "lambda2": args.l2, "omega": args.omega, "z": args.z,
-                "grid_n": grid.n_points, "half_width": grid.half_width,
-            },
-            ["provenance", "n_hessian", "p_index", "outcome", "note"],
-            _resolve_out(args), args.format,
-        )
-        emit_report(rows, cfg)
+        rows = [(v.provenance.value, v.n_hessian, v.p_index, v.outcome.value, v.note)
+                for v in (numeric, analytic)]
+        _report(args, ["provenance", "n_hessian", "p_index", "outcome", "note"], rows,
+                space=args.space, grid_n=grid.n_points, half_width=grid.half_width)
     return 0
 
 
@@ -259,42 +237,21 @@ def _cmd_find_zstar(args) -> int:
     zstar = vk.find_zstar(tuple(args.probes), lo, hi)
     print(f"Z* = {zstar:.9f}")
     if args.out is not None:
-        cfg = RunConfig(
-            {
-                "command": "find-zstar", "bracket_lo": lo, "bracket_hi": hi,
-                "probes": list(args.probes), "bisection_width": 1e-7,
-            },
-            ["zstar"],
-            _resolve_out(args), args.format,
-        )
-        emit_report([(zstar,)], cfg)
+        _report(args, ["zstar"], [(zstar,)],
+                bracket_lo=lo, bracket_hi=hi, probes=list(args.probes), bisection_width=1e-7)
     return 0
 
 
 def _cmd_simulate(args) -> int:
     p = validate_params(args.l1, args.l2, args.omega, args.z)
-    kind = {
-        "none": dynamics.PerturbationKind.NONE,
-        "even": dynamics.PerturbationKind.EVEN_BUMP,
-        "odd": dynamics.PerturbationKind.ODD_BUMP,
-    }[args.perturbation]
     grid = spectral.default_grid(p, _odd(args.n))
     dt = args.dt if args.dt is not None else 0.25 * grid.spacing
-    result = dynamics.simulate(
-        p, dynamics.Perturbation(kind, args.amplitude), args.horizon, dt, grid
-    )
+    perturbation = dynamics.Perturbation(dynamics.PerturbationKind(args.perturbation), args.amplitude)
+    result = dynamics.simulate(p, perturbation, args.horizon, dt, grid)
     rows = [(r.time, r.energy, r.charge, r.orbital_distance) for r in result.rows]
-    cfg = RunConfig(
-        {
-            "command": "simulate", "perturbation": args.perturbation,
-            "amplitude": args.amplitude, "horizon": args.horizon, "dt": dt,
-            "lambda1": args.l1, "lambda2": args.l2, "omega": args.omega, "z": args.z,
-            "grid_n": grid.n_points, "half_width": grid.half_width, "spacing": grid.spacing,
-        },
-        ["time", "energy", "charge", "orbital_distance"],
-        _resolve_out(args), args.format,
-    )
-    emit_report(rows, cfg)
+    _report(args, ["time", "energy", "charge", "orbital_distance"], rows,
+            perturbation=args.perturbation, amplitude=args.amplitude, horizon=args.horizon, dt=dt,
+            grid_n=grid.n_points, half_width=grid.half_width, spacing=grid.spacing)
     return 0
 
 

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import zgttrf, zgttrs
 
-from .errors import BlowupError, DomainError, SolveError, StepError
+from .errors import BlowupError, DomainError, GridError, SolveError, StepError
 from .profile import ProfileEvaluator, WaveParameters
 from .spectral import GridSpec, Sector, default_grid
 
@@ -110,10 +110,14 @@ class _ParityCrankNicolson:
 
     Each block matrix 1 + (i dt/2) A is LU-factored once here (LAPACK
     gttrf); a step forms the right-hand side (1 - (i dt/2) A) v per block and
-    back-substitutes with gttrs against the stored factors.
+    back-substitutes with gttrs against the stored factors.  scipy's gttrf
+    and gttrs take at least three rows, so the odd block of (n - 1)/2 rows
+    needs n >= 7; smaller grids raise GridError.
     """
 
     def __init__(self, grid: GridSpec, z: float, dt: float):
+        if grid.n_points < 7:
+            raise GridError(f"Crank-Nicolson parity blocks need n_points >= 7, got {grid.n_points}")
         # Bare-defect tridiagonal pieces; the potential-free diagonal is
         # mirror-symmetric so A commutes with the reflection exactly.
         h = grid.spacing
@@ -286,9 +290,10 @@ def orbital_distance(u: FieldState, p: WaveParameters, phi: np.ndarray | None = 
 
 
 class PerturbationKind(enum.Enum):
+    # Declaration order is the order `peakwave simulate --help` lists the choices in.
+    NONE = "none"
     EVEN_BUMP = "even"
     ODD_BUMP = "odd"
-    NONE = "none"
 
 
 @dataclass(frozen=True)

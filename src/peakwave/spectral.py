@@ -88,6 +88,8 @@ class GridSpec:
                 raise GridError(f"full-line grid needs an odd n_points >= 3, got {self.n_points}")
         elif self.n_points < 2:
             raise GridError(f"even-sector grid needs n_points >= 2, got {self.n_points}")
+        if not math.isfinite(self.spacing):
+            raise GridError(f"spacing {self.spacing} of half_width {self.half_width} is not finite")
 
     @property
     def spacing(self) -> float:
@@ -204,9 +206,13 @@ def inertia_below(op: TridiagonalOperator, shift: float) -> int:
     return count
 
 
-def _eigenvalue_by_index(op: TridiagonalOperator, index: int, tol: float = 1e-10) -> float:
+#: Width of the bracket at which eigenvalue bisection stops.
+_BISECTION_TOL = 1e-10
+
+
+def _eigenvalue_by_index(op: TridiagonalOperator, index: int) -> float:
     lo, hi = op.gershgorin_bounds()
-    while hi - lo > tol:
+    while hi - lo > _BISECTION_TOL:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break

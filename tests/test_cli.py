@@ -6,7 +6,10 @@ import json
 import numpy as np
 import pytest
 
-from peakwave import cli
+from peakwave import cli, dynamics, spectral, validate_params
+from peakwave.dynamics import PerturbationKind
+from peakwave.spectral import OperatorKind, Sector
+from peakwave.stability import Space
 
 
 def run(argv, capsys):
@@ -86,6 +89,7 @@ class TestProfileCommand:
     @pytest.mark.parametrize("flags", [
         ["--n", "0"], ["--n", "-5"], ["--n", "1"],
         ["--xmax", "nan"], ["--xmax", "-1"], ["--xmax", "0"], ["--xmax", "inf"],
+        ["--xmax", "1e308", "--n", "3"],
     ])
     def test_bad_grid_exits_2(self, flags, capsys):
         code, out, err = run(
@@ -247,6 +251,15 @@ class TestSimulateCommand:
         assert "BlowupError" in err
         assert out == ""
 
+    @pytest.mark.parametrize("n", ["3", "5"])
+    def test_grid_below_parity_block_minimum_exits_3(self, n, capsys):
+        code, out, err = run(
+            ["simulate", "--l1", "1", "--l2", "1", "--omega", "-2", "--z", "1",
+             "--horizon", "0.1", "--n", n], capsys)
+        assert code == 3
+        assert "GridError" in err
+        assert out == ""
+
     def test_nonfinite_parameter_exits_2(self, capsys):
         code, _, err = run(
             ["simulate", "--l1", "1", "--l2", "1", "--omega=-inf", "--z", "0",
@@ -298,3 +311,39 @@ class TestEvenSectorSpectrum:
         assert code == 0
         header = json.loads(out.split("\n")[0][2:])
         assert header["negative_count"] == 1
+
+
+class TestEnumChoices:
+    """Every choice flag accepts exactly its enum's values and echoes the choice."""
+
+    WAVE = ["--l1", "1", "--l2", "1", "--omega", "-2", "--z", "-0.5"]
+
+    @pytest.mark.parametrize("kind", [k.value for k in OperatorKind])
+    @pytest.mark.parametrize("sector", [s.value for s in Sector])
+    def test_spectrum(self, kind, sector, capsys):
+        code, out, _ = run(["spectrum", *self.WAVE, "--kind", kind, "--sector", sector,
+                            "--n", "1201", "--k", "1"], capsys)
+        assert code == 0
+        header = json.loads(out.split("\n")[0][2:])
+        assert (header["kind"], header["sector"]) == (kind, sector)
+
+    @pytest.mark.parametrize("space", [s.value for s in Space])
+    def test_classify(self, space, tmp_path, capsys):
+        out_file = tmp_path / "v.csv"
+        code, _, _ = run(["classify", *self.WAVE, "--space", space, "--n", "1201",
+                          "--out", str(out_file)], capsys)
+        assert code == 0
+        assert json.loads(out_file.read_text().split("\n")[0][2:])["space"] == space
+
+    @pytest.mark.parametrize("kind", list(PerturbationKind))
+    def test_simulate_rows_match_library(self, kind, capsys):
+        code, out, _ = run(["simulate", *self.WAVE, "--perturbation", kind.value,
+                            "--amplitude", "0.01", "--horizon", "0.1", "--n", "201"], capsys)
+        assert code == 0
+        lines = out.strip().split("\n")
+        assert json.loads(lines[0][2:])["perturbation"] == kind.value
+        p = validate_params(1, 1, -2, -0.5)
+        grid = spectral.default_grid(p, 201)
+        result = dynamics.simulate(p, dynamics.Perturbation(kind, 0.01), 0.1, 0.25 * grid.spacing, grid)
+        expected = [(r.time, r.energy, r.charge, r.orbital_distance) for r in result.rows]
+        assert [tuple(float(tok) for tok in line.split(",")) for line in lines[2:]] == expected

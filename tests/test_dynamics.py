@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from peakwave import validate_params
-from peakwave.errors import BlowupError, DomainError, StepError
+from peakwave.errors import BlowupError, DomainError, GridError, StepError
 from peakwave import dynamics, spectral, vk
 from peakwave.dynamics import (
     FieldState,
@@ -130,6 +130,16 @@ class TestCnLinearStep:
     def test_positive_dt_required(self):
         with pytest.raises(StepError):
             cn_linear_step(make_state(P), -0.1)
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_grid_below_parity_block_minimum_rejected(self, n):
+        with pytest.raises(GridError, match="n_points >= 7"):
+            cn_linear_step(make_state(P, n=n, L=21.2), 0.1)
+
+    def test_smallest_supported_grid_steps(self):
+        u = make_state(P, n=7, L=21.2)
+        q0 = discrete_charge(u)
+        assert abs(discrete_charge(cn_linear_step(u, 0.1)) - q0) / q0 < 1e-13
 
     def test_real_samples_step_like_complex(self):
         u = make_state(P)
@@ -317,6 +327,12 @@ class TestSimulate:
         with pytest.raises(DomainError, match="horizon_T"):
             simulate(P, Perturbation(PerturbationKind.NONE, 0.0), horizon,
                      grid=spectral.default_grid(P, n_points=201))
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_grid_below_parity_block_minimum_rejected(self, n):
+        with pytest.raises(GridError, match="n_points >= 7"):
+            simulate(P, Perturbation(PerturbationKind.NONE, 0.0), 0.1,
+                     grid=spectral.default_grid(P, n_points=n))
 
     @pytest.mark.parametrize("stride", [0, -2])
     def test_output_stride_must_be_at_least_one(self, stride):

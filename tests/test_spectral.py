@@ -50,6 +50,14 @@ class TestGridSpec:
         with pytest.raises(GridError):
             GridSpec(-1.0, 2001)
 
+    @pytest.mark.parametrize("half_width,n_points,sector", [
+        (1e308, 3, Sector.FULL_LINE), (1e308, 5, Sector.FULL_LINE), (math.inf, 3, Sector.FULL_LINE),
+        (math.inf, 2, Sector.EVEN_SECTOR),
+    ])
+    def test_non_finite_spacing_rejected(self, half_width, n_points, sector):
+        with pytest.raises(GridError, match="not finite"):
+            GridSpec(half_width, n_points, sector)
+
     def test_node_mirror_symmetry_is_exact(self):
         x = GridSpec(21.0, 4001).nodes()
         assert np.all(x == -x[::-1])
