@@ -9,8 +9,10 @@ values of the library enums they select (`OperatorKind`, `Sector`,
 significant digits (lossless for binary64 round-trips).  Files are written to
 a temporary path and renamed, so no command leaves a partial file behind.
 
-Exit codes: 0 success, 2 parameter/usage error, 3 numerical error (grid
-errors included), 4 I/O error.
+`--outdir` needs `--out`, and so does `--format json` on `classify` and
+`find-zstar`, which otherwise print a one-line summary.  Exit codes: 0
+success, 2 parameter/usage error, 3 numerical error (grid errors included),
+4 I/O error.
 """
 
 from __future__ import annotations
@@ -279,10 +281,19 @@ _COMMANDS = {
 }
 
 
+def _check_output_flags(args) -> None:
+    """Reject output flags that would otherwise be dropped without a word."""
+    if args.out is None and args.outdir is not None:
+        raise DomainError("--outdir only places a relative --out path; give --out as well")
+    if args.out is None and args.format == "json" and args.command in ("classify", "find-zstar"):
+        raise DomainError(f"{args.command} writes its report only to --out; --format json needs --out")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_output_flags(args)
         return _COMMANDS[args.command](args)
     except (RegimeError, DomainError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)

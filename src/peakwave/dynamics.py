@@ -15,16 +15,17 @@ destroying the parity of long runs.  Block solves keep the odd component of
 an even field identically zero.
 
 Both kernels are built for speed without giving that up.  Each parity block
-of the Crank-Nicolson matrix is LU-factored once per (grid, Z, dt) and the
-stepper is cached, so a step is a right-hand side and a back substitution.
-The rotation takes cos and sin of the real angle, elementwise.  `simulate`
-runs on raw arrays: between output rows the closing half rotation of one
-step and the opening half rotation of the next are applied as one full
-rotation, a FieldState is built only for recorded rows, and the profile for
-the orbital distance is sampled once per run.  The blow-up guard reads the
-|u|^2 the rotation already computes and also trips on NaN and inf, raising
-BlowupError.  `strang_step`, `cn_linear_step` and `nonlinear_phase_step`
-are thin wrappers over the same two kernels.
+of the Crank-Nicolson matrix 1 + B, B = (i dt/2) A, is LU-factored once per
+(grid, Z, dt) and the stepper is cached.  By the Cayley identity
+(1 + B)^-1 (1 - B) = 2 (1 + B)^-1 - 1 a step is one back substitution per
+block; 1 - B is never applied.  The rotation takes cos and sin of the real
+angle, elementwise.  `simulate` runs on raw arrays: between output rows the
+closing half rotation of one step and the opening half rotation of the next
+are applied as one full rotation, a FieldState is built only for recorded
+rows, and the profile for the orbital distance is sampled once per run.
+The blow-up guard reads the |u|^2 the rotation already computes and also
+trips on NaN and inf, raising BlowupError.  `strang_step`, `cn_linear_step`
+and `nonlinear_phase_step` are thin wrappers over the same two kernels.
 
 The explicit kernel form of the defect group (free evolution of the field
 convolved with an exponential filter, assembled by half-lines) is provided as
@@ -108,9 +109,10 @@ def discrete_charge(u: FieldState) -> float:
 class _ParityCrankNicolson:
     """Cayley-transform stepper for i u_t = A u on even/odd parity blocks.
 
-    Each block matrix 1 + (i dt/2) A is LU-factored once here (LAPACK
-    gttrf); a step forms the right-hand side (1 - (i dt/2) A) v per block and
-    back-substitutes with gttrs against the stored factors.  scipy's gttrf
+    With B = (i dt/2) A the step is (1 + B)^-1 (1 - B) u = 2 (1 + B)^-1 u - u,
+    so only the LU factors of each block of 1 + B are kept (LAPACK gttrf,
+    formed once here).  A step back-substitutes (gttrs) the doubled even and
+    odd parts of u, reassembles the full line and subtracts u.  scipy's gttrf
     and gttrs take at least three rows, so the odd block of (n - 1)/2 rows
     needs n >= 7; smaller grids raise GridError.
     """
@@ -128,37 +130,28 @@ class _ParityCrankNicolson:
         off = -1.0 / h**2
         self._c = c
         gamma = 0.5j * dt
-        blocks = []
+        self._factors = []
         # Even block: v_j = u_{c+j}, j = 0..c; the center row couples twice
         # to its single distinct neighbor.  Odd block: v_j = u_{c+j}, j >= 1.
         for dd, first_upper in ((diag[c:], 2.0 * off), (diag[c + 1:], off)):
-            upper = np.full(len(dd) - 1, off, dtype=complex)
-            if len(upper):
-                upper[0] = first_upper
-            lower = np.full(len(dd) - 1, off, dtype=complex)
-            *factors, info = zgttrf(gamma * lower, 1.0 + gamma * dd, gamma * upper)
+            upper = np.full(len(dd) - 1, gamma * off)
+            upper[0] = gamma * first_upper
+            lower = np.full(len(dd) - 1, gamma * off)
+            *factors, info = zgttrf(lower, 1.0 + gamma * dd, upper)
             if info != 0:  # pragma: no cover - 1 + i(dt/2)A is nonsingular for real dt
                 raise SolveError("Crank-Nicolson tridiagonal factorization failed")
-            blocks.append((1.0 - gamma * dd, gamma * upper, gamma * lower, factors))
-        self._blocks = blocks
-
-    @staticmethod
-    def _solve(block, v: np.ndarray) -> np.ndarray:
-        diagonal, upper, lower, factors = block
-        rhs = diagonal * v
-        rhs[:-1] -= upper * v[1:]
-        rhs[1:] -= lower * v[:-1]
-        x, _ = zgttrs(*factors, rhs, overwrite_b=1)
-        return x
+            self._factors.append(factors)
 
     def step(self, u: np.ndarray) -> np.ndarray:
         c = self._c
-        v_even = self._solve(self._blocks[0], 0.5 * (u[c:] + u[c::-1]))
-        v_odd = self._solve(self._blocks[1], 0.5 * (u[c + 1:] - u[c - 1::-1]))
+        even_factors, odd_factors = self._factors
+        x_even, _ = zgttrs(*even_factors, u[c:] + u[c::-1], overwrite_b=1)
+        x_odd, _ = zgttrs(*odd_factors, u[c + 1:] - u[c - 1::-1], overwrite_b=1)
         out = np.empty_like(u)
-        out[c] = v_even[0]
-        out[c + 1:] = v_even[1:] + v_odd
-        out[:c] = (v_even[1:] - v_odd)[::-1]
+        out[c] = x_even[0]
+        out[c + 1:] = x_even[1:] + x_odd
+        out[:c] = (x_even[1:] - x_odd)[::-1]
+        out -= u
         return out
 
 

@@ -131,9 +131,7 @@ class TridiagonalOperator:
 
     diagonal: np.ndarray
     offdiagonal: np.ndarray
-    kind: OperatorKind
     grid: GridSpec
-    params: WaveParameters
 
     @property
     def size(self) -> int:
@@ -181,7 +179,7 @@ def discretize_operator(kind: OperatorKind, p: WaveParameters, grid: GridSpec) -
         # Ghost-point closure of f'(0+) = -(Z/2) f(0), symmetrized: the
         # similarity that restores symmetry scales the first coupling by sqrt(2).
         off[0] = -math.sqrt(2.0) / h**2
-    return TridiagonalOperator(diag, off, kind, grid, p)
+    return TridiagonalOperator(diag, off, grid)
 
 
 def inertia_below(op: TridiagonalOperator, shift: float) -> int:
@@ -279,7 +277,6 @@ class KernelReport:
 
     l2_zero_abs: float
     l1_distance_to_zero: float
-    grid: GridSpec
 
 
 def _distance_to_zero(op: TridiagonalOperator, lowest: Sequence[float] = ()) -> float:
@@ -297,7 +294,7 @@ def kernel_residual(p: WaveParameters, grid: GridSpec) -> KernelReport:
     """Measure the L2 zero mode and the spectral gap of L1 around zero."""
     l2_zero = abs(_eigenvalue_by_index(discretize_operator(OperatorKind.L2, p, grid), 0))
     gap = _distance_to_zero(discretize_operator(OperatorKind.L1, p, grid))
-    return KernelReport(l2_zero, gap, grid)
+    return KernelReport(l2_zero, gap)
 
 
 @dataclass(frozen=True, eq=False)
@@ -308,7 +305,6 @@ class SpectrumReport:
     lowest_pairs: list[tuple[float, np.ndarray]] = field(repr=False)
     kernel_residual: float
     essential_edge: float
-    grid: GridSpec
 
 
 def spectrum_report(kind: OperatorKind, p: WaveParameters, grid: GridSpec, k: int = 3) -> SpectrumReport:
@@ -330,7 +326,7 @@ def spectrum_report(kind: OperatorKind, p: WaveParameters, grid: GridSpec, k: in
         resid = _distance_to_zero(op, lams)
     else:
         resid = math.nan
-    return SpectrumReport(negative, pairs, resid, edge, grid)
+    return SpectrumReport(negative, pairs, resid, edge)
 
 
 def quadratic_form_phi(p: WaveParameters) -> float:

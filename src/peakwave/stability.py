@@ -13,16 +13,16 @@ inherited by the full space (an even field escaping the orbit witnesses
 escape in the full norm), which is how the unstable strengths below the
 threshold are classified.
 
+One rule turns indices into verdicts, and both classifiers feed it.
 `classify_numeric` and `compare` share one numeric pass per parameter point:
 the kernel preconditions, the slope index p and the negative count n of each
-sector are computed once, and both verdicts are built from those values.
-`classify_analytic` is a lookup of the proven
-classification: for unit coefficients, stable for Z >= 0, unstable on
-(z*, 0), stable in the even sector for Z > z*, unstable in both spaces below
-z* = -sqrt(3)/2; for a focusing cubic with defocusing quintic, stable for
-Z > 0, unstable (full) / stable (even) for Z < 0.  Any other focusing pair
-is reduced to the unit table by the exact scaling u = A v(Bx, B^2 t) with
-A^2 = lambda1/lambda2 and B^2 = lambda1^2/lambda2, which maps the strength to
+sector are computed once.  `classify_analytic` supplies the proven indices
+instead: n = 1 for Z >= 0 and 2 for Z < 0 on the full line, n = 1 in the
+even sector, and p = 1 except below the unit-coefficient threshold
+z* = -sqrt(3)/2 of a focusing pair (a focusing cubic with defocusing quintic
+has p = 1 throughout).  Any other focusing pair is reduced to the unit
+coefficients by the exact scaling u = A v(Bx, B^2 t) with A^2 =
+lambda1/lambda2 and B^2 = lambda1^2/lambda2, which maps the strength to
 Z * sqrt(lambda2) / lambda1 and keeps the Morse counts and the slope sign.
 """
 
@@ -117,16 +117,9 @@ def _indices(p: WaveParameters, grid: GridSpec) -> int:
     return n1 + n2
 
 
-def _numeric_verdicts(p: WaveParameters, grid: GridSpec | None) -> dict[Space, Verdict]:
-    """Both numeric verdicts from one precondition check, one slope index and
-    one negative count per sector."""
-    if grid is None:
-        grid = spectral.default_grid(p, n_points=2001)
-    if grid.sector is not Sector.FULL_LINE:
-        raise PreconditionError("classification grids are full-line; the even sector is derived internally")
-    _check_preconditions(p, grid)
-    p_idx = vk.p_index(p)
-    n = {Space.FULL_H1: _indices(p, grid), Space.EVEN_H1: _indices(p, grid.even_half())}
+def _verdicts(n_full: int, n_even: int, p_idx: int, provenance: Provenance) -> dict[Space, Verdict]:
+    """Both verdicts from the Morse index of each space and the slope index."""
+    n = {Space.FULL_H1: n_full, Space.EVEN_H1: n_even}
     outcome = {space: _bookkeep(count, p_idx) for space, count in n.items()}
     note = {space: _ODD_NOTE if o is Outcome.ORBITALLY_UNSTABLE else "" for space, o in outcome.items()}
     if (outcome[Space.FULL_H1] is Outcome.INDETERMINATE
@@ -136,13 +129,44 @@ def _numeric_verdicts(p: WaveParameters, grid: GridSpec | None) -> dict[Space, V
             "full-space index difference is even; instability inherited from the "
             "invariant even sector"
         )
-    return {space: Verdict(space, n[space], p_idx, outcome[space], Provenance.NUMERIC_PIPELINE, note[space])
+    return {space: Verdict(space, n[space], p_idx, outcome[space], provenance, note[space])
             for space in Space}
+
+
+def _numeric_verdicts(p: WaveParameters, grid: GridSpec | None) -> dict[Space, Verdict]:
+    """Both numeric verdicts from one precondition check, one slope index and
+    one negative count per sector."""
+    if grid is None:
+        grid = spectral.default_grid(p, n_points=2001)
+    if grid.sector is not Sector.FULL_LINE:
+        raise PreconditionError("classification grids are full-line; the even sector is derived internally")
+    _check_preconditions(p, grid)
+    p_idx = vk.p_index(p)
+    return _verdicts(_indices(p, grid), _indices(p, grid.even_half()), p_idx, Provenance.NUMERIC_PIPELINE)
 
 
 def classify_numeric(p: WaveParameters, space: Space, grid: GridSpec | None = None) -> Verdict:
     """Verdict from discretized Morse indices (both sectors) and the measured charge slope."""
     return _numeric_verdicts(p, grid)[space]
+
+
+def _analytic_verdicts(p: WaveParameters, zstar: float | None) -> dict[Space, Verdict]:
+    """Both verdicts from the proven index table."""
+    if p.regime is Regime.ATTRACTIVE_REPULSIVE:
+        if p.z == 0.0:
+            raise DegenerateError("the attractive-repulsive classification covers Z != 0 only")
+        z_u, p_idx = p.z, 1
+    else:
+        # Exact scaling onto unit coefficients; z_u == Z for lambda1 = lambda2 = 1.
+        z_u = p.z * math.sqrt(p.lambda2) / p.lambda1
+        zs = vk.ZSTAR_REFERENCE if zstar is None else zstar
+        if abs(z_u - zs) <= ZSTAR_EXCLUSION:
+            raise DegenerateError(
+                f"scaled strength Z * sqrt(lambda2) / lambda1 = {z_u} within {ZSTAR_EXCLUSION} "
+                f"of the unit threshold {zs}"
+            )
+        p_idx = 1 if z_u > zs else 0
+    return _verdicts(1 if z_u >= 0.0 else 2, 1, p_idx, Provenance.ANALYTIC_TABLE)
 
 
 def classify_analytic(p: WaveParameters, space: Space, zstar: float | None = None) -> Verdict:
@@ -151,36 +175,7 @@ def classify_analytic(p: WaveParameters, space: Space, zstar: float | None = Non
     `zstar` overrides the unit-coefficient threshold -sqrt(3)/2; a general
     focusing pair is compared with it after scaling Z onto unit coefficients.
     """
-    if p.regime is Regime.ATTRACTIVE_REPULSIVE:
-        if p.z == 0.0:
-            raise DegenerateError("the attractive-repulsive classification covers Z != 0 only")
-        n_full = 1 if p.z > 0.0 else 2
-        n = n_full if space is Space.FULL_H1 else 1
-        if p.z > 0.0:
-            note = "" if space is Space.FULL_H1 else "even-sector stability follows from full-space stability"
-            return Verdict(space, n, 1, Outcome.ORBITALLY_STABLE, Provenance.ANALYTIC_TABLE, note)
-        if space is Space.FULL_H1:
-            return Verdict(space, n, 1, Outcome.ORBITALLY_UNSTABLE, Provenance.ANALYTIC_TABLE, _ODD_NOTE)
-        return Verdict(space, n, 1, Outcome.ORBITALLY_STABLE, Provenance.ANALYTIC_TABLE, "")
-    # Exact scaling onto unit coefficients; z_u == Z for lambda1 = lambda2 = 1.
-    z_u = p.z * math.sqrt(p.lambda2) / p.lambda1
-    zs = vk.ZSTAR_REFERENCE if zstar is None else zstar
-    if abs(z_u - zs) <= ZSTAR_EXCLUSION:
-        raise DegenerateError(
-            f"scaled strength Z * sqrt(lambda2) / lambda1 = {z_u} within {ZSTAR_EXCLUSION} "
-            f"of the unit threshold {zs}"
-        )
-    p_idx = 1 if z_u > zs else 0
-    n_full = 1 if z_u >= 0.0 else 2
-    n = n_full if space is Space.FULL_H1 else 1
-    if space is Space.FULL_H1:
-        if z_u >= 0.0:
-            return Verdict(space, n, p_idx, Outcome.ORBITALLY_STABLE, Provenance.ANALYTIC_TABLE, "")
-        note = _ODD_NOTE if z_u > zs else "instability inherited from the invariant even sector"
-        return Verdict(space, n, p_idx, Outcome.ORBITALLY_UNSTABLE, Provenance.ANALYTIC_TABLE, note)
-    if z_u > zs:
-        return Verdict(space, n, p_idx, Outcome.ORBITALLY_STABLE, Provenance.ANALYTIC_TABLE, "")
-    return Verdict(space, n, p_idx, Outcome.ORBITALLY_UNSTABLE, Provenance.ANALYTIC_TABLE, _ODD_NOTE)
+    return _analytic_verdicts(p, zstar)[space]
 
 
 def compare(p: WaveParameters, grid: GridSpec | None = None) -> bool:
@@ -190,4 +185,5 @@ def compare(p: WaveParameters, grid: GridSpec | None = None) -> bool:
     there, which is a shared exclusion, not a disagreement).
     """
     numeric = _numeric_verdicts(p, grid)
-    return all(numeric[space].outcome is classify_analytic(p, space).outcome for space in Space)
+    analytic = _analytic_verdicts(p, None)
+    return all(numeric[space].outcome is analytic[space].outcome for space in Space)

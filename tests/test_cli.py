@@ -302,6 +302,18 @@ class TestUsage:
         assert code == 0
         assert (tmp_path / "rel.csv").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["classify", "--l1", "1", "--l2", "1", "--omega", "-2", "--z", "1", "--format", "json"],
+        ["find-zstar", "--format", "json"],
+        ["find-zstar", "--outdir", "."],
+        ["profile", "--l1", "1", "--l2", "1", "--omega", "-2", "--z", "1", "--n", "11", "--outdir", "."],
+        ["vk-scan", "--omega-min", "-3", "--omega-max", "-2", "--z-min", "1", "--outdir", "."],
+    ])
+    def test_output_flag_without_out_exits_2(self, argv, capsys):
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (2, "")
+        assert "DomainError" in err and "--out" in err
+
 
 class TestEvenSectorSpectrum:
     def test_even_sector_single_negative(self, capsys):

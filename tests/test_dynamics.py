@@ -141,6 +141,25 @@ class TestCnLinearStep:
         q0 = discrete_charge(u)
         assert abs(discrete_charge(cn_linear_step(u, 0.1)) - q0) / q0 < 1e-13
 
+    @pytest.mark.parametrize("data", ["even", "odd", "generic"])
+    def test_step_solves_the_crank_nicolson_system(self, data):
+        # The step x of u satisfies (1 + i(dt/2)A) x = (1 - i(dt/2)A) u.
+        grid = spectral.default_grid(P, n_points=2001)
+        apply = spectral.discretize_operator(OperatorKind.FREE_WITH_DELTA, P, grid).apply
+        x = grid.nodes()
+        rng = np.random.default_rng(12)
+        samples = {
+            "even": np.exp(-x * x) * (1.0 + 0.5j),
+            "odd": x * np.exp(-x * x) * (0.3 - 1.0j),
+            "generic": np.exp(-(x - 1.3) ** 2 + 2.0j * x)
+            + 1e-3 * (rng.standard_normal(x.size) + 1j * rng.standard_normal(x.size)),
+        }[data]
+        dt = 0.25 * grid.spacing
+        out = cn_linear_step(FieldState(samples, grid, 0.0, P), dt).samples
+        lhs = out + 0.5j * dt * apply(out)
+        rhs = samples - 0.5j * dt * apply(samples)
+        assert np.linalg.norm(lhs - rhs) < 1e-12 * np.linalg.norm(rhs)
+
     def test_real_samples_step_like_complex(self):
         u = make_state(P)
         real = FieldState(u.samples.real.copy(), u.grid, 0.0, P)

@@ -116,6 +116,68 @@ class TestClassifyAnalytic:
             assert len(outcomes) == 1
 
 
+ODD_NOTE = "index difference odd: nonlinear instability inferred from the linearized flow"
+INHERITED_NOTE = ("full-space index difference is even; instability inherited from the "
+                  "invariant even sector")
+
+
+def _criterion(n, p):
+    """Equal indices: stable; odd difference: unstable; even nonzero: undecided."""
+    if n == p:
+        return Outcome.ORBITALLY_STABLE
+    if abs(n - p) % 2 == 1:
+        return Outcome.ORBITALLY_UNSTABLE
+    return Outcome.INDETERMINATE
+
+
+class TestVerdictRule:
+    @pytest.mark.parametrize("p_idx", [0, 1])
+    @pytest.mark.parametrize("n_full,n_even", [(n, m) for n in range(4) for m in range(n + 1)])
+    def test_every_index_triple(self, n_full, n_even, p_idx):
+        provenance = Provenance.NUMERIC_PIPELINE
+        verdicts = stability._verdicts(n_full, n_even, p_idx, provenance)
+        even_outcome = _criterion(n_even, p_idx)
+        full_outcome = _criterion(n_full, p_idx)
+        full_note = ODD_NOTE if full_outcome is Outcome.ORBITALLY_UNSTABLE else ""
+        # An even nonzero full-space difference inherits instability proven in
+        # the invariant even sector, and is undecided otherwise.
+        if full_outcome is Outcome.INDETERMINATE and even_outcome is Outcome.ORBITALLY_UNSTABLE:
+            full_outcome, full_note = Outcome.ORBITALLY_UNSTABLE, INHERITED_NOTE
+        even_note = ODD_NOTE if even_outcome is Outcome.ORBITALLY_UNSTABLE else ""
+        expected = {Space.FULL_H1: (n_full, full_outcome, full_note),
+                    Space.EVEN_H1: (n_even, even_outcome, even_note)}
+        assert verdicts == {space: stability.Verdict(space, n, p_idx, outcome, provenance, note)
+                            for space, (n, outcome, note) in expected.items()}
+
+
+class TestAnalyticClauses:
+    """The twelve clauses of the two proven tables, with indices and notes."""
+
+    STABLE, UNSTABLE = Outcome.ORBITALLY_STABLE, Outcome.ORBITALLY_UNSTABLE
+
+    @pytest.mark.parametrize(
+        "point,space,expected",
+        [
+            ((1.0, 1.0, -2.0, 1.0), Space.FULL_H1, (1, 1, STABLE, "")),
+            ((1.0, 1.0, -2.0, 1.0), Space.EVEN_H1, (1, 1, STABLE, "")),
+            ((1.0, 1.0, -2.0, -0.5), Space.FULL_H1, (2, 1, UNSTABLE, ODD_NOTE)),
+            ((1.0, 1.0, -2.0, -0.5), Space.EVEN_H1, (1, 1, STABLE, "")),
+            ((1.0, 1.0, -2.0, -1.0), Space.FULL_H1, (2, 0, UNSTABLE, INHERITED_NOTE)),
+            ((1.0, 1.0, -2.0, -1.0), Space.EVEN_H1, (1, 0, UNSTABLE, ODD_NOTE)),
+            ((2.0, -1.0, -0.5, 1.0), Space.FULL_H1, (1, 1, STABLE, "")),
+            ((2.0, -1.0, -0.5, 1.0), Space.EVEN_H1, (1, 1, STABLE, "")),
+            ((2.0, -1.0, -0.5, -0.5), Space.FULL_H1, (2, 1, UNSTABLE, ODD_NOTE)),
+            ((2.0, -1.0, -0.5, -0.5), Space.EVEN_H1, (1, 1, STABLE, "")),
+            ((2.0, -1.0, -0.5, -1.0), Space.FULL_H1, (2, 1, UNSTABLE, ODD_NOTE)),
+            ((2.0, -1.0, -0.5, -1.0), Space.EVEN_H1, (1, 1, STABLE, "")),
+        ],
+    )
+    def test_clause(self, point, space, expected):
+        v = classify_analytic(validate_params(*point), space)
+        assert (v.n_hessian, v.p_index, v.outcome, v.note) == expected
+        assert (v.space, v.provenance) == (space, Provenance.ANALYTIC_TABLE)
+
+
 class TestIndexRelations:
     @pytest.mark.parametrize("z", [0.5, 2.0])
     def test_even_equals_full_for_positive_strength(self, z):
