@@ -3,8 +3,11 @@
 The flow i u_t + u_xx + Z delta(x) u + lambda1 |u|^2 u + lambda2 |u|^4 u = 0
 is split into an exact pointwise phase rotation for the power nonlinearities
 and a Crank-Nicolson step for the linear defect part i u_t = A u, with A the
-tridiagonal bare-defect operator.  Strang composition of the two is second
-order in time and conserves the discrete charge to solver roundoff.
+bare-defect operator of `spectral.discretize_operator`.  Every stepper is
+built from that operator, so `simulate`, `strang_step` and `cn_linear_step`
+share its grid contract (resolution and extent bounds, GridError otherwise).
+Strang composition of the two is second order in time and conserves the
+discrete charge to solver roundoff.
 
 The Crank-Nicolson solve is performed on the even/odd parity blocks of the
 grid rather than on the full line.  This is not an optimization: an even
@@ -16,7 +19,7 @@ an even field identically zero.
 
 Both kernels are built for speed without giving that up.  Each parity block
 of the Crank-Nicolson matrix 1 + B, B = (i dt/2) A, is LU-factored once per
-(grid, Z, dt) and the stepper is cached.  By the Cayley identity
+(parameters, grid, dt) and the stepper is cached.  By the Cayley identity
 (1 + B)^-1 (1 - B) = 2 (1 + B)^-1 - 1 a step is one back substitution per
 block; 1 - B is never applied.  The rotation takes cos and sin of the real
 angle, elementwise.  `simulate` runs on raw arrays: between output rows the
@@ -45,9 +48,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import zgttrf, zgttrs
 
-from .errors import BlowupError, DomainError, GridError, SolveError, StepError
+from .errors import BlowupError, DomainError, SolveError, StepError
 from .profile import ProfileEvaluator, WaveParameters
-from .spectral import GridSpec, Sector, default_grid
+from .spectral import (GridSpec, OperatorKind, Sector, TridiagonalOperator, default_grid,
+                       discretize_operator)
 
 __all__ = [
     "FieldState",
@@ -107,36 +111,28 @@ def discrete_charge(u: FieldState) -> float:
 
 
 class _ParityCrankNicolson:
-    """Cayley-transform stepper for i u_t = A u on even/odd parity blocks.
+    """Cayley-transform stepper for i u_t = A u on the even/odd parity blocks of A.
 
-    With B = (i dt/2) A the step is (1 + B)^-1 (1 - B) u = 2 (1 + B)^-1 u - u,
-    so only the LU factors of each block of 1 + B are kept (LAPACK gttrf,
-    formed once here).  A step back-substitutes (gttrs) the doubled even and
-    odd parts of u, reassembles the full line and subtracts u.  scipy's gttrf
-    and gttrs take at least three rows, so the odd block of (n - 1)/2 rows
-    needs n >= 7; smaller grids raise GridError.
+    A is a mirror-symmetric full-line tridiagonal operator.  With
+    B = (i dt/2) A the step is (1 + B)^-1 (1 - B) u = 2 (1 + B)^-1 u - u, so
+    only the LU factors of each block of 1 + B are kept (LAPACK gttrf, formed
+    once here).  A step back-substitutes (gttrs) the doubled even and odd
+    parts of u, reassembles the full line and subtracts u.
     """
 
-    def __init__(self, grid: GridSpec, z: float, dt: float):
-        if grid.n_points < 7:
-            raise GridError(f"Crank-Nicolson parity blocks need n_points >= 7, got {grid.n_points}")
-        # Bare-defect tridiagonal pieces; the potential-free diagonal is
-        # mirror-symmetric so A commutes with the reflection exactly.
-        h = grid.spacing
-        n = grid.n_points
-        c = grid.center_index
-        diag = np.full(n, 2.0 / h**2)
-        diag[c] -= z / h
-        off = -1.0 / h**2
-        self._c = c
+    def __init__(self, op: TridiagonalOperator, dt: float):
+        c = op.grid.center_index
+        diag, off = op.diagonal, op.offdiagonal
         gamma = 0.5j * dt
-        self._factors = []
+        self._c = c
         # Even block: v_j = u_{c+j}, j = 0..c; the center row couples twice
         # to its single distinct neighbor.  Odd block: v_j = u_{c+j}, j >= 1.
-        for dd, first_upper in ((diag[c:], 2.0 * off), (diag[c + 1:], off)):
-            upper = np.full(len(dd) - 1, gamma * off)
-            upper[0] = gamma * first_upper
-            lower = np.full(len(dd) - 1, gamma * off)
+        even_lower = gamma * off[c:]
+        even_upper = even_lower.copy()
+        even_upper[0] *= 2.0
+        odd = gamma * off[c + 1:]
+        self._factors = []
+        for lower, dd, upper in ((even_lower, diag[c:], even_upper), (odd, diag[c + 1:], odd)):
             *factors, info = zgttrf(lower, 1.0 + gamma * dd, upper)
             if info != 0:  # pragma: no cover - 1 + i(dt/2)A is nonsingular for real dt
                 raise SolveError("Crank-Nicolson tridiagonal factorization failed")
@@ -156,8 +152,8 @@ class _ParityCrankNicolson:
 
 
 @functools.lru_cache(maxsize=16)
-def _stepper(grid: GridSpec, z: float, dt: float) -> _ParityCrankNicolson:
-    return _ParityCrankNicolson(grid, z, dt)
+def _stepper(p: WaveParameters, grid: GridSpec, dt: float) -> _ParityCrankNicolson:
+    return _ParityCrankNicolson(discretize_operator(OperatorKind.FREE_WITH_DELTA, p, grid), dt)
 
 
 def _rotate(v: np.ndarray, dt: float, p: WaveParameters) -> np.ndarray:
@@ -197,7 +193,7 @@ def cn_linear_step(u: FieldState, dt: float) -> FieldState:
     conserved to better than 1e-13 relative per step.
     """
     _check_positive_dt(dt)
-    stepper = _stepper(u.grid, u.params.z, dt)
+    stepper = _stepper(u.params, u.grid, dt)
     return FieldState(stepper.step(np.asarray(u.samples, dtype=complex)), u.grid, u.time + dt, u.params)
 
 
@@ -214,12 +210,15 @@ def strang_step(u: FieldState, dt: float) -> FieldState:
     _check_positive_dt(dt)
     v = np.array(u.samples, dtype=complex)
     _rotate(v, 0.5 * dt, u.params)
-    v = _stepper(u.grid, u.params.z, dt).step(v)
+    v = _stepper(u.params, u.grid, dt).step(v)
     _rotate(v, 0.5 * dt, u.params)
     return FieldState(v, u.grid, u.time + dt, u.params)
 
 
-def kernel_propagator_apply(psi: FieldState, t: float, pad_factor: int = 4) -> FieldState:
+_PAD_FACTOR = 4  # zero padding of the periodic extension, in multiples of the grid
+
+
+def kernel_propagator_apply(psi: FieldState, t: float) -> FieldState:
     """Linear defect flow via the explicit kernel decomposition (oracle path).
 
     Right half-line: free evolution of psi convolved with delta + rho, where
@@ -232,8 +231,6 @@ def kernel_propagator_apply(psi: FieldState, t: float, pad_factor: int = 4) -> F
     z = psi.params.z
     if z >= 0.0:
         raise DomainError("the kernel decomposition is stated for Z < 0")
-    if pad_factor < 4:
-        raise DomainError(f"pad_factor must be >= 4, got {pad_factor}")
     if t == 0.0:
         return FieldState(psi.samples.copy(), psi.grid, psi.time, psi.params)
     x = psi.grid.nodes()
@@ -245,7 +242,7 @@ def kernel_propagator_apply(psi: FieldState, t: float, pad_factor: int = 4) -> F
     psi_tau = psi.samples + psi_rho
 
     def free_group(f: np.ndarray) -> np.ndarray:
-        n_pad = pad_factor * n
+        n_pad = _PAD_FACTOR * n
         padded = np.zeros(n_pad, dtype=complex)
         s0 = (n_pad - n) // 2
         padded[s0:s0 + n] = f
@@ -341,9 +338,10 @@ def simulate(
     steps.  Between recorded steps the closing half rotation of one Strang
     step and the opening half rotation of the next are applied as one full
     rotation.  Raises DomainError unless `horizon_T` is finite and positive
-    and `output_stride` is None or at least 1, and BlowupError if the
-    amplitude exceeds one thousand times its initial peak or the field stops
-    being finite.
+    and `output_stride` is None or at least 1, GridError if the grid fails
+    `discretize_operator`'s resolution or extent bound, and BlowupError if
+    the amplitude exceeds one thousand times its initial peak or the field
+    stops being finite.
     """
     if not (math.isfinite(horizon_T) and horizon_T > 0.0):
         raise DomainError(f"horizon_T must be finite and positive, got {horizon_T}")
@@ -361,7 +359,7 @@ def simulate(
     if output_stride is None:
         output_stride = max(1, steps // 400)
     guard_sq = (1e3 * float(np.max(np.abs(state.samples)))) ** 2
-    stepper = _stepper(grid, p.z, dt)
+    stepper = _stepper(p, grid, dt)
 
     def row(s: FieldState) -> SimRow:
         return SimRow(s.time, discrete_energy(s), discrete_charge(s), orbital_distance(s, p, phi))

@@ -100,8 +100,8 @@ def validate_params(lambda1: float, lambda2: float, omega: float, z: float) -> W
     return WaveParameters(lambda1, lambda2, omega, z, Regime.ATTRACTIVE_REPULSIVE)
 
 
-def _coefficients(p: WaveParameters) -> tuple[float, float, float, float]:
-    """(alpha, beta, kappa, nu) with alpha = lambda1/4, beta = lambda2/3,
+def _coefficients(p: WaveParameters) -> tuple[float, float, float]:
+    """(alpha, kappa, nu) with alpha = lambda1/4, beta = lambda2/3,
     kappa = sqrt(alpha^2 - beta*omega), nu = sqrt(-omega)."""
     alpha = p.lambda1 / 4.0
     beta = p.lambda2 / 3.0
@@ -109,7 +109,7 @@ def _coefficients(p: WaveParameters) -> tuple[float, float, float, float]:
     # In the admissible set kappa_sq > 0 (the AR upper bound enforces it).
     kappa = math.sqrt(kappa_sq)
     nu = math.sqrt(-p.omega)
-    return alpha, beta, kappa, nu
+    return alpha, kappa, nu
 
 
 _ONE_INSIDE = float(np.nextafter(1.0, 0.0))
@@ -146,7 +146,7 @@ def _r_prime_raw(arg, alpha: float, kappa: float, nu: float):
 
 def r_map(s, p: WaveParameters):
     """Odd increasing diffeomorphism R -> (-1, 1) that fixes the profile shift."""
-    alpha, _, kappa, nu = _coefficients(p)
+    alpha, kappa, nu = _coefficients(p)
     return _r_raw(2.0 * nu * np.asarray(s, dtype=float), alpha, kappa)
 
 
@@ -165,7 +165,7 @@ def r_inverse(y: float, p: WaveParameters) -> float:
     y = float(y)
     if not abs(y) < 1.0:
         raise DomainError(f"r_inverse requires |y| < 1, got {y}")
-    alpha, _, kappa, nu = _coefficients(p)
+    alpha, kappa, nu = _coefficients(p)
     return _r_inverse_raw(y, alpha, kappa, nu)
 
 
@@ -180,16 +180,15 @@ class ProfileEvaluator:
 
     params: WaveParameters
     alpha: float
-    beta: float
     kappa: float
     root_minus_omega: float
     shift_b: float
 
     @classmethod
     def from_params(cls, p: WaveParameters) -> "ProfileEvaluator":
-        alpha, beta, kappa, nu = _coefficients(p)
+        alpha, kappa, nu = _coefficients(p)
         b = _r_inverse_raw(p.z / (2.0 * nu), alpha, kappa, nu)
-        return cls(p, alpha, beta, kappa, nu, b)
+        return cls(p, alpha, kappa, nu, b)
 
     def _arg(self, x):
         return 2.0 * self.root_minus_omega * (np.abs(np.asarray(x, dtype=float)) + self.shift_b)

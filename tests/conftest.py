@@ -24,4 +24,4 @@ def nan_on_fifth_step(monkeypatch):
                 out[len(out) // 3] = np.nan
             return out
 
-    monkeypatch.setattr(dynamics, "_stepper", lambda grid, z, dt: Poisoned(real(grid, z, dt)))
+    monkeypatch.setattr(dynamics, "_stepper", lambda p, grid, dt: Poisoned(real(p, grid, dt)))

@@ -234,19 +234,27 @@ class TestSimulateCommand:
         assert leftovers == []
 
     def test_header_grid_is_default_grid(self, capsys):
-        from peakwave import spectral, validate_params
         code, out, _ = run(
             ["simulate", "--l1", "1", "--l2", "1", "--omega", "-9.85", "--z", "1",
-             "--horizon", "0.01", "--n", "401"], capsys)
+             "--horizon", "0.01", "--n", "1201"], capsys)
         assert code == 0
         header = json.loads(out.split("\n")[0][2:])
-        grid = spectral.default_grid(validate_params(1, 1, -9.85, 1), 401)
+        grid = spectral.default_grid(validate_params(1, 1, -9.85, 1), 1201)
         assert (header["half_width"], header["spacing"]) == (grid.half_width, grid.spacing)
+
+    def test_under_resolved_grid_exits_3(self, capsys):
+        # n = 401 at omega = -9.85 gives h = 0.048 against the bound 0.016.
+        code, out, err = run(
+            ["simulate", "--l1", "1", "--l2", "1", "--omega", "-9.85", "--z", "1",
+             "--horizon", "0.05", "--n", "401"], capsys)
+        assert code == 3
+        assert "GridError" in err and "resolution bound" in err
+        assert out == ""
 
     def test_nonfinite_field_exits_3(self, nan_on_fifth_step, capsys):
         code, out, err = run(
             ["simulate", "--l1", "1", "--l2", "1", "--omega", "-2", "--z", "1",
-             "--horizon", "0.5", "--n", "501"], capsys)
+             "--horizon", "0.5", "--n", "1201"], capsys)
         assert code == 3
         assert "BlowupError" in err
         assert out == ""
@@ -257,20 +265,20 @@ class TestSimulateCommand:
             ["simulate", "--l1", "1", "--l2", "1", "--omega", "-2", "--z", "1",
              "--horizon", "0.1", "--n", n], capsys)
         assert code == 3
-        assert "GridError" in err
+        assert "GridError" in err and "resolution bound" in err
         assert out == ""
 
     def test_nonfinite_parameter_exits_2(self, capsys):
         code, _, err = run(
             ["simulate", "--l1", "1", "--l2", "1", "--omega=-inf", "--z", "0",
-             "--horizon", "0.5", "--n", "501"], capsys)
+             "--horizon", "0.5", "--n", "1201"], capsys)
         assert code == 2
         assert "RegimeError" in err
 
     def test_nonfinite_horizon_exits_2(self, capsys):
         code, out, err = run(
             ["simulate", "--l1", "1", "--l2", "1", "--omega", "-2", "--z", "1",
-             "--horizon", "nan", "--n", "501"], capsys)
+             "--horizon", "nan", "--n", "1201"], capsys)
         assert code == 2
         assert "DomainError" in err
         assert out == ""
@@ -350,12 +358,12 @@ class TestEnumChoices:
     @pytest.mark.parametrize("kind", list(PerturbationKind))
     def test_simulate_rows_match_library(self, kind, capsys):
         code, out, _ = run(["simulate", *self.WAVE, "--perturbation", kind.value,
-                            "--amplitude", "0.01", "--horizon", "0.1", "--n", "201"], capsys)
+                            "--amplitude", "0.01", "--horizon", "0.1", "--n", "1201"], capsys)
         assert code == 0
         lines = out.strip().split("\n")
         assert json.loads(lines[0][2:])["perturbation"] == kind.value
         p = validate_params(1, 1, -2, -0.5)
-        grid = spectral.default_grid(p, 201)
+        grid = spectral.default_grid(p, 1201)
         result = dynamics.simulate(p, dynamics.Perturbation(kind, 0.01), 0.1, 0.25 * grid.spacing, grid)
         expected = [(r.time, r.energy, r.charge, r.orbital_distance) for r in result.rows]
         assert [tuple(float(tok) for tok in line.split(",")) for line in lines[2:]] == expected

@@ -133,11 +133,14 @@ class TestCnLinearStep:
 
     @pytest.mark.parametrize("n", [3, 5])
     def test_grid_below_parity_block_minimum_rejected(self, n):
-        with pytest.raises(GridError, match="n_points >= 7"):
-            cn_linear_step(make_state(P, n=n, L=21.2), 0.1)
+        # Far below the parity blocks' three rows, and far below the
+        # resolution bound of the operator the stepper factors.
+        with pytest.raises(GridError, match="resolution bound"):
+            cn_linear_step(make_state(P, n=n), 0.1)
 
     def test_smallest_supported_grid_steps(self):
-        u = make_state(P, n=7, L=21.2)
+        # n - 1 = 2L/h = 1200 meets the resolution bound at the extent floor.
+        u = make_state(P, n=1201)
         q0 = discrete_charge(u)
         assert abs(discrete_charge(cn_linear_step(u, 0.1)) - q0) / q0 < 1e-13
 
@@ -332,11 +335,11 @@ class TestSimulate:
     def test_nonfinite_field_raises_blowup(self, nan_on_fifth_step):
         with pytest.raises(BlowupError):
             simulate(P, Perturbation(PerturbationKind.NONE, 0.0), 0.2,
-                     grid=spectral.default_grid(P, n_points=501))
+                     grid=spectral.default_grid(P, n_points=1201))
 
     @pytest.mark.parametrize("factor", [0.0, -0.25, 0.75])
     def test_dt_checked_up_front(self, factor):
-        grid = spectral.default_grid(P, n_points=501)
+        grid = spectral.default_grid(P, n_points=1201)
         with pytest.raises(StepError):
             simulate(P, Perturbation(PerturbationKind.NONE, 0.0), 1.0,
                      dt=factor * grid.spacing, grid=grid)
@@ -345,11 +348,11 @@ class TestSimulate:
     def test_horizon_must_be_finite_and_positive(self, horizon):
         with pytest.raises(DomainError, match="horizon_T"):
             simulate(P, Perturbation(PerturbationKind.NONE, 0.0), horizon,
-                     grid=spectral.default_grid(P, n_points=201))
+                     grid=spectral.default_grid(P, n_points=1201))
 
     @pytest.mark.parametrize("n", [3, 5])
     def test_grid_below_parity_block_minimum_rejected(self, n):
-        with pytest.raises(GridError, match="n_points >= 7"):
+        with pytest.raises(GridError, match="resolution bound"):
             simulate(P, Perturbation(PerturbationKind.NONE, 0.0), 0.1,
                      grid=spectral.default_grid(P, n_points=n))
 
@@ -357,13 +360,37 @@ class TestSimulate:
     def test_output_stride_must_be_at_least_one(self, stride):
         with pytest.raises(DomainError, match="output_stride"):
             simulate(P, Perturbation(PerturbationKind.NONE, 0.0), 0.1,
-                     grid=spectral.default_grid(P, n_points=201), output_stride=stride)
+                     grid=spectral.default_grid(P, n_points=1201), output_stride=stride)
+
+
+class TestGridContract:
+    """The stepper factors discretize_operator's bare defect, so every entry
+    point keeps that operator's resolution and extent bounds."""
+
+    # h = 0.005 resolves omega = -2, but L = 10 < 30/sqrt(2).
+    NARROW = GridSpec(10.0, 4001)
+    # n = 401 at omega = -9.85 gives h = 0.048 against the bound 0.016.
+    STEEP = validate_params(1.0, 1.0, -9.85, 1.0)
+
+    @pytest.mark.parametrize("p, grid, bound", [
+        (P, NARROW, "extent bound"),
+        (STEEP, spectral.default_grid(STEEP, n_points=401), "resolution bound"),
+    ])
+    def test_simulate_rejects_grid(self, p, grid, bound):
+        with pytest.raises(GridError, match=bound):
+            simulate(p, Perturbation(PerturbationKind.NONE, 0.0), 0.05, grid=grid)
+
+    @pytest.mark.parametrize("step", [cn_linear_step, strang_step])
+    def test_steps_reject_narrow_grid(self, step):
+        u = make_state(P, n=self.NARROW.n_points, L=self.NARROW.half_width)
+        with pytest.raises(GridError, match="extent bound"):
+            step(u, 0.25 * u.grid.spacing)
 
 
 class TestSimulateEquivalence:
     """simulate's raw-array loop against the public one-step functions."""
 
-    GRID = spectral.default_grid(P, n_points=1001)
+    GRID = spectral.default_grid(P, n_points=1201)
     PERT = Perturbation(PerturbationKind.ODD_BUMP, 1e-2)
     STEPS = 900  # the default stride is STEPS // 400 = 2, so half rotations merge
 
@@ -393,7 +420,7 @@ class TestSimulateEquivalence:
     def test_even_start_at_unstable_point_stays_bitwise_even(self):
         p = validate_params(1.0, 1.0, -2.0, -0.5)
         result = simulate(p, Perturbation(PerturbationKind.EVEN_BUMP, 1e-2), 3.0,
-                          grid=spectral.default_grid(p, n_points=1001))
+                          grid=spectral.default_grid(p, n_points=1201))
         u = result.final.samples
         assert np.array_equal(u, u[::-1])
 
