@@ -10,18 +10,24 @@ from peakwave import dynamics
 
 @pytest.fixture
 def nan_on_fifth_step(monkeypatch):
-    """Make the cached Crank-Nicolson stepper put a NaN into its fifth result."""
+    """Make the cached Crank-Nicolson stepper put a NaN into its fifth result,
+    whether the run advances the full line (`step`) or an even half (`step_even`)."""
     real = dynamics._stepper
     count = itertools.count(1)
+
+    def poison(out):
+        if next(count) == 5:
+            out[len(out) // 3] = np.nan
+        return out
 
     class Poisoned:
         def __init__(self, inner):
             self.inner = inner
 
         def step(self, u):
-            out = self.inner.step(u)
-            if next(count) == 5:
-                out[len(out) // 3] = np.nan
-            return out
+            return poison(self.inner.step(u))
+
+        def step_even(self, v):
+            return poison(self.inner.step_even(v))
 
     monkeypatch.setattr(dynamics, "_stepper", lambda p, grid, dt: Poisoned(real(p, grid, dt)))

@@ -275,6 +275,14 @@ class TestSimulateCommand:
         assert code == 2
         assert "RegimeError" in err
 
+    def test_negative_amplitude_beyond_guard_exits_2(self, capsys):
+        code, out, err = run(
+            ["simulate", "--l1", "1", "--l2", "1", "--omega", "-2", "--z", "1",
+             "--perturbation", "even", "--amplitude", "-10", "--horizon", "0.02"], capsys)
+        assert code == 2
+        assert "DomainError" in err and "amplitude" in err
+        assert out == ""
+
     def test_nonfinite_horizon_exits_2(self, capsys):
         code, out, err = run(
             ["simulate", "--l1", "1", "--l2", "1", "--omega", "-2", "--z", "1",

@@ -27,6 +27,7 @@ from peakwave.dynamics import (
 from peakwave.spectral import GridSpec, OperatorKind
 
 P = validate_params(1.0, 1.0, -2.0, 1.0)
+UNSTABLE = validate_params(1.0, 1.0, -2.0, -0.5)
 
 
 def make_state(p, n=2001, L=None, samples=None):
@@ -34,6 +35,26 @@ def make_state(p, n=2001, L=None, samples=None):
     if samples is None:
         samples = sampled_profile(p, grid).astype(complex)
     return FieldState(samples, grid, 0.0, p)
+
+
+def energy_reference(u):
+    """discrete_energy's formula with |.|^2 taken as complex abs, squared."""
+    p, h, v = u.params, u.grid.spacing, u.samples
+    gradient = float(np.sum(np.abs(np.diff(v)) ** 2)) / h
+    mod2 = np.abs(v) ** 2
+    quartic = float(np.trapezoid(mod2**2, dx=h))
+    sextic = float(np.trapezoid(mod2**3, dx=h))
+    center = float(mod2[u.grid.center_index])
+    return 0.5 * gradient - p.lambda1 / 4.0 * quartic - p.lambda2 / 6.0 * sextic - p.z / 2.0 * center
+
+
+def distance_reference(u, p):
+    """orbital_distance's formula in complex arithmetic with complex abs."""
+    h, v = u.grid.spacing, u.samples
+    phi = sampled_profile(p, u.grid)
+    pairing = complex(np.sum(v * phi) * h + np.sum(np.diff(v) * np.diff(phi)) / h)
+    w = v - cmath.exp(1j * cmath.phase(pairing)) * phi
+    return math.sqrt(float(np.sum(np.abs(w) ** 2)) * h + float(np.sum(np.abs(np.diff(w)) ** 2)) / h)
 
 
 class TestFieldState:
@@ -84,6 +105,22 @@ class TestConservedQuantities:
         u = make_state(P)
         rotated = FieldState(u.samples * cmath.exp(0.7j), u.grid, 0.0, P)
         assert discrete_charge(rotated) == discrete_charge(u)
+
+
+class TestObservableOracles:
+    """The real-arithmetic energy and distance against their complex-abs forms."""
+
+    @pytest.mark.parametrize("p", [P, UNSTABLE], ids=["stable", "unstable"])
+    @pytest.mark.parametrize("kind", list(PerturbationKind))
+    def test_energy_and_distance_match_complex_forms(self, p, kind):
+        grid = spectral.default_grid(p, n_points=1201)
+        pert = Perturbation(kind, 0.0 if kind is PerturbationKind.NONE else 1e-2)
+        u0 = dynamics._initial_state(p, pert, grid, sampled_profile(p, grid))
+        rotated = FieldState(u0.samples * cmath.exp(0.7j), grid, 0.0, p)
+        evolved = simulate(p, pert, 0.5, grid=grid).final
+        for u in (u0, rotated, evolved):
+            assert discrete_energy(u) == pytest.approx(energy_reference(u), rel=1e-12, abs=0.0)
+            assert abs(orbital_distance(u, p) - distance_reference(u, p)) <= 1e-14
 
 
 class TestCnLinearStep:
@@ -162,6 +199,17 @@ class TestCnLinearStep:
         lhs = out + 0.5j * dt * apply(out)
         rhs = samples - 0.5j * dt * apply(samples)
         assert np.linalg.norm(lhs - rhs) < 1e-12 * np.linalg.norm(rhs)
+
+    @pytest.mark.parametrize("z", [1.0, -0.5])
+    def test_step_even_is_the_even_half_of_step(self, z):
+        p = validate_params(1.0, 1.0, -2.0, z)
+        grid = spectral.default_grid(p, n_points=1201)
+        x = grid.nodes()
+        u = (1.0 - 0.4j) * sampled_profile(p, grid) + (0.2 + 0.3j) * np.exp(-x * x)
+        assert np.array_equal(u, u[::-1])
+        stepper = dynamics._stepper(p, grid, 0.25 * grid.spacing)
+        c = grid.center_index
+        assert np.array_equal(stepper.step_even(u[c:]), stepper.step(u)[c:])
 
     def test_real_samples_step_like_complex(self):
         u = make_state(P)
@@ -302,6 +350,12 @@ class TestSimulate:
         with pytest.raises(DomainError):
             simulate(P, Perturbation(PerturbationKind.EVEN_BUMP, 10.0), 1.0)
 
+    @pytest.mark.parametrize("kind", [PerturbationKind.EVEN_BUMP, PerturbationKind.ODD_BUMP])
+    @pytest.mark.parametrize("amplitude", [-10.0, math.nan])
+    def test_negative_or_nan_amplitude_guarded(self, kind, amplitude):
+        with pytest.raises(DomainError, match="amplitude"):
+            simulate(P, Perturbation(kind, amplitude), 0.02)
+
     def test_rows_schema_and_growth(self):
         result = simulate(P, Perturbation(PerturbationKind.NONE, 0.0), 1.0,
                           grid=spectral.default_grid(P, n_points=2001))
@@ -335,6 +389,11 @@ class TestSimulate:
     def test_nonfinite_field_raises_blowup(self, nan_on_fifth_step):
         with pytest.raises(BlowupError):
             simulate(P, Perturbation(PerturbationKind.NONE, 0.0), 0.2,
+                     grid=spectral.default_grid(P, n_points=1201))
+
+    def test_nonfinite_odd_field_raises_blowup(self, nan_on_fifth_step):
+        with pytest.raises(BlowupError):
+            simulate(P, Perturbation(PerturbationKind.ODD_BUMP, 1e-2), 0.2,
                      grid=spectral.default_grid(P, n_points=1201))
 
     @pytest.mark.parametrize("factor", [0.0, -0.25, 0.75])
@@ -394,19 +453,24 @@ class TestSimulateEquivalence:
     PERT = Perturbation(PerturbationKind.ODD_BUMP, 1e-2)
     STEPS = 900  # the default stride is STEPS // 400 = 2, so half rotations merge
 
-    def _strang_states(self, dt):
-        u = dynamics._initial_state(P, self.PERT, self.GRID, sampled_profile(P, self.GRID))
+    def _strang_states(self, pert, dt):
+        u = dynamics._initial_state(P, pert, self.GRID, sampled_profile(P, self.GRID))
         states = [u]
         for _ in range(self.STEPS):
             u = strang_step(u, dt)
             states.append(u)
         return states
 
-    @pytest.mark.parametrize("stride", [1, 7, None])
-    def test_matches_repeated_strang_steps(self, stride):
+    # An even bump runs simulate's half-line loop; strang_step steps the full line.
+    @pytest.mark.parametrize("kind, stride", [
+        *(pytest.param(PerturbationKind.ODD_BUMP, s, id=str(s)) for s in (1, 7, None)),
+        *(pytest.param(PerturbationKind.EVEN_BUMP, s, id=f"even-{s}") for s in (1, 7, None)),
+    ])
+    def test_matches_repeated_strang_steps(self, kind, stride):
+        pert = Perturbation(kind, 1e-2)
         dt = 0.25 * self.GRID.spacing
-        states = self._strang_states(dt)
-        result = simulate(P, self.PERT, self.STEPS * dt, dt, self.GRID, output_stride=stride)
+        states = self._strang_states(pert, dt)
+        result = simulate(P, pert, self.STEPS * dt, dt, self.GRID, output_stride=stride)
         every = stride or self.STEPS // 400
         recorded = [states[k] for k in range(self.STEPS + 1) if k % every == 0 or k == self.STEPS]
         assert len(result.rows) == len(recorded)
@@ -423,6 +487,17 @@ class TestSimulateEquivalence:
                           grid=spectral.default_grid(p, n_points=1201))
         u = result.final.samples
         assert np.array_equal(u, u[::-1])
+
+    def test_every_recorded_state_of_an_even_run_is_bitwise_even(self, monkeypatch):
+        states = []
+        energy = dynamics.discrete_energy
+        monkeypatch.setattr(dynamics, "discrete_energy", lambda u: states.append(u) or energy(u))
+        grid = spectral.default_grid(UNSTABLE, n_points=1201)
+        result = simulate(UNSTABLE, Perturbation(PerturbationKind.EVEN_BUMP, 1e-2), 1.0,
+                          grid=grid, output_stride=5)
+        assert len(states) == len(result.rows) > 2
+        assert states[-1] is result.final
+        assert all(np.array_equal(u.samples, u.samples[::-1]) for u in states)
 
     def test_stepper_factored_once_per_key(self):
         dynamics._stepper.cache_clear()
