@@ -339,11 +339,13 @@ class SimulationResult:
 
 def _initial_state(p: WaveParameters, perturbation: Perturbation, grid: GridSpec,
                    phi: np.ndarray) -> FieldState:
+    if not math.isfinite(perturbation.amplitude):
+        raise DomainError(f"perturbation amplitude must be finite, got {perturbation.amplitude}")
     x = grid.nodes()
     h = grid.spacing
     u0 = phi.astype(complex)
     if perturbation.kind is not PerturbationKind.NONE:
-        if not abs(perturbation.amplitude) <= 0.1 * math.sqrt(_h1_norm_sq(phi, h)):
+        if abs(perturbation.amplitude) > 0.1 * math.sqrt(_h1_norm_sq(phi, h)):
             raise DomainError(
                 f"perturbation amplitude {perturbation.amplitude} exceeds 10% of the wave norm"
             )
@@ -371,8 +373,9 @@ def simulate(
     rotation.  A bitwise mirror-symmetric start (no bump or an even one)
     is advanced on its x >= 0 half by the even-block solve alone.  Raises
     DomainError unless `horizon_T` is finite and positive, `output_stride`
-    is None or at least 1 and, when a bump is added, |amplitude| is at most
-    a tenth of phi's discrete H^1 norm; GridError if the grid fails
+    is None or at least 1, the amplitude is finite (for every kind, `NONE`
+    included) and, when a bump is added, |amplitude| is at most a tenth of
+    phi's discrete H^1 norm; GridError if the grid fails
     `discretize_operator`'s resolution or extent bound, and BlowupError if
     the amplitude exceeds one thousand times its initial peak or the field
     stops being finite.

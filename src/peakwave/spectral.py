@@ -18,7 +18,9 @@ full operator.
 Eigenvalue counts come from Sturm/Sylvester inertia (negative pivots of the
 shifted triangular factorization), eigenvalues from bisection on the count,
 and eigenvectors from one LAPACK stein call (inverse iteration with
-reorthogonalization) at the bisected eigenvalues.
+reorthogonalization) at the bisected eigenvalues.  The quadrature oracle
+`quadratic_form_phi` loads scipy.integrate on its first call; importing this
+module loads only scipy.linalg.
 """
 
 from __future__ import annotations
@@ -29,11 +31,10 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.linalg.lapack import dstein
 
 from .errors import ConvergenceError, DomainError, GridError, InstabilityError, RegimeError
-from .profile import ProfileEvaluator, Regime, WaveParameters, phi_center_sq
+from .profile import ProfileEvaluator, Regime, WaveParameters, even_integral, phi_center_sq
 
 __all__ = [
     "Sector",
@@ -330,7 +331,11 @@ def spectrum_report(kind: OperatorKind, p: WaveParameters, grid: GridSpec, k: in
 
 
 def quadratic_form_phi(p: WaveParameters) -> float:
-    """(L1 phi, phi) via its algebraic reduction to -2*lambda1*phi^4 - 4*lambda2*phi^6."""
+    """(L1 phi, phi) via its algebraic reduction to -2*lambda1*phi^4 - 4*lambda2*phi^6.
+
+    Adaptive quadrature; raises ConvergenceError if quad reports an
+    IntegrationWarning.
+    """
     ev = ProfileEvaluator.from_params(p)
     nu = ev.root_minus_omega
     L = 40.0 / nu + 2.0 * abs(ev.shift_b)
@@ -339,8 +344,7 @@ def quadratic_form_phi(p: WaveParameters) -> float:
         v = float(ev.value(x))
         return -2.0 * p.lambda1 * v**4 - 4.0 * p.lambda2 * v**6
 
-    val, _ = quad(integrand, 0.0, L, epsabs=1e-13, epsrel=1e-13, limit=400)
-    return 2.0 * val
+    return even_integral(integrand, L, 1e-13)
 
 
 def quadratic_form_discrete(p: WaveParameters, grid: GridSpec) -> float:

@@ -15,7 +15,9 @@ where b is the profile shift.  t comes from the shift equation in closed form,
 so the charge is an analytic function of omega and its derivative is taken by
 the complex step Im f(omega + i*h)/h (Squire & Trapp, SIAM Rev. 1998), exact
 to rounding with no subtraction.  Adaptive quadrature and a Richardson-checked
-finite difference are kept as independent oracles for the test suite.
+finite difference are kept as independent oracles for the test suite; the
+quadrature loads scipy.integrate on its first call, so importing this module
+loads no scipy at all.
 
 A sign change of the slope occurs for unit coefficients at the defect
 strength z* = -sqrt(3)/2; `find_zstar` locates it by bisection on the minimum
@@ -30,10 +32,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from scipy.integrate import quad
-
 from .errors import BracketError, DegenerateError, RegimeError, StepError
-from .profile import ProfileEvaluator, Regime, WaveParameters, validate_params
+from .profile import ProfileEvaluator, Regime, WaveParameters, even_integral, validate_params
 
 __all__ = [
     "VkScanRow",
@@ -106,7 +106,7 @@ def norm_sq_quadrature(p: WaveParameters) -> float:
 
     The truncation half-length comes from the explicit exponential tail bound
     of phi^2, so the discarded mass is below 1e-13 for every admissible
-    frequency.
+    frequency.  Raises ConvergenceError if quad reports an IntegrationWarning.
     """
     ev = ProfileEvaluator.from_params(p)
     L = _truncation_length(ev)
@@ -115,8 +115,7 @@ def norm_sq_quadrature(p: WaveParameters) -> float:
         v = ev.value(x)
         return float(v * v)
 
-    val, _ = quad(integrand, 0.0, L, epsabs=1e-12, epsrel=1e-12, limit=400)
-    return 2.0 * val
+    return even_integral(integrand, L, 1e-12)
 
 
 def dnorm_domega_closed(omega: float, z: float) -> float:

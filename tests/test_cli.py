@@ -283,6 +283,19 @@ class TestSimulateCommand:
         assert "DomainError" in err and "amplitude" in err
         assert out == ""
 
+    @pytest.mark.parametrize("kind, amplitude", [("none", "nan"), ("none", "inf"), ("even", "nan"),
+                                                 ("odd", "-inf")])
+    def test_nonfinite_amplitude_exits_2(self, tmp_path, capsys, kind, amplitude):
+        out_file = tmp_path / "sim.csv"
+        code, out, err = run(
+            ["simulate", "--l1", "1", "--l2", "1", "--omega", "-2", "--z", "1",
+             "--perturbation", kind, f"--amplitude={amplitude}", "--horizon", "0.02",
+             "--n", "1201", "--out", str(out_file)], capsys)
+        assert code == 2
+        assert "DomainError" in err and "amplitude must be finite" in err
+        assert out == ""
+        assert not out_file.exists()
+
     def test_nonfinite_horizon_exits_2(self, capsys):
         code, out, err = run(
             ["simulate", "--l1", "1", "--l2", "1", "--omega", "-2", "--z", "1",

@@ -356,6 +356,12 @@ class TestSimulate:
         with pytest.raises(DomainError, match="amplitude"):
             simulate(P, Perturbation(kind, amplitude), 0.02)
 
+    @pytest.mark.parametrize("kind", list(PerturbationKind))
+    @pytest.mark.parametrize("amplitude", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_amplitude_rejected_for_every_kind(self, kind, amplitude):
+        with pytest.raises(DomainError, match="amplitude must be finite"):
+            simulate(P, Perturbation(kind, amplitude), 0.02)
+
     def test_rows_schema_and_growth(self):
         result = simulate(P, Perturbation(PerturbationKind.NONE, 0.0), 1.0,
                           grid=spectral.default_grid(P, n_points=2001))
