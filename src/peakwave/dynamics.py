@@ -18,22 +18,30 @@ destroying the parity of long runs.  Block solves keep the odd component of
 an even field identically zero.  That is also why an even field runs on the
 even block alone: when the initial samples are bitwise mirror-symmetric,
 `simulate` advances only their x >= 0 half (the paper's invariant subspace
-H^1_even) and unfolds it to the full line at recorded rows.  Any other field
-is advanced on both blocks.
+H^1_even) and unfolds it to the full line once, for the final state.  Any
+other field is advanced on both blocks.
 
 Both kernels are built for speed without giving that up.  Each parity block
 of the Crank-Nicolson matrix 1 + B, B = (i dt/2) A, is LU-factored once per
 (parameters, grid, dt) and the stepper is cached.  By the Cayley identity
 (1 + B)^-1 (1 - B) = 2 (1 + B)^-1 - 1 a step is one back substitution per
 block; 1 - B is never applied.  The rotation takes cos and sin of the real
-angle, elementwise.  `simulate` runs on raw arrays: between output rows the
-closing half rotation of one step and the opening half rotation of the next
-are applied as one full rotation, a FieldState is built only for recorded
-rows, and the profile for the orbital distance is sampled once per run.
-The observables take |u|^2 as re^2 + im^2 with real dot products.
+angle only on the window from the first to the last node where the angle is
+at least 2^-27 in magnitude; outside it the rounded phase is exactly
+(1, angle), so the window changes no bit.  `simulate` runs on raw arrays:
+between output rows the closing half rotation of one step and the opening
+half rotation of the next are applied as one full rotation, and on a
+recorded step one half-step phase is applied twice, before and after the
+row.  Rows come from one fused kernel over the array the loop steps (for an
+even run the x >= 0 half, weighted as its mirror image), which takes |u|^2
+as re^2 + im^2; the profile for the orbital distance is sampled once per
+run, and only the final state is unfolded and wrapped in a FieldState.
+`discrete_energy`, `discrete_charge` and `orbital_distance` are full-line
+wrappers over the same kernel.
 The blow-up guard reads the |u|^2 the rotation already computes and also
 trips on NaN and inf, raising BlowupError.  `strang_step`, `cn_linear_step`
-and `nonlinear_phase_step` are thin wrappers over the same two kernels.
+and `nonlinear_phase_step` are thin wrappers over the same rotation and
+Crank-Nicolson kernels.
 
 The explicit kernel form of the defect group (free evolution of the field
 convolved with an exponential filter, assembled by half-lines) is provided as
@@ -98,27 +106,12 @@ class FieldState:
 def discrete_energy(u: FieldState) -> float:
     """Energy with the defect term: (1/2)int|u_x|^2 - (l1/4)int|u|^4
     - (l2/6)int|u|^6 - (Z/2)|u(0)|^2, trapezoidal in space."""
-    p = u.params
-    h = u.grid.spacing
-    re, im = u.samples.real, u.samples.imag
-    d_re, d_im = np.diff(re), np.diff(im)
-    gradient = float(d_re @ d_re + d_im @ d_im) / h
-    mod2 = re * re
-    mod2 += im * im
-    quartic = _trapezoid_dot(mod2, mod2, h)
-    sextic = _trapezoid_dot(mod2 * mod2, mod2, h)
-    center = float(mod2[u.grid.center_index])
-    return 0.5 * gradient - p.lambda1 / 4.0 * quartic - p.lambda2 / 6.0 * sextic - p.z / 2.0 * center
-
-
-def _trapezoid_dot(a: np.ndarray, b: np.ndarray, h: float) -> float:
-    """Trapezoidal integral of the product a*b of two real sample vectors."""
-    return h * (float(a @ b) - 0.5 * float(a[0] * b[0] + a[-1] * b[-1]))
+    return _Observables(u.params, u.grid)(u.samples)[0]
 
 
 def discrete_charge(u: FieldState) -> float:
     """Half the squared discrete L^2 norm."""
-    return 0.5 * u.grid.spacing * float(np.sum(np.abs(u.samples) ** 2))
+    return _Observables(u.params, u.grid)(u.samples)[1]
 
 
 class _ParityCrankNicolson:
@@ -180,11 +173,37 @@ def _stepper(p: WaveParameters, grid: GridSpec, dt: float) -> _ParityCrankNicols
     return _ParityCrankNicolson(discretize_operator(OperatorKind.FREE_WITH_DELTA, p, grid), dt)
 
 
-def _rotate(v: np.ndarray, dt: float, p: WaveParameters) -> np.ndarray:
-    """Rotate v in place by exp(i dt (l1|v|^2 + l2|v|^4)); returns |v|^2.
+#: Below this |angle| the rounded cos is exactly 1.0 and the rounded sin is the angle.
+_TRIVIAL_ANGLE = 2.0**-27
 
-    The phase is written as cos + i sin of a real angle rather than a complex
-    exponential.  Elementwise, so it never mixes parity.
+
+def _unit_phase(theta: np.ndarray) -> np.ndarray:
+    """cos(theta) + i sin(theta) of a real angle array, elementwise.
+
+    For |theta| < 2^-27, cos(theta) = 1 - theta^2/2 + ... lies within half an
+    ulp of 1 and sin(theta) within half an ulp of theta, so the correctly
+    rounded values are exactly (1, theta); the tests check that numpy's cos
+    and sin return them there.  cos and sin therefore run only on
+    the window from the first to the last angle at or above that bound, and
+    the phase is (1, theta) outside it.  A NaN angle does not open the
+    window; outside it its phase is 1 + i NaN.
+    """
+    phase = np.empty(theta.shape, dtype=complex)
+    phase.real = 1.0
+    phase.imag = theta
+    active = np.abs(theta) >= _TRIVIAL_ANGLE
+    lo = int(active.argmax())
+    hi = len(active) - int(active[::-1].argmax()) if active[lo] else lo
+    np.cos(theta[lo:hi], out=phase.real[lo:hi])
+    np.sin(theta[lo:hi], out=phase.imag[lo:hi])
+    return phase
+
+
+def _phase(v: np.ndarray, dt: float, p: WaveParameters) -> tuple[np.ndarray, np.ndarray]:
+    """The rotation exp(i dt (l1|v|^2 + l2|v|^4)) of v, and |v|^2.
+
+    Elementwise, so it never mixes parity; multiplying v by it keeps the
+    moduli to rounding, so one phase serves two equal rotations in a row.
     """
     re, im = v.real, v.imag
     mod2 = re * re
@@ -193,11 +212,7 @@ def _rotate(v: np.ndarray, dt: float, p: WaveParameters) -> np.ndarray:
     theta *= p.lambda2
     theta += p.lambda1 * mod2
     theta *= dt
-    phase = np.empty_like(v)
-    np.cos(theta, out=phase.real)
-    np.sin(theta, out=phase.imag)
-    v *= phase
-    return mod2
+    return _unit_phase(theta), mod2
 
 
 def _check_positive_dt(dt: float) -> None:
@@ -224,7 +239,7 @@ def cn_linear_step(u: FieldState, dt: float) -> FieldState:
 def nonlinear_phase_step(u: FieldState, dt: float) -> FieldState:
     """Exact rotation u -> u * exp(i dt (l1|u|^2 + l2|u|^4)); moduli unchanged."""
     v = np.array(u.samples, dtype=complex)
-    _rotate(v, dt, u.params)
+    v *= _phase(v, dt, u.params)[0]
     return FieldState(v, u.grid, u.time, u.params)
 
 
@@ -233,9 +248,9 @@ def strang_step(u: FieldState, dt: float) -> FieldState:
     _check_dt_cap(dt, u.grid)
     _check_positive_dt(dt)
     v = np.array(u.samples, dtype=complex)
-    _rotate(v, 0.5 * dt, u.params)
+    v *= _phase(v, 0.5 * dt, u.params)[0]
     v = _stepper(u.params, u.grid, dt).step(v)
-    _rotate(v, 0.5 * dt, u.params)
+    v *= _phase(v, 0.5 * dt, u.params)[0]
     return FieldState(v, u.grid, u.time + dt, u.params)
 
 
@@ -297,17 +312,66 @@ def orbital_distance(u: FieldState, p: WaveParameters, phi: np.ndarray | None = 
     resolves it down to rounding of the field rather than of its O(1) norm.
     `phi` is the profile sampled on u's grid; it is sampled here when not given.
     """
-    h = u.grid.spacing
     if phi is None:
         phi = sampled_profile(p, u.grid)
-    re, im = u.samples.real, u.samples.imag
-    d_re, d_im, d_phi = np.diff(re), np.diff(im), np.diff(phi)
-    theta = math.atan2(float(im @ phi) * h + float(d_im @ d_phi) / h,
-                       float(re @ phi) * h + float(d_re @ d_phi) / h)
-    cos, sin = math.cos(theta), math.sin(theta)
-    w_re, w_im = re - cos * phi, im - sin * phi
-    dw_re, dw_im = d_re - cos * d_phi, d_im - sin * d_phi
-    return math.sqrt(float(w_re @ w_re + w_im @ w_im) * h + float(dw_re @ dw_re + dw_im @ dw_im) / h)
+    return _Observables(u.params, u.grid, phi)(u.samples)[2]
+
+
+class _Observables:
+    """Energy, charge and orbital distance of fields on one grid, in one pass.
+
+    A field is given as its full-line samples or, with `half`, as the x >= 0
+    half of an even field.  A half is weighted as its mirror image on the
+    full line: the center node counts once, every other node and every
+    difference twice, and the two trapezoid ends are its last node.  |u|^2 is
+    re^2 + im^2; the squared norms of differences and of the distance are
+    vdot products.
+    `phi` is the profile of the orbit on the same nodes; without it the
+    distance is NaN.
+    """
+
+    def __init__(self, p: WaveParameters, grid: GridSpec, phi: np.ndarray | None = None,
+                 half: bool = False):
+        self._p = p
+        self._h = grid.spacing
+        self._fold = 2.0 if half else 1.0
+        self._center = 0 if half else grid.center_index
+        nodes = np.full(grid.center_index + 1 if half else grid.n_points, self._fold)
+        nodes[0] = 1.0
+        self._nodes = nodes
+        self._trapezoid = nodes.copy()
+        self._trapezoid[-1] *= 0.5
+        if not half:
+            self._trapezoid[0] *= 0.5
+        self._phi = phi
+        if phi is not None:
+            self._d_phi = np.diff(phi)
+            self._node_phi = nodes * phi
+
+    def __call__(self, v: np.ndarray) -> tuple[float, float, float]:
+        p, h, fold, nodes = self._p, self._h, self._fold, self._nodes
+        re, im = v.real, v.imag
+        mod2 = re * re
+        mod2 += im * im
+        dv = np.diff(v)
+        weighted = self._trapezoid * mod2
+        quartic = h * float(weighted @ mod2)
+        sextic = h * float(weighted @ (mod2 * mod2))
+        energy = (0.5 * fold * float(np.vdot(dv, dv).real) / h - p.lambda1 / 4.0 * quartic
+                  - p.lambda2 / 6.0 * sextic - p.z / 2.0 * float(mod2[self._center]))
+        charge = 0.5 * h * float(nodes @ mod2)
+        phi = self._phi
+        if phi is None:
+            return energy, charge, math.nan
+        d_phi, node_phi = self._d_phi, self._node_phi
+        theta = math.atan2(h * float(im @ node_phi) + fold * float(dv.imag @ d_phi) / h,
+                           h * float(re @ node_phi) + fold * float(dv.real @ d_phi) / h)
+        rotation = complex(math.cos(theta), math.sin(theta))
+        w = v - rotation * phi
+        dw = dv - rotation * d_phi
+        w_sq = fold * float(np.vdot(w, w).real) - (fold - 1.0) * abs(w[0]) ** 2
+        distance = math.sqrt(h * w_sq + fold * float(np.vdot(dw, dw).real) / h)
+        return energy, charge, distance
 
 
 class PerturbationKind(enum.Enum):
@@ -370,8 +434,11 @@ def simulate(
     Records (time, energy, charge, orbital distance) every `output_stride`
     steps.  Between recorded steps the closing half rotation of one Strang
     step and the opening half rotation of the next are applied as one full
-    rotation.  A bitwise mirror-symmetric start (no bump or an even one)
-    is advanced on its x >= 0 half by the even-block solve alone.  Raises
+    rotation; on a recorded step one half-step phase serves both.  A bitwise
+    mirror-symmetric start (no bump or an even one) is advanced on its
+    x >= 0 half by the even-block solve alone, its rows are taken from that
+    half with mirror weights, and it is unfolded only for the final state.
+    Raises
     DomainError unless `horizon_T` is finite and positive, `output_stride`
     is None or at least 1, the amplitude is finite (for every kind, `NONE`
     included) and, when a bump is added, |amplitude| is at most a tenth of
@@ -397,27 +464,26 @@ def simulate(
         output_stride = max(1, steps // 400)
     guard_sq = (1e3 * float(np.max(np.abs(state.samples)))) ** 2
     stepper = _stepper(p, grid, dt)
-
-    def row(s: FieldState) -> SimRow:
-        return SimRow(s.time, discrete_energy(s), discrete_charge(s), orbital_distance(s, p, phi))
-
-    rows = [row(state)]
     u = state.samples.copy()
-    advance, unfold = stepper.step, np.copy
-    if np.array_equal(u, u[::-1]):
-        u = u[grid.center_index:]
-        advance, unfold = stepper.step_even, _unfold_even
+    half = bool(np.array_equal(u, u[::-1]))
+    if half:
+        c = grid.center_index
+        u, phi = u[c:], phi[c:]
+    advance = stepper.step_even if half else stepper.step
+    observables = _Observables(p, grid, phi, half)
+    rows = [SimRow(state.time, *observables(u))]
     t = state.time
-    _rotate(u, 0.5 * dt, p)
+    u *= _phase(u, 0.5 * dt, p)[0]
     for i in range(steps):
         u = advance(u)
         t = t + dt
         record = (i + 1) % output_stride == 0 or i == steps - 1
-        mod2 = _rotate(u, 0.5 * dt if record else dt, p)
+        phase, mod2 = _phase(u, 0.5 * dt if record else dt, p)
         if not float(np.max(mod2)) <= guard_sq:
             raise BlowupError(f"amplitude exceeded the blow-up guard or became non-finite at t = {t}")
+        u *= phase
         if record:
-            state = FieldState(unfold(u), grid, t, p)
-            rows.append(row(state))
-            _rotate(u, 0.5 * dt, p)
-    return SimulationResult(rows, state)
+            rows.append(SimRow(t, *observables(u)))
+            if i < steps - 1:
+                u *= phase
+    return SimulationResult(rows, FieldState(_unfold_even(u) if half else u, grid, t, p))

@@ -187,7 +187,7 @@ def inertia_below(op: TridiagonalOperator, shift: float) -> int:
     """Number of eigenvalues strictly below `shift` (Sylvester inertia).
 
     Counts negative pivots of the LDL^T factorization of (op - shift*I).
-    Pivot breakdowns (exact zeros) are replaced by +-1e-300, equivalent to an
+    Pivot breakdowns (exact zeros) are replaced by +1e-300, equivalent to an
     infinitesimal shift perturbation.
     """
     d = op.diagonal

@@ -122,6 +122,21 @@ class TestObservableOracles:
             assert discrete_energy(u) == pytest.approx(energy_reference(u), rel=1e-12, abs=0.0)
             assert abs(orbital_distance(u, p) - distance_reference(u, p)) <= 1e-14
 
+    def test_every_weight_on_a_field_that_does_not_decay(self):
+        # The ends carry O(1) values, so the trapezoid and mirror weights all
+        # show; the x >= 0 half of the even field gives its full-line values.
+        grid = spectral.default_grid(P, n_points=1201)
+        c = grid.center_index
+        v = (1.0 + 0.5j) * np.cos(0.3 * grid.nodes()[c:]) + 0.2j
+        u = FieldState(dynamics._unfold_even(v), grid, 0.0, P)
+        phi = sampled_profile(P, grid)
+        assert discrete_energy(u) == pytest.approx(energy_reference(u), rel=1e-13, abs=0.0)
+        charge = 0.5 * grid.spacing * float(np.sum(np.abs(u.samples) ** 2))
+        assert discrete_charge(u) == pytest.approx(charge, rel=1e-13, abs=0.0)
+        assert orbital_distance(u, P) == pytest.approx(distance_reference(u, P), rel=1e-13, abs=0.0)
+        half = dynamics._Observables(P, grid, phi[c:], half=True)(v)
+        assert half == pytest.approx(dynamics._Observables(P, grid, phi)(u.samples), rel=1e-13, abs=0.0)
+
 
 class TestCnLinearStep:
     def _ground_state(self, n=4001):
@@ -240,6 +255,64 @@ class TestNonlinearPhaseStep:
         ab = nonlinear_phase_step(nonlinear_phase_step(u, 0.11), 0.11)
         full = nonlinear_phase_step(u, 0.22)
         assert np.allclose(ab.samples, full.samples, rtol=1e-15, atol=0.0)
+
+
+def whole_array_phase(theta):
+    """cos + i sin of every angle, with no window."""
+    out = np.empty(theta.shape, dtype=complex)
+    out.real = np.cos(theta)
+    out.imag = np.sin(theta)
+    return out
+
+
+def rotation_angle(v, dt, p):
+    mod2 = np.abs(v) ** 2
+    return dt * (p.lambda1 * mod2 + p.lambda2 * mod2 * mod2)
+
+
+class TestWindowedPhase:
+    """Trig runs only where |theta| >= 2^-27; elsewhere the phase is (1, theta),
+    which must be bitwise what cos and sin return there."""
+
+    GRID = spectral.default_grid(P, n_points=1201)
+    X = GRID.nodes()
+    DT = 0.25 * GRID.spacing
+
+    @staticmethod
+    def assert_bitwise(theta):
+        windowed = dynamics._unit_phase(theta)
+        assert np.array_equal(windowed.view(np.int64), whole_array_phase(theta).view(np.int64))
+
+    @pytest.mark.parametrize("amplitude", [0.0, 1e-9], ids=["zero", "tiny"])
+    def test_zero_and_tiny_fields(self, amplitude):
+        theta = rotation_angle(amplitude * np.exp(-self.X**2), self.DT, P)
+        assert float(np.max(np.abs(theta))) < dynamics._TRIVIAL_ANGLE
+        self.assert_bitwise(theta)
+
+    def test_negative_angles_of_the_2_minus_1_regime(self):
+        p = validate_params(2.0, -1.0, -0.5, 1.0)
+        theta = rotation_angle(2.0 * np.exp(-self.X**2), self.DT, p)
+        assert float(np.min(theta)) < -dynamics._TRIVIAL_ANGLE
+        self.assert_bitwise(theta)
+
+    def test_profile_window(self):
+        theta = rotation_angle(sampled_profile(P, self.GRID), self.DT, P)
+        active = np.abs(theta) >= dynamics._TRIVIAL_ANGLE
+        assert 0 < np.count_nonzero(active) < len(theta)
+        self.assert_bitwise(theta)
+
+    def test_active_everywhere(self):
+        theta = rotation_angle(np.ones(self.GRID.n_points), self.DT, P)
+        assert float(np.min(np.abs(theta))) >= dynamics._TRIVIAL_ANGLE
+        self.assert_bitwise(theta)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("step", [-1, 0, 1], ids=["below", "at", "above"])
+    def test_angles_at_the_bound(self, sign, step):
+        bound = dynamics._TRIVIAL_ANGLE
+        b = sign * {-1: np.nextafter(bound, 0.0), 0: bound, 1: np.nextafter(bound, 1.0)}[step]
+        for theta in ([b], [b, b], [b, 0.25, -0.25, b], [0.25, b, -0.25]):
+            self.assert_bitwise(np.array(theta))
 
 
 class TestStrangStep:
@@ -494,16 +567,39 @@ class TestSimulateEquivalence:
         u = result.final.samples
         assert np.array_equal(u, u[::-1])
 
-    def test_every_recorded_state_of_an_even_run_is_bitwise_even(self, monkeypatch):
-        states = []
-        energy = dynamics.discrete_energy
-        monkeypatch.setattr(dynamics, "discrete_energy", lambda u: states.append(u) or energy(u))
-        grid = spectral.default_grid(UNSTABLE, n_points=1201)
-        result = simulate(UNSTABLE, Perturbation(PerturbationKind.EVEN_BUMP, 1e-2), 1.0,
+    @staticmethod
+    def _even_run(p, monkeypatch):
+        """An even run and copies of the x >= 0 halves its rows are computed from."""
+        halves = []
+        call = dynamics._Observables.__call__
+        monkeypatch.setattr(dynamics._Observables, "__call__",
+                            lambda self, v: halves.append(v.copy()) or call(self, v))
+        grid = spectral.default_grid(p, n_points=1201)
+        result = simulate(p, Perturbation(PerturbationKind.EVEN_BUMP, 1e-2), 1.0,
                           grid=grid, output_stride=5)
-        assert len(states) == len(result.rows) > 2
-        assert states[-1] is result.final
-        assert all(np.array_equal(u.samples, u.samples[::-1]) for u in states)
+        monkeypatch.undo()
+        return grid, result, halves
+
+    def test_every_recorded_state_of_an_even_run_is_bitwise_even(self, monkeypatch):
+        # Every row is computed from an x >= 0 half, so every recorded state
+        # is even by construction; the final state is the last half unfolded.
+        grid, result, halves = self._even_run(UNSTABLE, monkeypatch)
+        assert len(halves) == len(result.rows) > 2
+        assert all(len(v) == grid.center_index + 1 for v in halves)
+        u = result.final.samples
+        assert np.array_equal(u, dynamics._unfold_even(halves[-1]))
+        assert np.array_equal(u, u[::-1])
+
+    @pytest.mark.parametrize("p", [P, UNSTABLE], ids=["stable", "unstable"])
+    def test_even_rows_match_full_line_observables(self, p, monkeypatch):
+        grid, result, halves = self._even_run(p, monkeypatch)
+        phi = sampled_profile(p, grid)
+        assert len(halves) == len(result.rows)
+        for row, v in zip(result.rows, halves):
+            u = FieldState(dynamics._unfold_even(v), grid, row.time, p)
+            assert row.energy == pytest.approx(discrete_energy(u), rel=1e-13, abs=0.0)
+            assert row.charge == pytest.approx(discrete_charge(u), rel=1e-13, abs=0.0)
+            assert abs(row.orbital_distance - orbital_distance(u, p, phi)) <= 1e-14
 
     def test_stepper_factored_once_per_key(self):
         dynamics._stepper.cache_clear()
