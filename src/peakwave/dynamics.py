@@ -22,15 +22,18 @@ H^1_even) and unfolds it to the full line once, for the final state.  Any
 other field is advanced on both blocks.
 
 Both kernels are built for speed without giving that up.  Each parity block
-of the Crank-Nicolson matrix 1 + B, B = (i dt/2) A, is LU-factored once per
-(parameters, grid, dt) and the stepper is cached.  By the Cayley identity
-(1 + B)^-1 (1 - B) = 2 (1 + B)^-1 - 1 a step is one back substitution per
-block; 1 - B is never applied.  The rotation takes cos and sin of the real
-angle only on the window from the first to the last node where the angle is
-at least 2^-27 in magnitude; outside it the rounded phase is exactly
-(1, angle), so the window changes no bit.  `simulate` runs on raw arrays:
-between output rows the closing half rotation of one step and the opening
-half rotation of the next are applied as one full rotation, and on a
+of the Crank-Nicolson matrix 1 + B, B = (i dt/2) A, is factored once per
+(parameters, grid, dt) as L D U with no row interchange, and the stepper is
+cached.  No interchange is needed for any dt: every pivot has real part at
+least 1, because the block is 1 + iS with S real symmetric up to a diagonal
+similarity.  By the Cayley identity (1 + B)^-1 (1 - B) = 2 (1 + B)^-1 - 1 a
+step is two unit band sweeps (BLAS tbsv) and one multiply by the reciprocal
+pivots per block; 1 - B is never applied.  The rotation takes cos and sin of
+the real angle only on the window from the first to the last node where the
+angle is at least 2^-27 in magnitude; outside it the rounded phase is
+exactly (1, angle), so the window changes no bit.  `simulate` runs on raw
+arrays: between output rows the closing half rotation of one step and the
+opening half rotation of the next are applied as one full rotation, and on a
 recorded step one half-step phase is applied twice, before and after the
 row.  Rows come from one fused kernel over the array the loop steps (for an
 even run the x >= 0 half, weighted as its mirror image), which takes |u|^2
@@ -42,12 +45,6 @@ The blow-up guard reads the |u|^2 the rotation already computes and also
 trips on NaN and inf, raising BlowupError.  `strang_step`, `cn_linear_step`
 and `nonlinear_phase_step` are thin wrappers over the same rotation and
 Crank-Nicolson kernels.
-
-The explicit kernel form of the defect group (free evolution of the field
-convolved with an exponential filter, assembled by half-lines) is provided as
-an independent oracle for the linear flow.  It is the scattering
-decomposition and is exact for fields supported left of the defect with a
-repulsive defect; it is not used in the main time loop.
 """
 
 from __future__ import annotations
@@ -58,9 +55,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import zgttrf, zgttrs
+from scipy.linalg.blas import ztbsv
 
-from .errors import BlowupError, DomainError, SolveError, StepError
+from .errors import BlowupError, DomainError, StepError
 from .profile import ProfileEvaluator, WaveParameters
 from .spectral import (GridSpec, OperatorKind, Sector, TridiagonalOperator, default_grid,
                        discretize_operator)
@@ -76,7 +73,6 @@ __all__ = [
     "cn_linear_step",
     "nonlinear_phase_step",
     "strang_step",
-    "kernel_propagator_apply",
     "orbital_distance",
     "sampled_profile",
     "simulate",
@@ -114,16 +110,60 @@ def discrete_charge(u: FieldState) -> float:
     return _Observables(u.params, u.grid)(u.samples)[1]
 
 
+def _unpivoted_ldu(lower: np.ndarray, diag: np.ndarray,
+                   upper: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """L D U factors of the tridiagonal (lower, diag, upper), with no row interchange.
+
+    L and U are unit bidiagonal.  They are returned as one Fortran-ordered
+    (2, m) band array: row 1 holds the multipliers lower/d, row 0 the
+    multipliers upper/d shifted one column right.  Those are the layouts of
+    a unit lower and a unit upper `ztbsv` band with one off-diagonal, whose
+    diagonal rows `diag=1` never reads, so the one array serves both
+    sweeps.  The second result is the pivots d.
+    """
+    lo, up, dd = lower.tolist(), upper.tolist(), diag.tolist()
+    lower_mult, pivots = [], [dd[0]]
+    for a, b, d_next in zip(lo, up, dd[1:]):
+        m = a / pivots[-1]
+        lower_mult.append(m)
+        pivots.append(d_next - m * b)
+    pivots = np.array(pivots)
+    band = np.zeros((2, len(dd)), dtype=complex, order="F")
+    band[1, :-1] = lower_mult
+    band[0, 1:] = upper / pivots[:-1]
+    return band, pivots
+
+
+def _band_solve(band: np.ndarray, scale: np.ndarray, b: np.ndarray,
+                overwrite: bool) -> np.ndarray:
+    """U^-1 (scale * L^-1 b) for the unit factors in `band` (see `_unpivoted_ldu`)."""
+    x = ztbsv(1, band, b, lower=1, diag=1, overwrite_x=overwrite)
+    x *= scale
+    return ztbsv(1, band, x, diag=1, overwrite_x=1)
+
+
 class _ParityCrankNicolson:
     """Cayley-transform stepper for i u_t = A u on the even/odd parity blocks of A.
 
     A is a mirror-symmetric full-line tridiagonal operator.  With
     B = (i dt/2) A the step is (1 + B)^-1 (1 - B) u = 2 (1 + B)^-1 u - u, so
-    only the LU factors of each block of 1 + B are kept (LAPACK gttrf, formed
-    once here).  A step back-substitutes (gttrs) the doubled even and odd
-    parts of u, reassembles the full line and subtracts u.  The odd part
-    of an even field is zero, so `step_even` advances such a field on the
-    even block alone, given and returned as its x >= 0 half.
+    only factors of each block of 1 + B are kept: L D U with unit bidiagonal
+    L and U and no row interchange (`_unpivoted_ldu`), formed once here, and
+    the reciprocal pivots 1/d.  No interchange is needed for any dt.  The
+    pivots depend only on the diagonal and the products lower*upper, and
+    those equal the ones of 1 + iS with S = (dt/2) times the symmetrized
+    block, S real.  So d_0 = 1 + i s_00 and
+    d_{j+1} = 1 + i s_{j+1,j+1} + s_{j,j+1}^2 / d_j, and Re d_j >= 1 gives
+    Re d_{j+1} >= 1: every pivot has real part at least 1, in rounded
+    arithmetic too, since each rounding keeps the sign of the term it
+    adds.  LAPACK gttrf compares |d| with |lower| and does interchange rows
+    at large dt (dt = 100h with Z > 0, say), which is why a short loop
+    forms the factors instead.  A block solve is two unit band sweeps
+    (BLAS ztbsv) around one multiply by 1/d.  A step solves for the doubled
+    even and odd parts of u, reassembles the full line and subtracts u.
+    The odd part of an even field is zero, so `step_even` advances such a
+    field on the even block alone, given and returned as its x >= 0 half,
+    multiplying by 2/d instead.
     """
 
     def __init__(self, op: TridiagonalOperator, dt: float):
@@ -139,16 +179,16 @@ class _ParityCrankNicolson:
         odd = gamma * off[c + 1:]
         self._factors = []
         for lower, dd, upper in ((even_lower, diag[c:], even_upper), (odd, diag[c + 1:], odd)):
-            *factors, info = zgttrf(lower, 1.0 + gamma * dd, upper)
-            if info != 0:  # pragma: no cover - 1 + i(dt/2)A is nonsingular for real dt
-                raise SolveError("Crank-Nicolson tridiagonal factorization failed")
-            self._factors.append(factors)
+            band, pivots = _unpivoted_ldu(lower, 1.0 + gamma * dd, upper)
+            self._factors.append((band, 1.0 / pivots))
+        even_band, even_scale = self._factors[0]
+        self._even_twice = (even_band, even_scale + even_scale)
 
     def step(self, u: np.ndarray) -> np.ndarray:
         c = self._c
         even_factors, odd_factors = self._factors
-        x_even, _ = zgttrs(*even_factors, u[c:] + u[c::-1], overwrite_b=1)
-        x_odd, _ = zgttrs(*odd_factors, u[c + 1:] - u[c - 1::-1], overwrite_b=1)
+        x_even = _band_solve(*even_factors, u[c:] + u[c::-1], True)
+        x_odd = _band_solve(*odd_factors, u[c + 1:] - u[c - 1::-1], True)
         out = np.empty_like(u)
         out[c] = x_even[0]
         out[c + 1:] = x_even[1:] + x_odd
@@ -158,7 +198,7 @@ class _ParityCrankNicolson:
 
     def step_even(self, v: np.ndarray) -> np.ndarray:
         """`step` of the even field whose x >= 0 half is v, as its x >= 0 half."""
-        x, _ = zgttrs(*self._factors[0], v + v, overwrite_b=1)
+        x = _band_solve(*self._even_twice, v, False)
         x -= v
         return x
 
@@ -216,8 +256,8 @@ def _phase(v: np.ndarray, dt: float, p: WaveParameters) -> tuple[np.ndarray, np.
 
 
 def _check_positive_dt(dt: float) -> None:
-    if not dt > 0.0:
-        raise StepError(f"dt must be positive, got {dt}")
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise StepError(f"dt must be finite and positive, got {dt}")
 
 
 def _check_dt_cap(dt: float, grid: GridSpec) -> None:
@@ -252,47 +292,6 @@ def strang_step(u: FieldState, dt: float) -> FieldState:
     v = _stepper(u.params, u.grid, dt).step(v)
     v *= _phase(v, 0.5 * dt, u.params)[0]
     return FieldState(v, u.grid, u.time + dt, u.params)
-
-
-_PAD_FACTOR = 4  # zero padding of the periodic extension, in multiples of the grid
-
-
-def kernel_propagator_apply(psi: FieldState, t: float) -> FieldState:
-    """Linear defect flow via the explicit kernel decomposition (oracle path).
-
-    Right half-line: free evolution of psi convolved with delta + rho, where
-    rho(x) = -(Z/2) e^{-Zx/2} on x <= 0.  Left half-line: free evolution of
-    psi plus the mirror image of the free evolution of psi * rho.  Valid for
-    Z < 0; exact (up to truncation and padding) for fields supported left of
-    the defect, which is the regime the decomposition describes.  The free
-    group is applied spectrally on a zero-padded periodic extension.
-    """
-    z = psi.params.z
-    if z >= 0.0:
-        raise DomainError("the kernel decomposition is stated for Z < 0")
-    if t == 0.0:
-        return FieldState(psi.samples.copy(), psi.grid, psi.time, psi.params)
-    x = psi.grid.nodes()
-    h = psi.grid.spacing
-    n = psi.grid.n_points
-    rho = np.where(x <= 0.0, -z / 2.0 * np.exp(-z / 2.0 * x), 0.0)
-    start = (n - 1) // 2
-    psi_rho = np.convolve(psi.samples, rho)[start:start + n] * h
-    psi_tau = psi.samples + psi_rho
-
-    def free_group(f: np.ndarray) -> np.ndarray:
-        n_pad = _PAD_FACTOR * n
-        padded = np.zeros(n_pad, dtype=complex)
-        s0 = (n_pad - n) // 2
-        padded[s0:s0 + n] = f
-        k = 2.0 * np.pi * np.fft.fftfreq(n_pad, d=h)
-        evolved = np.fft.ifft(np.fft.fft(padded) * np.exp(-1j * t * k * k))
-        return evolved[s0:s0 + n]
-
-    right = free_group(psi_tau)
-    left = free_group(psi.samples) + free_group(psi_rho)[::-1]
-    out = np.where(x >= 0.0, right, left)
-    return FieldState(out, psi.grid, psi.time + t, psi.params)
 
 
 def _h1_norm_sq(v: np.ndarray, h: float) -> float:

@@ -24,10 +24,11 @@ from peakwave.dynamics import (
     Perturbation,
     PerturbationKind,
     cn_linear_step,
-    kernel_propagator_apply,
     simulate,
 )
 from peakwave.spectral import GridSpec, OperatorKind
+
+from oracles import kernel_propagator_apply
 
 # 25 admissible parameter points spanning both regimes.
 AA_POINTS = [

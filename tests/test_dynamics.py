@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import zgttrf, zgttrs
 
 from peakwave import validate_params
 from peakwave.errors import BlowupError, DomainError, GridError, StepError
@@ -17,7 +18,6 @@ from peakwave.dynamics import (
     cn_linear_step,
     discrete_charge,
     discrete_energy,
-    kernel_propagator_apply,
     nonlinear_phase_step,
     orbital_distance,
     sampled_profile,
@@ -25,6 +25,8 @@ from peakwave.dynamics import (
     strang_step,
 )
 from peakwave.spectral import GridSpec, OperatorKind
+
+from oracles import kernel_propagator_apply
 
 P = validate_params(1.0, 1.0, -2.0, 1.0)
 UNSTABLE = validate_params(1.0, 1.0, -2.0, -0.5)
@@ -101,10 +103,15 @@ class TestConservedQuantities:
             vk.norm_sq_closed(P.omega, P.z), abs=1e-4
         )
 
-    def test_charge_phase_invariant(self):
-        u = make_state(P)
-        rotated = FieldState(u.samples * cmath.exp(0.7j), u.grid, 0.0, P)
-        assert discrete_charge(rotated) == discrete_charge(u)
+    @pytest.mark.parametrize("n", [1201, 2001, 4001])
+    @pytest.mark.parametrize("angle", [0.7, 0.3, 1.3, -2.2])
+    def test_charge_phase_invariant(self, n, angle):
+        # A rotation moves each |u_j|^2 by rounding, so the charge agrees to
+        # a few ulps, not bitwise.
+        u = make_state(P, n=n)
+        rotated = FieldState(u.samples * cmath.exp(1j * angle), u.grid, 0.0, P)
+        q = discrete_charge(u)
+        assert abs(discrete_charge(rotated) - q) <= 4.0 * 2.0**-52 * q
 
 
 class TestObservableOracles:
@@ -183,6 +190,14 @@ class TestCnLinearStep:
         with pytest.raises(StepError):
             cn_linear_step(make_state(P), -0.1)
 
+    @pytest.mark.parametrize("dt", [math.inf, math.nan])
+    @pytest.mark.parametrize("step", [cn_linear_step, strang_step])
+    def test_nonfinite_dt_rejected(self, step, dt):
+        dynamics._stepper.cache_clear()
+        with pytest.raises(StepError, match="dt"):
+            step(make_state(P, n=1201), dt)
+        assert dynamics._stepper.cache_info().currsize == 0
+
     @pytest.mark.parametrize("n", [3, 5])
     def test_grid_below_parity_block_minimum_rejected(self, n):
         # Far below the parity blocks' three rows, and far below the
@@ -231,6 +246,119 @@ class TestCnLinearStep:
         real = FieldState(u.samples.real.copy(), u.grid, 0.0, P)
         dt = 0.25 * u.grid.spacing
         assert np.array_equal(cn_linear_step(real, dt).samples, cn_linear_step(u, dt).samples)
+
+
+class PivotedReference:
+    """The parity-block stepper on LAPACK's pivoted tridiagonal LU (gttrf/gttrs)."""
+
+    def __init__(self, op, dt):
+        c = op.grid.center_index
+        diag, off = op.diagonal, op.offdiagonal
+        gamma = 0.5j * dt
+        self.c = c
+        even_lower = gamma * off[c:]
+        even_upper = even_lower.copy()
+        even_upper[0] *= 2.0
+        odd = gamma * off[c + 1:]
+        self.factors = []
+        for lower, dd, upper in ((even_lower, diag[c:], even_upper), (odd, diag[c + 1:], odd)):
+            *factors, info = zgttrf(lower, 1.0 + gamma * dd, upper)
+            assert info == 0
+            self.factors.append(factors)
+
+    def interchanges(self) -> int:
+        return sum(int(np.count_nonzero(ipiv != np.arange(1, len(ipiv) + 1)))
+                   for *_, ipiv in self.factors)
+
+    def step(self, u):
+        c = self.c
+        even_factors, odd_factors = self.factors
+        x_even, _ = zgttrs(*even_factors, u[c:] + u[c::-1])
+        x_odd, _ = zgttrs(*odd_factors, u[c + 1:] - u[c - 1::-1])
+        out = np.empty_like(u)
+        out[c] = x_even[0]
+        out[c + 1:] = x_even[1:] + x_odd
+        out[:c] = (x_even[1:] - x_odd)[::-1]
+        return out - u
+
+    def step_even(self, v):
+        x, _ = zgttrs(*self.factors[0], v + v)
+        return x - v
+
+
+# orbit-sim's points: criterion 7's stable and unstable unit points and (2, -1, -0.5, +-1).
+ORBIT_POINTS = [(1.0, 1.0, -2.0, 1.0), (1.0, 1.0, -2.0, -0.5), (2.0, -1.0, -0.5, 1.0),
+                (2.0, -1.0, -0.5, -1.0)]
+# h = 0.05/nu at the extent floor; gttrf interchanges rows here at dt = 100h.
+PIVOTING_POINT = (1.0, 1.0, -0.75, 1.0)
+
+
+class TestUnpivotedFactors:
+    """The unpivoted band factors against pivoted and dense references."""
+
+    @staticmethod
+    def _operator(p, n):
+        return spectral.discretize_operator(OperatorKind.FREE_WITH_DELTA, p,
+                                            spectral.default_grid(p, n_points=n))
+
+    @staticmethod
+    def _relative(a, b):
+        return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+    @pytest.mark.parametrize("params", ORBIT_POINTS)
+    def test_orbit_points_match_pivoted_lapack(self, params):
+        p = validate_params(*params)
+        grid = spectral.default_grid(p, n_points=4001)
+        dt = 0.25 * grid.spacing
+        op = self._operator(p, 4001)
+        stepper, reference = dynamics._ParityCrankNicolson(op, dt), PivotedReference(op, dt)
+        phi = sampled_profile(p, grid)
+        c = grid.center_index
+        odd = dynamics._initial_state(p, Perturbation(PerturbationKind.ODD_BUMP, 1e-2), grid, phi)
+        assert self._relative(stepper.step(odd.samples), reference.step(odd.samples)) <= 1e-13
+        even = dynamics._initial_state(p, Perturbation(PerturbationKind.EVEN_BUMP, 1e-2), grid, phi)
+        v = even.samples[c:]
+        assert self._relative(stepper.step_even(v), reference.step_even(v)) <= 1e-13
+
+    def test_matches_dense_solve_where_lapack_interchanges_rows(self):
+        p = validate_params(*PIVOTING_POINT)
+        grid = spectral.default_grid(p, n_points=1201)
+        dt = 100.0 * grid.spacing
+        op = self._operator(p, 1201)
+        assert PivotedReference(op, dt).interchanges() > 0
+        x = grid.nodes()
+        rng = np.random.default_rng(17)
+        u = (sampled_profile(p, grid) + np.exp(-(x - 1.3) ** 2 + 2.0j * x)
+             + 1e-3 * (rng.standard_normal(x.size) + 1j * rng.standard_normal(x.size)))
+        a = np.diag(op.diagonal) + np.diag(op.offdiagonal, 1) + np.diag(op.offdiagonal, -1)
+        b = 0.5j * dt * a
+        eye = np.eye(grid.n_points)
+        dense = np.linalg.solve(eye + b, (eye - b) @ u)
+        out = cn_linear_step(FieldState(u, grid, 0.0, p), dt).samples
+        assert np.linalg.norm(out - dense) <= 1e-12 * np.linalg.norm(dense)
+
+    @pytest.mark.parametrize("params, n, dt_factor", [
+        *((params, 4001, 0.25) for params in ORBIT_POINTS),
+        (PIVOTING_POINT, 1201, 100.0),
+        ((1.0, 1.0, -2.0, -0.5), 1201, 1e4),
+    ])
+    def test_every_stored_pivot_has_real_part_at_least_one(self, params, n, dt_factor, monkeypatch):
+        p = validate_params(*params)
+        op = self._operator(p, n)
+        pivots = []
+        ldu = dynamics._unpivoted_ldu
+
+        def recording_ldu(*block):
+            band, d = ldu(*block)
+            pivots.append(d)
+            return band, d
+
+        monkeypatch.setattr(dynamics, "_unpivoted_ldu", recording_ldu)
+        stepper = dynamics._ParityCrankNicolson(op, dt_factor * op.grid.spacing)
+        assert len(pivots) == 2
+        for d, (_, scale) in zip(pivots, stepper._factors):
+            assert float(np.min(d.real)) >= 1.0
+            assert np.array_equal(scale, 1.0 / d)
 
 
 class TestNonlinearPhaseStep:
@@ -475,7 +603,7 @@ class TestSimulate:
             simulate(P, Perturbation(PerturbationKind.ODD_BUMP, 1e-2), 0.2,
                      grid=spectral.default_grid(P, n_points=1201))
 
-    @pytest.mark.parametrize("factor", [0.0, -0.25, 0.75])
+    @pytest.mark.parametrize("factor", [0.0, -0.25, 0.75, math.inf, math.nan])
     def test_dt_checked_up_front(self, factor):
         grid = spectral.default_grid(P, n_points=1201)
         with pytest.raises(StepError):
