@@ -11,8 +11,8 @@ a temporary path and renamed, so no command leaves a partial file behind.
 
 `--outdir` needs `--out`, and so does `--format json` on `classify` and
 `find-zstar`, which otherwise print a one-line summary.  Exit codes: 0
-success, 2 parameter/usage error, 3 numerical error (grid errors included),
-4 I/O error.
+success, 2 parameter/usage error (a bad `simulate --dt` included), 3
+numerical error (grid errors included), 4 I/O error.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import tempfile
 from dataclasses import dataclass
 
 from . import dynamics, spectral, stability, vk
-from .errors import DomainError, GridError, PeakwaveError, RegimeError
+from .errors import DomainError, GridError, PeakwaveError, RegimeError, StepError
 from .profile import ProfileEvaluator, Side, validate_params
 from .spectral import GridSpec, OperatorKind, Sector
 
@@ -205,13 +205,13 @@ def _cmd_vk_scan(args) -> int:
 def _cmd_spectrum(args) -> int:
     p = validate_params(args.l1, args.l2, args.omega, args.z)
     grid = spectral.default_grid(p, _odd(args.n))
-    if Sector(args.sector) is Sector.EVEN_SECTOR:
-        grid = grid.even_half()
-    report = spectral.spectrum_report(OperatorKind(args.kind), p, grid, k=args.k)
+    sector = Sector(args.sector)
+    report = spectral.spectrum_report(OperatorKind(args.kind), p, grid, k=args.k, sector=sector)
     rows = [(i, lam) for i, (lam, _) in enumerate(report.lowest_pairs)]
+    n_points = grid.n_points if sector is Sector.FULL_LINE else grid.center_index + 1
     _report(args, ["index", "eigenvalue"], rows,
             kind=args.kind, sector=args.sector,
-            half_width=grid.half_width, n_points=grid.n_points, spacing=grid.spacing,
+            half_width=grid.half_width, n_points=n_points, spacing=grid.spacing,
             negative_count=report.negative_count, kernel_residual=report.kernel_residual,
             essential_edge=report.essential_edge,
             zero_exclusion_shift=spectral.zero_exclusion_shift(grid, p))
@@ -295,7 +295,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _check_output_flags(args)
         return _COMMANDS[args.command](args)
-    except (RegimeError, DomainError) as exc:
+    except (RegimeError, DomainError, StepError) as exc:
+        # StepError here can only be simulate's check of --dt.
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except PeakwaveError as exc:

@@ -59,8 +59,7 @@ from scipy.linalg.blas import ztbsv
 
 from .errors import BlowupError, DomainError, StepError
 from .profile import ProfileEvaluator, WaveParameters
-from .spectral import (GridSpec, OperatorKind, Sector, TridiagonalOperator, default_grid,
-                       discretize_operator)
+from .spectral import GridSpec, OperatorKind, TridiagonalOperator, default_grid, discretize_operator
 
 __all__ = [
     "FieldState",
@@ -89,8 +88,6 @@ class FieldState:
     params: WaveParameters
 
     def __post_init__(self):
-        if self.grid.sector is not Sector.FULL_LINE:
-            raise DomainError("field states live on full-line grids")
         if len(self.samples) != self.grid.n_points:
             raise DomainError(
                 f"sample count {len(self.samples)} does not match grid size {self.grid.n_points}"
@@ -167,7 +164,7 @@ class _ParityCrankNicolson:
     """
 
     def __init__(self, op: TridiagonalOperator, dt: float):
-        c = op.grid.center_index
+        c = op.origin_row
         diag, off = op.diagonal, op.offdiagonal
         gamma = 0.5j * dt
         self._c = c

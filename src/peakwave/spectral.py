@@ -8,12 +8,12 @@ condition g'(0+) - g'(0-) = -Z g(0):
     L2 = -d^2/dx^2 - omega -   lambda1*phi^2 -   lambda2*phi^4
 
 plus the free operator with the bare defect (no potential).  Each is realized
-as a symmetric tridiagonal matrix on a uniform grid: three-point Laplacian,
-potential on the diagonal, and -Z/h lumped on the center node.  The even
-sector is the half-line reduction with the flux condition f'(0+) = -(Z/2) f(0)
-closed by a ghost point; its first off-diagonal entry is -sqrt(2)/h^2 so the
-reduced matrix stays symmetric with the same spectrum as the even-restricted
-full operator.
+as a symmetric tridiagonal matrix on a uniform grid symmetric about the
+defect: three-point Laplacian, potential on the diagonal, and -Z/h lumped on
+the center node.  Its even and odd parity blocks are slices of it
+(`parity_blocks`): the even one is the half-line reduction with the flux
+condition f'(0+) = -(Z/2) f(0), the odd one the Dirichlet half-line operator.
+Negative counts are made per block, and n_full = n_even + n_odd.
 
 Eigenvalue counts come from Sturm/Sylvester inertia (negative pivots of the
 shifted triangular factorization), eigenvalues from bisection on the count,
@@ -45,8 +45,10 @@ __all__ = [
     "KernelReport",
     "default_grid",
     "discretize_operator",
+    "parity_blocks",
     "inertia_below",
     "lowest_eigenpairs",
+    "parity_counts",
     "morse_index",
     "zero_exclusion_shift",
     "kernel_residual",
@@ -70,69 +72,53 @@ class OperatorKind(enum.Enum):
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform grid, either symmetric about the defect or on the half line.
-
-    Full-line grids have an odd number of nodes so x = 0 is a node; even-sector
-    grids live on [0, L] with the first node at the defect.  Values beyond the
-    outermost nodes are treated as zero (Dirichlet truncation).
-    """
+    """Uniform grid on [-half_width, half_width] with an odd node count, so
+    x = 0 is a node.  Values beyond the outermost nodes are treated as zero."""
 
     half_width: float
     n_points: int
-    sector: Sector = Sector.FULL_LINE
 
     def __post_init__(self):
         if not self.half_width > 0.0:
             raise GridError(f"half_width must be positive, got {self.half_width}")
-        if self.sector is Sector.FULL_LINE:
-            if self.n_points < 3 or self.n_points % 2 == 0:
-                raise GridError(f"full-line grid needs an odd n_points >= 3, got {self.n_points}")
-        elif self.n_points < 2:
-            raise GridError(f"even-sector grid needs n_points >= 2, got {self.n_points}")
+        if self.n_points < 3 or self.n_points % 2 == 0:
+            raise GridError(f"grid needs an odd n_points >= 3, got {self.n_points}")
         if not math.isfinite(self.spacing):
             raise GridError(f"spacing {self.spacing} of half_width {self.half_width} is not finite")
 
     @property
     def spacing(self) -> float:
-        if self.sector is Sector.FULL_LINE:
-            return 2.0 * self.half_width / (self.n_points - 1)
-        return self.half_width / (self.n_points - 1)
+        return 2.0 * self.half_width / (self.n_points - 1)
 
     @property
     def center_index(self) -> int:
-        return (self.n_points - 1) // 2 if self.sector is Sector.FULL_LINE else 0
+        return (self.n_points - 1) // 2
 
     def nodes(self) -> np.ndarray:
         # Built as h*(i - c) so that x[c+j] and x[c-j] are exact negatives;
         # bitwise mirror symmetry matters for parity-exact time stepping.
-        if self.sector is Sector.FULL_LINE:
-            return self.spacing * (np.arange(self.n_points) - self.center_index)
-        return self.spacing * np.arange(self.n_points)
+        return self.spacing * (np.arange(self.n_points) - self.center_index)
 
     def refined(self) -> "GridSpec":
         """Same extent with doubled resolution."""
-        return GridSpec(self.half_width, 2 * self.n_points - 1, self.sector)
-
-    def even_half(self) -> "GridSpec":
-        """Even-sector companion of a full-line grid (same spacing and extent)."""
-        if self.sector is not Sector.FULL_LINE:
-            raise GridError("even_half is defined for full-line grids")
-        return GridSpec(self.half_width, self.center_index + 1, Sector.EVEN_SECTOR)
+        return GridSpec(self.half_width, 2 * self.n_points - 1)
 
 
-def default_grid(p: WaveParameters, n_points: int = 4001, sector: Sector = Sector.FULL_LINE) -> GridSpec:
+def default_grid(p: WaveParameters, n_points: int = 4001) -> GridSpec:
     """Grid at the precondition floor L = 30/sqrt(-omega)."""
     L = 30.0 / math.sqrt(-p.omega)
-    return GridSpec(L, n_points, sector)
+    return GridSpec(L, n_points)
 
 
 @dataclass(frozen=True, eq=False)
 class TridiagonalOperator:
-    """Symmetric tridiagonal matrix with the defect on the center diagonal."""
+    """Symmetric tridiagonal matrix; `origin_row` is its first row at x >= 0
+    (the defect row on the full line, 0 in a parity block)."""
 
     diagonal: np.ndarray
     offdiagonal: np.ndarray
-    grid: GridSpec
+    spacing: float
+    origin_row: int
 
     @property
     def size(self) -> int:
@@ -176,11 +162,21 @@ def discretize_operator(kind: OperatorKind, p: WaveParameters, grid: GridSpec) -
     diag = 2.0 / h**2 + _potential(kind, p, x)
     off = np.full(grid.n_points - 1, -1.0 / h**2)
     diag[grid.center_index] -= p.z / h
-    if grid.sector is Sector.EVEN_SECTOR:
-        # Ghost-point closure of f'(0+) = -(Z/2) f(0), symmetrized: the
-        # similarity that restores symmetry scales the first coupling by sqrt(2).
-        off[0] = -math.sqrt(2.0) / h**2
-    return TridiagonalOperator(diag, off, grid)
+    return TridiagonalOperator(diag, off, h, grid.center_index)
+
+
+def parity_blocks(op: TridiagonalOperator) -> tuple[TridiagonalOperator, TridiagonalOperator]:
+    """Even and odd blocks of a full-line operator, as slices of it.
+
+    On the x >= 0 half of an even vector the center row couples twice to its
+    neighbor; symmetrizing scales that coupling by sqrt(2) (the ghost-point
+    closure of f'(0+) = -(Z/2) f(0)).  The odd block is Dirichlet on x > 0.
+    """
+    c, h = op.origin_row, op.spacing
+    even_off = op.offdiagonal[c:].copy()
+    even_off[0] = -math.sqrt(2.0) / h**2
+    return (TridiagonalOperator(op.diagonal[c:], even_off, h, 0),
+            TridiagonalOperator(op.diagonal[c + 1:], op.offdiagonal[c + 1:], h, 0))
 
 
 def inertia_below(op: TridiagonalOperator, shift: float) -> int:
@@ -235,8 +231,8 @@ def lowest_eigenpairs(op: TridiagonalOperator, k: int) -> list[tuple[float, np.n
     vecs, info = dstein(op.diagonal, op.offdiagonal, lams, np.ones(n, np.int32), np.full(n, n, np.int32))
     if info != 0:
         raise ConvergenceError(f"LAPACK stein failed with info = {info} at eigenvalues {lams}")
-    vecs = vecs.T / math.sqrt(op.grid.spacing)
-    c = op.grid.center_index
+    vecs = vecs.T / math.sqrt(op.spacing)
+    c = op.origin_row
     # Signing on x >= 0 alone keeps the mirrored peaks of an odd vector from tying.
     return [(lam, v if v[c + int(np.argmax(np.abs(v[c:])))] > 0.0 else -v) for lam, v in zip(lams, vecs)]
 
@@ -252,18 +248,25 @@ def zero_exclusion_shift(grid: GridSpec, p: WaveParameters) -> float:
     return max(1e-6 * max(1.0, abs(p.omega)), 3.0 * grid.spacing**2 * p.omega**2)
 
 
-def morse_index(kind: OperatorKind, p: WaveParameters, grid: GridSpec) -> int:
-    """Number of negative eigenvalues, verified stable under one refinement."""
+def parity_counts(kind: OperatorKind, p: WaveParameters, grid: GridSpec) -> tuple[int, int]:
+    """Negative eigenvalues (n_even, n_odd) of the two parity blocks,
+    verified stable under one refinement."""
     counts = []
     for g in (grid, grid.refined()):
-        op = discretize_operator(kind, p, g)
-        counts.append(inertia_below(op, -zero_exclusion_shift(g, p)))
+        blocks = parity_blocks(discretize_operator(kind, p, g))
+        counts.append(tuple(inertia_below(block, -zero_exclusion_shift(g, p)) for block in blocks))
     if counts[0] != counts[1]:
+        moved = " and ".join(name for name, a, b in zip(("even", "odd"), *counts) if a != b)
         raise InstabilityError(
-            f"negative count changed under refinement: {counts[0]} -> {counts[1]} "
-            f"for {kind.value} at omega={p.omega}, Z={p.z}"
+            f"{moved} negative count of {kind.value} changed under refinement: "
+            f"(even, odd) = {counts[0]} -> {counts[1]} at omega={p.omega}, Z={p.z}"
         )
     return counts[0]
+
+
+def morse_index(kind: OperatorKind, p: WaveParameters, grid: GridSpec) -> int:
+    """Number of negative eigenvalues on the full line, verified stable under one refinement."""
+    return sum(parity_counts(kind, p, grid))
 
 
 @dataclass(frozen=True)
@@ -292,10 +295,11 @@ def _distance_to_zero(op: TridiagonalOperator, lowest: Sequence[float] = ()) -> 
 
 
 def kernel_residual(p: WaveParameters, grid: GridSpec) -> KernelReport:
-    """Measure the L2 zero mode and the spectral gap of L1 around zero."""
-    l2_zero = abs(_eigenvalue_by_index(discretize_operator(OperatorKind.L2, p, grid), 0))
-    gap = _distance_to_zero(discretize_operator(OperatorKind.L1, p, grid))
-    return KernelReport(l2_zero, gap)
+    """Measure the L2 zero mode and the spectral gap of L1 around zero, on the
+    parity blocks (L2's lowest eigenvector is positive, hence even)."""
+    l2_even, _ = parity_blocks(discretize_operator(OperatorKind.L2, p, grid))
+    l1_blocks = parity_blocks(discretize_operator(OperatorKind.L1, p, grid))
+    return KernelReport(abs(_eigenvalue_by_index(l2_even, 0)), min(map(_distance_to_zero, l1_blocks)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -308,14 +312,17 @@ class SpectrumReport:
     essential_edge: float
 
 
-def spectrum_report(kind: OperatorKind, p: WaveParameters, grid: GridSpec, k: int = 3) -> SpectrumReport:
+def spectrum_report(kind: OperatorKind, p: WaveParameters, grid: GridSpec, k: int = 3,
+                    sector: Sector = Sector.FULL_LINE) -> SpectrumReport:
     """Negative count, k lowest eigenpairs, and the essential-spectrum edge.
 
-    Only eigenvalues below the essential edge are listed (-omega for the
-    linearized operators, 0 for the bare defect); deeper entries would be
-    box artifacts of the Dirichlet truncation.
+    The even sector is the even parity block.  Only eigenvalues below the
+    essential edge are listed (-omega for the linearized operators, 0 for the
+    bare defect); deeper entries would be box artifacts of the truncation.
     """
     op = discretize_operator(kind, p, grid)
+    if sector is Sector.EVEN_SECTOR:
+        op = parity_blocks(op)[0]
     edge = 0.0 if kind is OperatorKind.FREE_WITH_DELTA else -p.omega
     lowest = lowest_eigenpairs(op, k)
     lams = [lam for lam, _ in lowest]

@@ -15,8 +15,9 @@ threshold are classified.
 
 One rule turns indices into verdicts, and both classifiers feed it.
 `classify_numeric` and `compare` share one numeric pass per parameter point:
-the kernel preconditions, the slope index p and the negative count n of each
-sector are computed once.  `classify_analytic` supplies the proven indices
+the kernel preconditions, the slope index p and each operator's negative
+counts (n_even, n_odd) on its two parity blocks are computed once; the full
+index is n_even + n_odd.  `classify_analytic` supplies the proven indices
 instead: n = 1 for Z >= 0 and 2 for Z < 0 on the full line, n = 1 in the
 even sector, and p = 1 except below the unit-coefficient threshold
 z* = -sqrt(3)/2 of a focusing pair (a focusing cubic with defocusing quintic
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 from . import spectral, vk
 from .errors import DegenerateError, PreconditionError
 from .profile import Regime, WaveParameters
-from .spectral import GridSpec, OperatorKind, Sector
+from .spectral import GridSpec, OperatorKind
 
 __all__ = [
     "Space",
@@ -111,12 +112,6 @@ def _check_preconditions(p: WaveParameters, grid: GridSpec) -> None:
         )
 
 
-def _indices(p: WaveParameters, grid: GridSpec) -> int:
-    n1 = spectral.morse_index(OperatorKind.L1, p, grid)
-    n2 = spectral.morse_index(OperatorKind.L2, p, grid)
-    return n1 + n2
-
-
 def _verdicts(n_full: int, n_even: int, p_idx: int, provenance: Provenance) -> dict[Space, Verdict]:
     """Both verdicts from the Morse index of each space and the slope index."""
     n = {Space.FULL_H1: n_full, Space.EVEN_H1: n_even}
@@ -135,14 +130,13 @@ def _verdicts(n_full: int, n_even: int, p_idx: int, provenance: Provenance) -> d
 
 def _numeric_verdicts(p: WaveParameters, grid: GridSpec | None) -> dict[Space, Verdict]:
     """Both numeric verdicts from one precondition check, one slope index and
-    one negative count per sector."""
+    one pair of parity counts per operator."""
     if grid is None:
         grid = spectral.default_grid(p, n_points=2001)
-    if grid.sector is not Sector.FULL_LINE:
-        raise PreconditionError("classification grids are full-line; the even sector is derived internally")
     _check_preconditions(p, grid)
     p_idx = vk.p_index(p)
-    return _verdicts(_indices(p, grid), _indices(p, grid.even_half()), p_idx, Provenance.NUMERIC_PIPELINE)
+    even, odd = zip(*(spectral.parity_counts(kind, p, grid) for kind in (OperatorKind.L1, OperatorKind.L2)))
+    return _verdicts(sum(even) + sum(odd), sum(even), p_idx, Provenance.NUMERIC_PIPELINE)
 
 
 def classify_numeric(p: WaveParameters, space: Space, grid: GridSpec | None = None) -> Verdict:

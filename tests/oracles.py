@@ -5,12 +5,21 @@ form of the defect group: free evolution of the field convolved with an
 exponential filter, assembled by half-lines.  It is the scattering
 decomposition, exact for fields supported left of a repulsive defect, and
 shares no code with the Crank-Nicolson stepper it checks.
+
+`even_sector_operator` assembles the even sector directly on the half line
+[0, L], closing the flux condition f'(0+) = -(Z/2) f(0) by a ghost point.
+It is the reference for the even parity block sliced from the full-line
+operator.
 """
+
+import math
 
 import numpy as np
 
 from peakwave.dynamics import FieldState
 from peakwave.errors import DomainError
+from peakwave.profile import ProfileEvaluator
+from peakwave.spectral import GridSpec, OperatorKind, TridiagonalOperator
 
 _PAD_FACTOR = 4  # zero padding of the periodic extension, in multiples of the grid
 
@@ -51,3 +60,27 @@ def kernel_propagator_apply(psi: FieldState, t: float) -> FieldState:
     left = free_group(psi.samples) + free_group(psi_rho)[::-1]
     out = np.where(x >= 0.0, right, left)
     return FieldState(out, psi.grid, psi.time + t, psi.params)
+
+
+def even_sector_operator(kind: OperatorKind, p, grid: GridSpec) -> TridiagonalOperator:
+    """Ghost-point assembly of the even sector on the x >= 0 half of `grid`.
+
+    The half line [0, L] holds grid.center_index + 1 nodes from the defect
+    out.  The ghost value f(-h) = f(h) turns the center row into
+    (2 f_0 - 2 f_1)/h^2 - (Z/h) f_0; the similarity that makes the matrix
+    symmetric scales its first coupling to -sqrt(2)/h^2.
+    """
+    m = grid.center_index + 1
+    h = grid.half_width / (m - 1)
+    x = h * np.arange(m)
+    if kind is OperatorKind.FREE_WITH_DELTA:
+        potential = np.zeros_like(x)
+    else:
+        phi_sq = ProfileEvaluator.from_params(p).value(x) ** 2
+        a, b = (3.0, 5.0) if kind is OperatorKind.L1 else (1.0, 1.0)
+        potential = -p.omega - a * p.lambda1 * phi_sq - b * p.lambda2 * phi_sq**2
+    diag = 2.0 / h**2 + potential
+    diag[0] -= p.z / h
+    off = np.full(m - 1, -1.0 / h**2)
+    off[0] = -math.sqrt(2.0) / h**2
+    return TridiagonalOperator(diag, off, h, 0)

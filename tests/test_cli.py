@@ -191,6 +191,16 @@ class TestClassifyCommand:
         assert code == 3
         assert "DegenerateError" in err
 
+    def test_count_moving_under_refinement_exits_3(self, monkeypatch, capsys):
+        # The refined n = 2001 grid has an odd block of 2000 rows; the kernel
+        # check runs on the base grid's blocks and does not see the change.
+        real = spectral.inertia_below
+        monkeypatch.setattr(spectral, "inertia_below", lambda op, shift: real(op, shift) + (op.size == 2000))
+        code, out, err = run(
+            ["classify", "--l1", "1", "--l2", "1", "--omega", "-2", "--z", "-1", "--n", "2001"], capsys)
+        assert (code, out) == (3, "")
+        assert "InstabilityError" in err and "odd negative count of L1" in err
+
     def test_out_writes_both_formats(self, tmp_path, capsys):
         args = ["classify", "--l1", "1", "--l2", "1", "--omega", "-2", "--z", "-0.5", "--space", "full"]
         csv_file, json_file = tmp_path / "v.csv", tmp_path / "v.json"
@@ -296,6 +306,17 @@ class TestSimulateCommand:
         assert out == ""
         assert not out_file.exists()
 
+    @pytest.mark.parametrize("dt", ["nan", "-1", "0.05"])
+    def test_bad_dt_exits_2(self, dt, tmp_path, capsys):
+        # n = 1201 at omega = -2 gives h = 0.0354, so 0.05 is above the cap 0.5*h.
+        out_file = tmp_path / "sim.csv"
+        code, out, err = run(
+            ["simulate", "--l1", "1", "--l2", "1", "--omega", "-2", "--z", "1",
+             f"--dt={dt}", "--horizon", "0.1", "--n", "1201", "--out", str(out_file)], capsys)
+        assert (code, out) == (2, "")
+        assert "StepError" in err and "dt" in err
+        assert not out_file.exists()
+
     def test_nonfinite_horizon_exits_2(self, capsys):
         code, out, err = run(
             ["simulate", "--l1", "1", "--l2", "1", "--omega", "-2", "--z", "1",
@@ -352,6 +373,22 @@ class TestEvenSectorSpectrum:
         assert code == 0
         header = json.loads(out.split("\n")[0][2:])
         assert header["negative_count"] == 1
+
+    @pytest.mark.parametrize("kind", ["L1", "L2"])
+    def test_rows_are_the_even_block(self, kind, capsys):
+        code, out, _ = run(
+            ["spectrum", "--l1", "1", "--l2", "1", "--omega", "-2", "--z", "-0.5",
+             "--kind", kind, "--sector", "even", "--n", "2001", "--k", "3"], capsys)
+        assert code == 0
+        lines = out.strip().split("\n")
+        header = json.loads(lines[0][2:])
+        p = validate_params(1, 1, -2, -0.5)
+        grid = spectral.default_grid(p, 2001)
+        assert header["n_points"] == (2001 + 1) // 2
+        assert header["spacing"] == grid.spacing
+        even, _ = spectral.parity_blocks(spectral.discretize_operator(OperatorKind(kind), p, grid))
+        expected = [lam for lam, _ in spectral.lowest_eigenpairs(even, 3) if lam < -p.omega]
+        assert [float(line.split(",")[1]) for line in lines[2:]] == expected
 
 
 class TestEnumChoices:

@@ -72,11 +72,6 @@ class TestFieldState:
         with pytest.raises(DomainError):
             FieldState(bad, grid, 0.0, P)
 
-    def test_even_sector_rejected(self):
-        grid = spectral.default_grid(P, n_points=2001).even_half()
-        with pytest.raises(DomainError):
-            FieldState(np.zeros(grid.n_points, dtype=complex), grid, 0.0, P)
-
 
 class TestConservedQuantities:
     def test_zero_field(self):
@@ -252,7 +247,7 @@ class PivotedReference:
     """The parity-block stepper on LAPACK's pivoted tridiagonal LU (gttrf/gttrs)."""
 
     def __init__(self, op, dt):
-        c = op.grid.center_index
+        c = op.origin_row
         diag, off = op.diagonal, op.offdiagonal
         gamma = 0.5j * dt
         self.c = c
@@ -354,7 +349,7 @@ class TestUnpivotedFactors:
             return band, d
 
         monkeypatch.setattr(dynamics, "_unpivoted_ldu", recording_ldu)
-        stepper = dynamics._ParityCrankNicolson(op, dt_factor * op.grid.spacing)
+        stepper = dynamics._ParityCrankNicolson(op, dt_factor * op.spacing)
         assert len(pivots) == 2
         for d, (_, scale) in zip(pivots, stepper._factors):
             assert float(np.min(d.real)) >= 1.0

@@ -1,30 +1,34 @@
 """Discretized operators: the exact defect bound state, Morse counts against
-the proven values, kernel checks, parity of eigenvectors, and the quadratic
-form with the sampled wave."""
+the proven values, parity blocks and their counts, kernel checks, parity of
+eigenvectors, and the quadratic form with the sampled wave."""
 
 import collections
 import math
+import random
 
 import numpy as np
 import pytest
 
 from peakwave import validate_params
-from peakwave.errors import ConvergenceError, DomainError, GridError, RegimeError
+from peakwave.errors import ConvergenceError, DomainError, GridError, InstabilityError, RegimeError
 from peakwave import spectral
 from peakwave.spectral import (
     GridSpec,
     OperatorKind,
-    Sector,
     discretize_operator,
     inertia_below,
     kernel_residual,
     lowest_eigenpairs,
     morse_index,
     negative_direction_check,
+    parity_blocks,
+    parity_counts,
     quadratic_form_discrete,
     quadratic_form_phi,
     spectrum_report,
 )
+
+from oracles import even_sector_operator
 
 P_AA_POS = validate_params(1.0, 1.0, -2.0, 1.0)
 P_AA_NEG = validate_params(1.0, 1.0, -2.0, -1.0)
@@ -50,13 +54,10 @@ class TestGridSpec:
         with pytest.raises(GridError):
             GridSpec(-1.0, 2001)
 
-    @pytest.mark.parametrize("half_width,n_points,sector", [
-        (1e308, 3, Sector.FULL_LINE), (1e308, 5, Sector.FULL_LINE), (math.inf, 3, Sector.FULL_LINE),
-        (math.inf, 2, Sector.EVEN_SECTOR),
-    ])
-    def test_non_finite_spacing_rejected(self, half_width, n_points, sector):
+    @pytest.mark.parametrize("half_width,n_points", [(1e308, 3), (1e308, 5), (math.inf, 3)])
+    def test_non_finite_spacing_rejected(self, half_width, n_points):
         with pytest.raises(GridError, match="not finite"):
-            GridSpec(half_width, n_points, sector)
+            GridSpec(half_width, n_points)
 
     def test_node_mirror_symmetry_is_exact(self):
         x = GridSpec(21.0, 4001).nodes()
@@ -67,12 +68,13 @@ class TestGridSpec:
         g = GridSpec(12.0, 481)
         assert g.spacing * (g.n_points - 1) == pytest.approx(2.0 * g.half_width, rel=1e-15)
 
-    def test_even_half(self):
-        g = GridSpec(12.0, 481)
-        ge = g.even_half()
-        assert ge.sector is Sector.EVEN_SECTOR
-        assert ge.spacing == pytest.approx(g.spacing, rel=1e-15)
-        assert ge.n_points == 241
+    def test_parity_blocks_of_a_grid(self):
+        p = validate_params(1.0, 1.0, -2.0, -1.0)
+        g = GridSpec(30.0, 2401)
+        even, odd = parity_blocks(discretize_operator(OperatorKind.L1, p, g))
+        assert (even.size, odd.size) == (1201, 1200)
+        assert even.spacing == odd.spacing == g.spacing
+        assert even.origin_row == odd.origin_row == 0
 
 
 class TestDiscretizeOperator:
@@ -165,7 +167,9 @@ class TestMorseIndex:
 
     @pytest.mark.parametrize("p", [P_AA_POS, P_AA_NEG, P_AR_POS])
     def test_even_sector_count_is_one(self, p):
-        assert morse_index(OperatorKind.L1, p, grid_for(p).even_half()) == 1
+        # The second negative direction of a negative defect is odd.
+        assert parity_counts(OperatorKind.L1, p, grid_for(p)) == (1, 1 if p.z < 0.0 else 0)
+        assert parity_counts(OperatorKind.L2, p, grid_for(p)) == (0, 0)
 
     def test_stable_across_three_grids(self):
         for n in (2001, 4001, 8001):
@@ -175,6 +179,87 @@ class TestMorseIndex:
         assert morse_index(OperatorKind.L1, P_AR_POS, grid_for(P_AR_POS)) == 1
         p = validate_params(2.0, -1.0, -0.5, -1.0)
         assert morse_index(OperatorKind.L1, p, grid_for(p)) == 2
+
+
+def seeded_points(seed, count):
+    """Points of the unit box, the (2, -1) box and general focusing pairs, in turn."""
+    rng = random.Random(seed)
+    points = []
+    for i in range(count):
+        if i % 3 == 1:
+            # Focusing-defocusing: Z^2/4 < -omega < 3/4.
+            z = rng.uniform(0.25, 1.15) * rng.choice((-1.0, 1.0))
+            points.append((2.0, -1.0, -rng.uniform(z * z / 4.0 + 0.05, 0.7), z))
+            continue
+        # Unit box, or its image under the scaling onto a general focusing pair.
+        z = rng.uniform(0.2, 1.8) * rng.choice((-1.0, 1.0))
+        l1, l2 = (1.0, 1.0) if i % 3 == 0 else (rng.uniform(0.3, 3.0), rng.uniform(0.1, 3.0))
+        omega_u = -rng.uniform(max(1.3 * z * z / 4.0 + 0.2, 1.2), 6.0)
+        points.append((l1, l2, omega_u * l1 * l1 / l2, z * l1 / math.sqrt(l2)))
+    return [validate_params(*point) for point in points]
+
+
+class TestParityBlocks:
+    """The parity blocks are slices of the full-line operator, and their
+    counts add up to the count on the whole of it."""
+
+    POINTS = seeded_points(1801, 18)
+
+    @pytest.mark.parametrize("kind", list(OperatorKind))
+    @pytest.mark.parametrize("n", [2001, 4001])
+    def test_even_block_is_the_ghost_point_assembly(self, kind, n):
+        for p in self.POINTS[:6]:
+            g = grid_for(p, n)
+            even, _ = parity_blocks(discretize_operator(kind, p, g))
+            ref = even_sector_operator(kind, p, g)
+            assert np.array_equal(even.diagonal, ref.diagonal), (p, kind, n)
+            assert np.array_equal(even.offdiagonal, ref.offdiagonal), (p, kind, n)
+            assert even.spacing == ref.spacing
+
+    def test_odd_block_is_the_dirichlet_slice(self):
+        op = discretize_operator(OperatorKind.L1, P_AA_NEG, grid_for(P_AA_NEG))
+        _, odd = parity_blocks(op)
+        c = op.origin_row
+        assert np.array_equal(odd.diagonal, op.diagonal[c + 1:])
+        assert np.array_equal(odd.offdiagonal, op.offdiagonal[c + 1:])
+
+    @pytest.mark.parametrize("kind", [OperatorKind.L1, OperatorKind.L2])
+    def test_full_count_is_even_plus_odd(self, kind):
+        for p in self.POINTS:
+            g = grid_for(p)
+            n_even, n_odd = parity_counts(kind, p, g)
+            for grid in (g, g.refined()):
+                op = discretize_operator(kind, p, grid)
+                shift = -spectral.zero_exclusion_shift(grid, p)
+                assert n_even + n_odd == inertia_below(op, shift), (p, kind, grid.n_points)
+            assert morse_index(kind, p, g) == n_even + n_odd
+
+    def test_blocks_share_the_spectrum(self):
+        op = discretize_operator(OperatorKind.L1, P_AA_NEG, grid_for(P_AA_NEG))
+        full = [lam for lam, _ in lowest_eigenpairs(op, 3)]
+        halves = sorted(lam for block in parity_blocks(op) for lam, _ in lowest_eigenpairs(block, 2))
+        assert halves[:3] == pytest.approx(full, abs=1e-9)
+
+
+class TestRefinementCheck:
+    """A count that moves under refinement raises InstabilityError naming the
+    operator, the parity that moved and both (even, odd) pairs."""
+
+    @pytest.mark.parametrize("moved_size,parity,pairs", [
+        (2001, "even", ("(1, 1)", "(2, 1)")),
+        (2000, "odd", ("(1, 1)", "(1, 2)")),
+    ])
+    def test_moved_parity_is_named(self, moved_size, parity, pairs, monkeypatch):
+        # Refining n = 2001 gives blocks of 2001 (even) and 2000 (odd) rows.
+        real = spectral.inertia_below
+        monkeypatch.setattr(spectral, "inertia_below",
+                            lambda op, shift: real(op, shift) + (op.size == moved_size))
+        with pytest.raises(InstabilityError) as info:
+            parity_counts(OperatorKind.L1, P_AA_NEG, grid_for(P_AA_NEG))
+        message = str(info.value)
+        assert message.startswith(f"{parity} negative count of L1 ")
+        assert f"{pairs[0]} -> {pairs[1]}" in message
+        assert "(even, odd)" in message
 
 
 class TestEigenpairs:
