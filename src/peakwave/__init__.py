@@ -16,7 +16,6 @@ from .errors import (
     PeakwaveError,
     PreconditionError,
     RegimeError,
-    SolveError,
     StepError,
 )
 from .profile import (
@@ -48,7 +47,6 @@ __all__ = [
     "PeakwaveError",
     "PreconditionError",
     "RegimeError",
-    "SolveError",
     "StepError",
     "ProfileEvaluator",
     "Regime",

@@ -11,8 +11,9 @@ a temporary path and renamed, so no command leaves a partial file behind.
 
 `--outdir` needs `--out`, and so does `--format json` on `classify` and
 `find-zstar`, which otherwise print a one-line summary.  Exit codes: 0
-success, 2 parameter/usage error (a bad `simulate --dt` included), 3
-numerical error (grid errors included), 4 I/O error.
+success, 2 parameter/usage error (a bad `simulate --dt`, `find-zstar
+--bracket` or `vk-scan` bound included), 3 numerical error (grid errors
+included), 4 I/O error.  A header holding NaN or Infinity is not written.
 """
 
 from __future__ import annotations
@@ -54,14 +55,14 @@ def _format_value(value) -> str:
 
 def emit_report(rows, cfg: RunConfig) -> None:
     """Write rows deterministically as CSV or JSON (stdout when no path)."""
-    header_json = json.dumps(cfg.header, sort_keys=True)
+    header_json = json.dumps(cfg.header, sort_keys=True, allow_nan=False)
     if cfg.fmt == "json":
         payload = {
             "header": cfg.header,
             "columns": cfg.columns,
             "rows": [[_format_value(v) for v in row] for row in rows],
         }
-        text = json.dumps(payload, sort_keys=True, indent=1) + "\n"
+        text = json.dumps(payload, sort_keys=True, indent=1, allow_nan=False) + "\n"
     else:
         lines = ["# " + header_json, ",".join(cfg.columns)]
         lines.extend(",".join(_format_value(v) for v in row) for row in rows)
@@ -189,9 +190,9 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_vk_scan(args) -> int:
-    omegas = _linspace(args.omega_min, args.omega_max, args.omega_points)
+    omegas = _linspace("omega", args.omega_min, args.omega_max, args.omega_points)
     z_max = args.z_min if args.z_max is None else args.z_max
-    zs = _linspace(args.z_min, z_max, args.z_points)
+    zs = _linspace("z", args.z_min, z_max, args.z_points)
     rows = [
         (r.omega, r.z, r.norm_sq, r.dnorm_domega, r.p_index)
         for r in vk.scan(args.l1, args.l2, omegas, zs)
@@ -262,9 +263,12 @@ def _odd(n: int) -> int:
     return n if n % 2 == 1 else n + 1
 
 
-def _linspace(lo: float, hi: float, count: int) -> list[float]:
+def _linspace(name: str, lo: float, hi: float, count: int) -> list[float]:
+    """`count` evenly spaced values of the --{name}-min/max/points flags."""
     if count < 1:
-        raise DomainError(f"point count must be >= 1, got {count}")
+        raise DomainError(f"--{name}-points must be >= 1, got {count}")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise DomainError(f"--{name}-min and --{name}-max must be finite, got {lo} and {hi}")
     if count == 1:
         return [lo]
     step = (hi - lo) / (count - 1)

@@ -275,6 +275,7 @@ def cn_linear_step(u: FieldState, dt: float) -> FieldState:
 
 def nonlinear_phase_step(u: FieldState, dt: float) -> FieldState:
     """Exact rotation u -> u * exp(i dt (l1|u|^2 + l2|u|^4)); moduli unchanged."""
+    _check_positive_dt(dt)
     v = np.array(u.samples, dtype=complex)
     v *= _phase(v, dt, u.params)[0]
     return FieldState(v, u.grid, u.time, u.params)

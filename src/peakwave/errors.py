@@ -42,10 +42,6 @@ class ConvergenceError(PeakwaveError):
     """An iterative solver failed to reach its tolerance."""
 
 
-class SolveError(PeakwaveError):
-    """A linear system solve failed."""
-
-
 class BlowupError(PeakwaveError):
     """Field amplitude exceeded the blow-up guard during time integration."""
 

@@ -13,20 +13,19 @@ r_map : R -> (-1, 1), evaluated at Z / (2*sqrt(-omega)).
 
 Two parameter regimes admit such waves: cubic and quintic both focusing
 (attractive-attractive), and focusing cubic with defocusing quintic
-(attractive-repulsive), the latter on a bounded frequency window.
+(attractive-repulsive), the latter on a bounded frequency window.  Every
+quantity here is closed form; no peakwave module integrates numerically.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-import warnings
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, RegimeError
+from .errors import DomainError, RegimeError
 
 __all__ = [
     "Regime",
@@ -273,19 +272,3 @@ def phi_center_sq(p: WaveParameters) -> float:
     inner = 1.0 - (16.0 * p.lambda2 / (3.0 * p.lambda1**2)) * (p.omega + p.z * p.z / 4.0)
     return (-3.0 * p.lambda1 / (4.0 * p.lambda2)) * (1.0 - math.sqrt(inner))
 
-
-def even_integral(integrand: Callable[[float], float], half_length: float, tol: float) -> float:
-    """Twice `scipy.integrate.quad` over [0, half_length], at absolute and relative `tol`.
-
-    scipy.integrate is imported on the first call, so no peakwave import loads
-    it; an IntegrationWarning from quad raises ConvergenceError.
-    """
-    from scipy.integrate import IntegrationWarning, quad
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", IntegrationWarning)
-        try:
-            val, _ = quad(integrand, 0.0, half_length, epsabs=tol, epsrel=tol, limit=400)
-        except IntegrationWarning as exc:
-            raise ConvergenceError(f"adaptive quadrature did not converge: {exc}") from exc
-    return 2.0 * val

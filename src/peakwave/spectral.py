@@ -18,9 +18,9 @@ Negative counts are made per block, and n_full = n_even + n_odd.
 Eigenvalue counts come from Sturm/Sylvester inertia (negative pivots of the
 shifted triangular factorization), eigenvalues from bisection on the count,
 and eigenvectors from one LAPACK stein call (inverse iteration with
-reorthogonalization) at the bisected eigenvalues.  The quadrature oracle
-`quadratic_form_phi` loads scipy.integrate on its first call; importing this
-module loads only scipy.linalg.
+reorthogonalization) at the bisected eigenvalues; importing this module loads
+only scipy.linalg.  `quadratic_form_discrete` samples the form (L1 phi, phi)
+on a grid.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import numpy as np
 from scipy.linalg.lapack import dstein
 
 from .errors import ConvergenceError, DomainError, GridError, InstabilityError, RegimeError
-from .profile import ProfileEvaluator, Regime, WaveParameters, even_integral, phi_center_sq
+from .profile import ProfileEvaluator, Regime, WaveParameters, phi_center_sq
 
 __all__ = [
     "Sector",
@@ -53,7 +53,6 @@ __all__ = [
     "zero_exclusion_shift",
     "kernel_residual",
     "spectrum_report",
-    "quadratic_form_phi",
     "quadratic_form_discrete",
     "negative_direction_check",
 ]
@@ -304,11 +303,12 @@ def kernel_residual(p: WaveParameters, grid: GridSpec) -> KernelReport:
 
 @dataclass(frozen=True, eq=False)
 class SpectrumReport:
-    """Discrete-spectrum summary of one operator realization."""
+    """Discrete-spectrum summary of one operator realization; the bare defect
+    has no kernel to measure, so its `kernel_residual` is None."""
 
     negative_count: int
     lowest_pairs: list[tuple[float, np.ndarray]] = field(repr=False)
-    kernel_residual: float
+    kernel_residual: float | None
     essential_edge: float
 
 
@@ -333,25 +333,8 @@ def spectrum_report(kind: OperatorKind, p: WaveParameters, grid: GridSpec, k: in
     elif kind is OperatorKind.L1:
         resid = _distance_to_zero(op, lams)
     else:
-        resid = math.nan
+        resid = None
     return SpectrumReport(negative, pairs, resid, edge)
-
-
-def quadratic_form_phi(p: WaveParameters) -> float:
-    """(L1 phi, phi) via its algebraic reduction to -2*lambda1*phi^4 - 4*lambda2*phi^6.
-
-    Adaptive quadrature; raises ConvergenceError if quad reports an
-    IntegrationWarning.
-    """
-    ev = ProfileEvaluator.from_params(p)
-    nu = ev.root_minus_omega
-    L = 40.0 / nu + 2.0 * abs(ev.shift_b)
-
-    def integrand(x: float) -> float:
-        v = float(ev.value(x))
-        return -2.0 * p.lambda1 * v**4 - 4.0 * p.lambda2 * v**6
-
-    return even_integral(integrand, L, 1e-13)
 
 
 def quadratic_form_discrete(p: WaveParameters, grid: GridSpec) -> float:

@@ -14,10 +14,9 @@ nu = sqrt(-omega), c = nu*sqrt(|beta|)/(kappa + alpha) and t = tanh(nu*b),
 where b is the profile shift.  t comes from the shift equation in closed form,
 so the charge is an analytic function of omega and its derivative is taken by
 the complex step Im f(omega + i*h)/h (Squire & Trapp, SIAM Rev. 1998), exact
-to rounding with no subtraction.  Adaptive quadrature and a Richardson-checked
-finite difference are kept as independent oracles for the test suite; the
-quadrature loads scipy.integrate on its first call, so importing this module
-loads no scipy at all.
+to rounding with no subtraction.  Nothing here integrates numerically, and
+importing this module loads no scipy at all; the test suite holds the closed
+forms to adaptive quadrature and a Richardson-checked finite difference.
 
 A sign change of the slope occurs for unit coefficients at the defect
 strength z* = -sqrt(3)/2; `find_zstar` locates it by bisection on the minimum
@@ -32,16 +31,14 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .errors import BracketError, DegenerateError, RegimeError, StepError
-from .profile import ProfileEvaluator, Regime, WaveParameters, even_integral, validate_params
+from .errors import BracketError, DegenerateError, DomainError
+from .profile import Regime, WaveParameters, validate_params
 
 __all__ = [
     "VkScanRow",
     "ZSTAR_REFERENCE",
     "norm_sq_closed",
-    "norm_sq_quadrature",
     "dnorm_domega_closed",
-    "dnorm_domega_numeric",
     "slope",
     "p_index",
     "find_zstar",
@@ -88,74 +85,9 @@ def norm_sq_closed(omega: float, z: float) -> float:
     return _charge(p, p.omega).real
 
 
-def _truncation_length(ev: ProfileEvaluator, tail_bound: float = 1e-13) -> float:
-    """Half-length L such that the integral of phi^2 beyond L is < tail_bound.
-
-    For x > max(0, -b) the integrand is bounded by
-    2*(-omega)/kappa * e^{-2*nu*(x + b)}, so the tail beyond L is below
-    (-omega)/(kappa*nu) * e^{-2*nu*(L + b)}.
-    """
-    nu = ev.root_minus_omega
-    prefactor = (-ev.params.omega) / (ev.kappa * nu)
-    L = -ev.shift_b + math.log(max(prefactor, 1e-30) / tail_bound) / (2.0 * nu)
-    return max(L, 10.0 / nu + abs(ev.shift_b))
-
-
-def norm_sq_quadrature(p: WaveParameters) -> float:
-    """||phi||^2 by adaptive quadrature, valid in both regimes.
-
-    The truncation half-length comes from the explicit exponential tail bound
-    of phi^2, so the discarded mass is below 1e-13 for every admissible
-    frequency.  Raises ConvergenceError if quad reports an IntegrationWarning.
-    """
-    ev = ProfileEvaluator.from_params(p)
-    L = _truncation_length(ev)
-
-    def integrand(x: float) -> float:
-        v = ev.value(x)
-        return float(v * v)
-
-    return even_integral(integrand, L, 1e-12)
-
-
 def dnorm_domega_closed(omega: float, z: float) -> float:
     """d/domega of ||phi||^2 for lambda1 = lambda2 = 1 in closed form; (omega, z) is validated."""
     return -slope(validate_params(1.0, 1.0, omega, z))
-
-
-def dnorm_domega_numeric(p: WaveParameters, step: float | None = None) -> float:
-    """Central finite difference of `norm_sq_quadrature` in omega.
-
-    Defaults to step = 1e-5*|omega| and performs one Richardson halving as a
-    sanity check: the halved estimate must agree with the full-step one to
-    1e-4 relative, otherwise the step is rejected.
-    """
-    if step is None:
-        step = 1e-5 * abs(p.omega)
-    if step <= 0.0:
-        raise StepError(f"step must be positive, got {step}")
-
-    def norm_at(omega: float) -> float:
-        try:
-            q = validate_params(p.lambda1, p.lambda2, omega, p.z)
-        except RegimeError as exc:
-            raise StepError(
-                f"omega = {omega} leaves the admissible regime for step {step}"
-            ) from exc
-        return norm_sq_quadrature(q)
-
-    def central(s: float) -> float:
-        return (norm_at(p.omega + s) - norm_at(p.omega - s)) / (2.0 * s)
-
-    d_full = central(step)
-    d_half = central(step / 2.0)
-    denom = max(abs(d_half), 1e-300)
-    if abs(d_full - d_half) / denom >= 1e-4:
-        raise StepError(
-            "finite-difference estimates at step and step/2 disagree beyond 1e-4 relative; "
-            f"step {step} is unreliable at omega = {p.omega}"
-        )
-    return d_half
 
 
 def slope(p: WaveParameters) -> float:
@@ -187,7 +119,10 @@ def find_zstar(
     Bisects g(z) = min over the probe grid of -d/domega ||phi||^2 down to a
     bracket width of 1e-7.  The minimum over frequencies is the conservative
     detector: the sign is uniform in omega on either side of the threshold.
+    DomainError unless finite z_lo < z_hi; BracketError with no sign change.
     """
+    if not (math.isfinite(z_lo) and math.isfinite(z_hi) and z_lo < z_hi):
+        raise DomainError(f"bracket needs finite z_lo < z_hi, got ({z_lo}, {z_hi})")
     probes = tuple(float(w) for w in omega_probe_grid)
     if not probes:
         raise BracketError("probe grid is empty")

@@ -10,15 +10,25 @@ shares no code with the Crank-Nicolson stepper it checks.
 [0, L], closing the flux condition f'(0+) = -(Z/2) f(0) by a ghost point.
 It is the reference for the even parity block sliced from the full-line
 operator.
+
+`norm_sq_quadrature` and `quadratic_form_phi` integrate the charge and the
+form (L1 phi, phi) by adaptive quadrature, and `dnorm_domega_numeric` takes
+the charge's frequency derivative by a Richardson-checked central difference
+of that quadrature.  They check the closed forms of `vk` and the discrete
+form of `spectral`; an IntegrationWarning from quad raises ConvergenceError
+whatever the warning filters.
 """
 
 import math
+import warnings
+from collections.abc import Callable
 
 import numpy as np
+from scipy.integrate import IntegrationWarning, quad
 
 from peakwave.dynamics import FieldState
-from peakwave.errors import DomainError
-from peakwave.profile import ProfileEvaluator
+from peakwave.errors import ConvergenceError, DomainError, RegimeError, StepError
+from peakwave.profile import ProfileEvaluator, WaveParameters, validate_params
 from peakwave.spectral import GridSpec, OperatorKind, TridiagonalOperator
 
 _PAD_FACTOR = 4  # zero padding of the periodic extension, in multiples of the grid
@@ -84,3 +94,94 @@ def even_sector_operator(kind: OperatorKind, p, grid: GridSpec) -> TridiagonalOp
     off = np.full(m - 1, -1.0 / h**2)
     off[0] = -math.sqrt(2.0) / h**2
     return TridiagonalOperator(diag, off, h, 0)
+
+
+def even_integral(integrand: Callable[[float], float], half_length: float, tol: float) -> float:
+    """Twice `quad` over [0, half_length], at absolute and relative `tol`;
+    an IntegrationWarning from quad raises ConvergenceError."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", IntegrationWarning)
+        try:
+            val, _ = quad(integrand, 0.0, half_length, epsabs=tol, epsrel=tol, limit=400)
+        except IntegrationWarning as exc:
+            raise ConvergenceError(f"adaptive quadrature did not converge: {exc}") from exc
+    return 2.0 * val
+
+
+def _truncation_length(ev: ProfileEvaluator, tail_bound: float = 1e-13) -> float:
+    """Half-length L such that the integral of phi^2 beyond L is < tail_bound.
+
+    For x > max(0, -b) the integrand is bounded by
+    2*(-omega)/kappa * e^{-2*nu*(x + b)}, so the tail beyond L is below
+    (-omega)/(kappa*nu) * e^{-2*nu*(L + b)}.
+    """
+    nu = ev.root_minus_omega
+    prefactor = (-ev.params.omega) / (ev.kappa * nu)
+    L = -ev.shift_b + math.log(max(prefactor, 1e-30) / tail_bound) / (2.0 * nu)
+    return max(L, 10.0 / nu + abs(ev.shift_b))
+
+
+def norm_sq_quadrature(p: WaveParameters) -> float:
+    """||phi||^2 by adaptive quadrature, valid in both regimes.
+
+    The truncation half-length comes from the explicit exponential tail bound
+    of phi^2, so the discarded mass is below 1e-13 for every admissible
+    frequency.
+    """
+    ev = ProfileEvaluator.from_params(p)
+    L = _truncation_length(ev)
+
+    def integrand(x: float) -> float:
+        v = ev.value(x)
+        return float(v * v)
+
+    return even_integral(integrand, L, 1e-12)
+
+
+def dnorm_domega_numeric(p: WaveParameters, step: float | None = None) -> float:
+    """Central finite difference of `norm_sq_quadrature` in omega.
+
+    Defaults to step = 1e-5*|omega| and performs one Richardson halving as a
+    sanity check: the halved estimate must agree with the full-step one to
+    1e-4 relative, otherwise the step is rejected.
+    """
+    if step is None:
+        step = 1e-5 * abs(p.omega)
+    if step <= 0.0:
+        raise StepError(f"step must be positive, got {step}")
+
+    def norm_at(omega: float) -> float:
+        try:
+            q = validate_params(p.lambda1, p.lambda2, omega, p.z)
+        except RegimeError as exc:
+            raise StepError(
+                f"omega = {omega} leaves the admissible regime for step {step}"
+            ) from exc
+        return norm_sq_quadrature(q)
+
+    def central(s: float) -> float:
+        return (norm_at(p.omega + s) - norm_at(p.omega - s)) / (2.0 * s)
+
+    d_full = central(step)
+    d_half = central(step / 2.0)
+    denom = max(abs(d_half), 1e-300)
+    if abs(d_full - d_half) / denom >= 1e-4:
+        raise StepError(
+            "finite-difference estimates at step and step/2 disagree beyond 1e-4 relative; "
+            f"step {step} is unreliable at omega = {p.omega}"
+        )
+    return d_half
+
+
+def quadratic_form_phi(p: WaveParameters) -> float:
+    """(L1 phi, phi) via its algebraic reduction to -2*lambda1*phi^4 - 4*lambda2*phi^6,
+    by adaptive quadrature."""
+    ev = ProfileEvaluator.from_params(p)
+    nu = ev.root_minus_omega
+    L = 40.0 / nu + 2.0 * abs(ev.shift_b)
+
+    def integrand(x: float) -> float:
+        v = float(ev.value(x))
+        return -2.0 * p.lambda1 * v**4 - 4.0 * p.lambda2 * v**6
+
+    return even_integral(integrand, L, 1e-13)

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
@@ -16,6 +17,13 @@ def run(argv, capsys):
     code = cli.main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def strict_json(text):
+    """json.loads that refuses NaN, Infinity and -Infinity."""
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+    return json.loads(text, parse_constant=reject)
 
 
 class TestProfileCommand:
@@ -121,6 +129,19 @@ class TestVkScanCommand:
         payload = json.loads(out)
         assert payload["columns"] == ["omega", "z", "norm_sq", "dnorm_domega", "p_index"]
         assert len(payload["rows"]) == 1
+
+    @pytest.mark.parametrize("bounds", [
+        ["--omega-min", "-2", "--omega-max", "nan", "--omega-points", "1", "--z-min", "0.5",
+         "--z-max", "inf"],
+        ["--omega-min=-inf", "--omega-max", "-2", "--z-min", "0.5"],
+        ["--omega-min", "-3", "--omega-max", "-2", "--z-min", "nan"],
+        ["--omega-min", "-3", "--omega-max", "-2", "--z-min", "0.5", "--z-max=-inf"],
+    ])
+    def test_nonfinite_bound_exits_2_whatever_the_counts(self, bounds, capsys):
+        code, out, err = run(["vk-scan", *bounds], capsys)
+        assert code == 2
+        assert "DomainError" in err and "must be finite" in err
+        assert out == ""
 
     def test_threshold_strength_exits_3(self, capsys):
         code, out, err = run(
@@ -228,6 +249,14 @@ class TestFindZstarCommand:
         code, _, err = run(["find-zstar", "--bracket", "-0.5", "-0.3"], capsys)
         assert code == 3
         assert "BracketError" in err
+
+    @pytest.mark.parametrize("bracket", [["-0.75", "-0.95"], ["-0.8", "-0.8"], ["nan", "-0.75"],
+                                         ["-0.95", "inf"]])
+    def test_unordered_or_nonfinite_bracket_exits_2(self, bracket, capsys):
+        code, out, err = run(["find-zstar", "--bracket", *bracket], capsys)
+        assert code == 2
+        assert "DomainError" in err
+        assert out == ""
 
 
 class TestSimulateCommand:
@@ -425,3 +454,40 @@ class TestEnumChoices:
         result = dynamics.simulate(p, dynamics.Perturbation(kind, 0.01), 0.1, 0.25 * grid.spacing, grid)
         expected = [(r.time, r.energy, r.charge, r.orbital_distance) for r in result.rows]
         assert [tuple(float(tok) for tok in line.split(",")) for line in lines[2:]] == expected
+
+
+class TestStrictJson:
+    """Every report is standard JSON: no NaN or Infinity in any header."""
+
+    WAVE = ["--l1", "1", "--l2", "1", "--omega", "-2", "--z", "-0.5"]
+    COMMANDS = {
+        "profile": ["profile", *WAVE, "--n", "21"],
+        "vk-scan": ["vk-scan", "--omega-min", "-3", "--omega-max", "-2", "--omega-points", "3",
+                    "--z-min", "1"],
+        "spectrum-L1": ["spectrum", *WAVE, "--kind", "L1", "--n", "1201", "--k", "1"],
+        "spectrum-L2": ["spectrum", *WAVE, "--kind", "L2", "--n", "1201", "--k", "1"],
+        "spectrum-free": ["spectrum", *WAVE, "--kind", "free", "--n", "1201", "--k", "1"],
+        "classify": ["classify", *WAVE, "--n", "1201"],
+        "find-zstar": ["find-zstar"],
+        "simulate": ["simulate", *WAVE, "--n", "1201", "--horizon", "0.1"],
+    }
+
+    @pytest.mark.parametrize("name", list(COMMANDS))
+    def test_json_report_parses_strictly(self, name, tmp_path, capsys):
+        argv = self.COMMANDS[name]
+        out_file = tmp_path / "report.json"
+        code, _, _ = run([*argv, "--format", "json", "--out", str(out_file)], capsys)
+        assert code == 0
+        assert strict_json(out_file.read_text())["header"]["command"] == argv[0]
+
+    def test_free_operator_has_null_kernel_residual(self, capsys):
+        code, out, _ = run(["spectrum", *self.WAVE, "--kind", "free", "--n", "1201", "--k", "1"], capsys)
+        assert code == 0
+        assert strict_json(out.split("\n")[0][2:])["kernel_residual"] is None
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_nonfinite_header_value_is_refused_unwritten(self, fmt, tmp_path):
+        out_file = tmp_path / "report"
+        with pytest.raises(ValueError):
+            cli.emit_report([(1.0,)], cli.RunConfig({"value": math.nan}, ["x"], str(out_file), fmt))
+        assert list(tmp_path.iterdir()) == []

@@ -3,6 +3,7 @@ the kernel-form oracle, and orbital-distance geometry."""
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -354,6 +355,15 @@ class TestUnpivotedFactors:
         for d, (_, scale) in zip(pivots, stepper._factors):
             assert float(np.min(d.real)) >= 1.0
             assert np.array_equal(scale, 1.0 / d)
+
+
+@pytest.mark.parametrize("dt", [math.inf, math.nan, 0.0, -1.0])
+@pytest.mark.parametrize("step", [cn_linear_step, nonlinear_phase_step, strang_step])
+def test_inadmissible_dt_is_a_step_error_without_warning(step, dt):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(StepError, match="dt"):
+            step(make_state(P, n=1201), dt)
 
 
 class TestNonlinearPhaseStep:

@@ -1,5 +1,5 @@
-"""The quadrature oracles load scipy.integrate only when called, and report a
-quadrature failure as a typed error.
+"""No peakwave import or command loads scipy.integrate, and the quadrature
+oracles of the test suite report a quadrature failure as a typed error.
 
 Import contracts are checked in a fresh interpreter, since this process has
 long since loaded scipy."""
@@ -13,11 +13,28 @@ from pathlib import Path
 
 import pytest
 
+import oracles
 import peakwave
-from peakwave import ConvergenceError, spectral, validate_params, vk
+from peakwave import ConvergenceError, validate_params
 
 POINTS = [(1.0, 1.0, -2.0, 1.0), (2.0, -1.0, -0.5, 1.0), (1.0, 1.0, -3.0, -0.5)]
 SRC = str(Path(peakwave.__file__).resolve().parent.parent)
+
+WAVE = ["--l1", "1", "--l2", "1", "--omega", "-2", "--z", "-1"]
+#: One run of every command; `{out}` is replaced by a file in a scratch directory.
+COMMANDS = [
+    ["profile", *WAVE, "--n", "21"],
+    ["vk-scan", "--l1", "2", "--l2", "-1", "--omega-min", "-0.7", "--omega-max", "-0.4",
+     "--omega-points", "4", "--z-min", "0.5"],
+    ["spectrum", *WAVE, "--kind", "L1", "--n", "1201"],
+    ["spectrum", *WAVE, "--kind", "L2", "--sector", "even", "--n", "1201", "--format", "json"],
+    ["spectrum", *WAVE, "--kind", "free", "--n", "1201", "--k", "1"],
+    ["classify", "--l1", "1", "--l2", "1", "--omega", "-2", "--z", "1", "--n", "1201",
+     "--out", "{out}"],
+    ["find-zstar", "--out", "{out}"],
+    ["simulate", *WAVE, "--n", "1201", "--horizon", "0.1", "--perturbation", "odd",
+     "--amplitude", "1e-3"],
+]
 
 
 def fresh(code: str) -> list:
@@ -49,37 +66,33 @@ class TestImportContract:
         # is that peakwave adds nothing on top of it.
         assert loaded <= scipy_modules_after("scipy.linalg.lapack")
 
-    def test_first_oracle_calls_after_cli_import_are_bitwise(self):
-        got = fresh(
-            "import json, sys\n"
-            "import peakwave.cli\n"
-            "assert 'scipy.integrate' not in sys.modules\n"
-            "from peakwave import spectral, validate_params, vk\n"
-            f"points = [validate_params(*q) for q in {POINTS!r}]\n"
-            "print(json.dumps([[vk.norm_sq_quadrature(p).hex(), spectral.quadratic_form_phi(p).hex()]\n"
-            "                  for p in points]))"
+    def test_every_command_runs_without_scipy_integrate(self, tmp_path):
+        argvs = [[str(tmp_path / f"{i}.out") if a == "{out}" else a for a in argv]
+                 for i, argv in enumerate(COMMANDS)]
+        codes, loaded = fresh(
+            "import contextlib, io, json, sys\n"
+            "from peakwave import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    codes = [cli.main(argv) for argv in {argvs!r}]\n"
+            "print(json.dumps([codes, [m for m in sys.modules if m.startswith('scipy.')]]))"
         )
-        expected = []
-        for q in POINTS:
-            p = validate_params(*q)
-            expected.append([vk.norm_sq_quadrature(p).hex(), spectral.quadratic_form_phi(p).hex()])
-        assert got == expected
+        assert codes == [0] * len(COMMANDS)
+        assert not [m for m in loaded if m == "scipy.integrate" or m.startswith("scipy.integrate.")]
+        assert set(loaded) <= scipy_modules_after("scipy.linalg.lapack")
 
 
 class TestTypedQuadratureFailure:
     @pytest.fixture
     def warning_quad(self, monkeypatch):
-        import scipy.integrate
-
         def quad(*args, **kwargs):
             warnings.warn("The maximum number of subdivisions (400) has been achieved.",
-                          scipy.integrate.IntegrationWarning, stacklevel=2)
+                          oracles.IntegrationWarning, stacklevel=2)
             return 1.0, 1.0
 
-        monkeypatch.setattr(scipy.integrate, "quad", quad)
+        monkeypatch.setattr(oracles, "quad", quad)
 
-    @pytest.mark.parametrize("oracle", [vk.norm_sq_quadrature, spectral.quadratic_form_phi,
-                                        vk.dnorm_domega_numeric])
+    @pytest.mark.parametrize("oracle", [oracles.norm_sq_quadrature, oracles.quadratic_form_phi,
+                                        oracles.dnorm_domega_numeric])
     def test_integration_warning_becomes_convergence_error(self, warning_quad, oracle):
         with pytest.raises(ConvergenceError, match="maximum number of subdivisions"):
             oracle(validate_params(*POINTS[0]))
@@ -88,4 +101,4 @@ class TestTypedQuadratureFailure:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             with pytest.raises(ConvergenceError):
-                vk.norm_sq_quadrature(validate_params(*POINTS[0]))
+                oracles.norm_sq_quadrature(validate_params(*POINTS[0]))

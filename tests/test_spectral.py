@@ -24,11 +24,10 @@ from peakwave.spectral import (
     parity_blocks,
     parity_counts,
     quadratic_form_discrete,
-    quadratic_form_phi,
     spectrum_report,
 )
 
-from oracles import even_sector_operator
+from oracles import even_sector_operator, quadratic_form_phi
 
 P_AA_POS = validate_params(1.0, 1.0, -2.0, 1.0)
 P_AA_NEG = validate_params(1.0, 1.0, -2.0, -1.0)

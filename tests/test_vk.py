@@ -2,7 +2,6 @@
 differences, slope-sign structure, and the threshold search."""
 
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,8 +10,10 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from peakwave import ProfileEvaluator, RegimeError, StepError, validate_params
-from peakwave.errors import BracketError, DegenerateError
+from peakwave.errors import BracketError, DegenerateError, DomainError
 from peakwave import vk
+
+from oracles import _truncation_length, dnorm_domega_numeric, norm_sq_quadrature
 
 
 def _fd(fun, x, h):
@@ -51,11 +52,6 @@ def defocusing_points(draw):
 admissible_points = st.one_of(focusing_points(), defocusing_points())
 
 
-def closed_form_only():
-    """Make the quadrature oracle raise, so a result cannot have come from quadrature."""
-    return mock.patch.object(vk, "norm_sq_quadrature", side_effect=AssertionError("quadrature called"))
-
-
 class TestClosedFormCoefficients:
     def test_inadmissible_rejected(self):
         # Closed forms accept only (omega, z) admissible for unit coefficients.
@@ -67,17 +63,15 @@ class TestClosedFormAllCoefficients:
     @given(admissible_points)
     @settings(max_examples=60, deadline=None)
     def test_charge_matches_quadrature(self, p):
-        expected = vk.norm_sq_quadrature(p)
-        with closed_form_only():
-            row = vk.scan(p.lambda1, p.lambda2, [p.omega], [p.z])[0]
+        expected = norm_sq_quadrature(p)
+        row = vk.scan(p.lambda1, p.lambda2, [p.omega], [p.z])[0]
         assert row.norm_sq == pytest.approx(expected, rel=1e-10)
 
     @given(admissible_points)
     @settings(max_examples=40, deadline=None)
     def test_slope_matches_finite_difference(self, p):
-        expected = -vk.dnorm_domega_numeric(p)
-        with closed_form_only():
-            assert vk.slope(p) == pytest.approx(expected, rel=1e-6)
+        expected = -dnorm_domega_numeric(p)
+        assert vk.slope(p) == pytest.approx(expected, rel=1e-6)
 
     @given(
         l1=st.floats(0.2, 5.0),
@@ -91,9 +85,8 @@ class TestClosedFormAllCoefficients:
         omega = -minus_omega_u * l1 * l1 / l2
         above = validate_params(l1, l2, omega, zstar * (1.0 - 1e-3))
         below = validate_params(l1, l2, omega, zstar * (1.0 + 1e-3))
-        with closed_form_only():
-            assert vk.slope(above) > 0.0 > vk.slope(below)
-            assert vk.p_index(above) == 1 and vk.p_index(below) == 0
+        assert vk.slope(above) > 0.0 > vk.slope(below)
+        assert vk.p_index(above) == 1 and vk.p_index(below) == 0
 
     def test_threshold_is_root_three_over_two(self):
         assert vk.ZSTAR_REFERENCE == -math.sqrt(3.0) / 2.0
@@ -113,7 +106,7 @@ class TestNormSqClosed:
     def test_matches_quadrature(self, omega, z):
         p = validate_params(1.0, 1.0, omega, z)
         assert vk.norm_sq_closed(omega, z) == pytest.approx(
-            vk.norm_sq_quadrature(p), abs=1e-8
+            norm_sq_quadrature(p), abs=1e-8
         )
 
     def test_negative_strength_carries_more_mass(self):
@@ -125,7 +118,7 @@ class TestNormSqClosed:
             for omega in (-1.8, -2.5, -3.5, -6.0, -12.0, -40.0):
                 p = validate_params(1.0, 1.0, omega, z)
                 assert vk.norm_sq_closed(omega, z) == pytest.approx(
-                    vk.norm_sq_quadrature(p), abs=1e-8
+                    norm_sq_quadrature(p), abs=1e-8
                 ), (omega, z)
 
     def test_continuity_across_zero_strength(self):
@@ -146,12 +139,12 @@ class TestNormSqQuadrature:
                           epsabs=1e-13, epsrel=1e-13, limit=400)
             return 2.0 * val
 
-        L = vk._truncation_length(ev)
+        L = _truncation_length(ev)
         assert abs(integral(L) - integral(2.0 * L)) < 1e-11
 
     def test_ar_regime_positive_finite(self):
         p = validate_params(2.0, -1.0, -0.5, 1.0)
-        value = vk.norm_sq_quadrature(p)
+        value = norm_sq_quadrature(p)
         assert math.isfinite(value) and value > 0.0
 
 
@@ -172,19 +165,19 @@ class TestDnormDomegaNumeric:
     @pytest.mark.parametrize("z", [1.0, -1.0])
     def test_ar_slope_positive(self, z):
         p = validate_params(2.0, -1.0, -0.5, z)
-        assert -vk.dnorm_domega_numeric(p) > 0.0
+        assert -dnorm_domega_numeric(p) > 0.0
 
     def test_matches_closed_form(self):
         for (omega, z) in [(-2.0, 1.0), (-3.0, -0.5), (-1.5, 0.0)]:
             p = validate_params(1.0, 1.0, omega, z)
-            numeric = vk.dnorm_domega_numeric(p)
+            numeric = dnorm_domega_numeric(p)
             closed = vk.dnorm_domega_closed(omega, z)
             assert numeric == pytest.approx(closed, rel=1e-5)
 
     def test_step_leaving_regime_rejected(self):
         p = validate_params(2.0, -1.0, -0.74, 0.5)
         with pytest.raises(StepError):
-            vk.dnorm_domega_numeric(p, step=0.05)
+            dnorm_domega_numeric(p, step=0.05)
 
 
 class TestPIndex:
@@ -223,7 +216,7 @@ class TestSignStructure:
                     continue
                 for omega in -np.linspace(lo, hi, 4):
                     p = validate_params(l1, l2, float(omega), float(z))
-                    assert -vk.dnorm_domega_numeric(p) > 0.0, (l1, l2, omega, z)
+                    assert -dnorm_domega_numeric(p) > 0.0, (l1, l2, omega, z)
 
 
 class TestFindZstar:
@@ -247,6 +240,16 @@ class TestFindZstar:
         with pytest.raises(BracketError):
             vk.find_zstar(z_lo=-0.5, z_hi=-0.3)
 
+    @pytest.mark.parametrize("z_lo,z_hi", [(-0.75, -0.95), (-0.8, -0.8), (math.nan, -0.75),
+                                           (-0.95, math.nan), (-math.inf, -0.75), (-0.95, math.inf)])
+    def test_unordered_or_nonfinite_bracket_rejected_before_evaluation(self, z_lo, z_hi, monkeypatch):
+        def evaluated(*args):
+            raise AssertionError("slope evaluated")
+
+        monkeypatch.setattr(vk, "dnorm_domega_closed", evaluated)
+        with pytest.raises(DomainError, match="bracket"):
+            vk.find_zstar(z_lo=z_lo, z_hi=z_hi)
+
 
 class TestScan:
     def test_rows_and_index_invariant(self):
@@ -264,5 +267,5 @@ class TestScan:
         rows = vk.scan(2.0, -1.0, [-0.5], [1.0])
         assert rows[0].p_index == 1
         assert rows[0].norm_sq == pytest.approx(
-            vk.norm_sq_quadrature(validate_params(2.0, -1.0, -0.5, 1.0)), rel=1e-10
+            norm_sq_quadrature(validate_params(2.0, -1.0, -0.5, 1.0)), rel=1e-10
         )
