@@ -23,13 +23,7 @@ from .profile import (
     Regime,
     Side,
     WaveParameters,
-    jump_defect,
-    ode_residual,
     phi_center_sq,
-    phi_derivative,
-    phi_eval,
-    r_inverse,
-    r_map,
     validate_params,
 )
 
@@ -52,12 +46,6 @@ __all__ = [
     "Regime",
     "Side",
     "WaveParameters",
-    "jump_defect",
-    "ode_residual",
     "phi_center_sq",
-    "phi_derivative",
-    "phi_eval",
-    "r_inverse",
-    "r_map",
     "validate_params",
 ]

@@ -12,8 +12,10 @@ a temporary path and renamed, so no command leaves a partial file behind.
 `--outdir` needs `--out`, and so does `--format json` on `classify` and
 `find-zstar`, which otherwise print a one-line summary.  Exit codes: 0
 success, 2 parameter/usage error (a bad `simulate --dt`, `find-zstar
---bracket` or `vk-scan` bound included), 3 numerical error (grid errors
-included), 4 I/O error.  A header holding NaN or Infinity is not written.
+--bracket` or `vk-scan` bound included, and a `simulate` of more than
+`dynamics.MAX_STEPS` steps or a `vk-scan` of more than `MAX_SCAN_ROWS`
+rows), 3 numerical error (grid errors included), 4 I/O error.  A header
+holding NaN or Infinity is not written.
 """
 
 from __future__ import annotations
@@ -189,7 +191,14 @@ def _cmd_profile(args) -> int:
     return 0
 
 
+#: Most rows one vk-scan may tabulate (--omega-points times --z-points).
+MAX_SCAN_ROWS = 10**6
+
+
 def _cmd_vk_scan(args) -> int:
+    if args.omega_points * args.z_points > MAX_SCAN_ROWS:
+        raise DomainError(f"--omega-points {args.omega_points} times --z-points {args.z_points} "
+                          f"exceeds the cap of {MAX_SCAN_ROWS} rows")
     omegas = _linspace("omega", args.omega_min, args.omega_max, args.omega_points)
     z_max = args.z_min if args.z_max is None else args.z_max
     zs = _linspace("z", args.z_min, z_max, args.z_points)

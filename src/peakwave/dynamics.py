@@ -3,9 +3,9 @@
 The flow i u_t + u_xx + Z delta(x) u + lambda1 |u|^2 u + lambda2 |u|^4 u = 0
 is split into an exact pointwise phase rotation for the power nonlinearities
 and a Crank-Nicolson step for the linear defect part i u_t = A u, with A the
-bare-defect operator of `spectral.discretize_operator`.  Every stepper is
-built from that operator, so `simulate`, `strang_step` and `cn_linear_step`
-share its grid contract (resolution and extent bounds, GridError otherwise).
+bare-defect operator of `spectral.discretize_operator`.  The stepper is
+built from that operator, so `simulate` shares its grid contract (resolution
+and extent bounds, GridError otherwise).
 Strang composition of the two is second order in time and conserves the
 discrete charge to solver roundoff.
 
@@ -39,12 +39,9 @@ row.  Rows come from one fused kernel over the array the loop steps (for an
 even run the x >= 0 half, weighted as its mirror image), which takes |u|^2
 as re^2 + im^2; the profile for the orbital distance is sampled once per
 run, and only the final state is unfolded and wrapped in a FieldState.
-`discrete_energy`, `discrete_charge` and `orbital_distance` are full-line
-wrappers over the same kernel.
 The blow-up guard reads the |u|^2 the rotation already computes and also
-trips on NaN and inf, raising BlowupError.  `strang_step`, `cn_linear_step`
-and `nonlinear_phase_step` are thin wrappers over the same rotation and
-Crank-Nicolson kernels.
+trips on NaN and inf, raising BlowupError.  A run may take at most
+`MAX_STEPS` steps.
 """
 
 from __future__ import annotations
@@ -67,13 +64,6 @@ __all__ = [
     "Perturbation",
     "SimRow",
     "SimulationResult",
-    "discrete_energy",
-    "discrete_charge",
-    "cn_linear_step",
-    "nonlinear_phase_step",
-    "strang_step",
-    "orbital_distance",
-    "sampled_profile",
     "simulate",
 ]
 
@@ -94,17 +84,6 @@ class FieldState:
             )
         if not np.all(np.isfinite(self.samples.view(float))):
             raise DomainError("field samples must be finite")
-
-
-def discrete_energy(u: FieldState) -> float:
-    """Energy with the defect term: (1/2)int|u_x|^2 - (l1/4)int|u|^4
-    - (l2/6)int|u|^6 - (Z/2)|u(0)|^2, trapezoidal in space."""
-    return _Observables(u.params, u.grid)(u.samples)[0]
-
-
-def discrete_charge(u: FieldState) -> float:
-    """Half the squared discrete L^2 norm."""
-    return _Observables(u.params, u.grid)(u.samples)[1]
 
 
 def _unpivoted_ldu(lower: np.ndarray, diag: np.ndarray,
@@ -210,6 +189,9 @@ def _stepper(p: WaveParameters, grid: GridSpec, dt: float) -> _ParityCrankNicols
     return _ParityCrankNicolson(discretize_operator(OperatorKind.FREE_WITH_DELTA, p, grid), dt)
 
 
+#: Most Strang steps one `simulate` run may take (horizon_T / dt).
+MAX_STEPS = 10**7
+
 #: Below this |angle| the rounded cos is exactly 1.0 and the rounded sin is the angle.
 _TRIVIAL_ANGLE = 2.0**-27
 
@@ -262,56 +244,9 @@ def _check_dt_cap(dt: float, grid: GridSpec) -> None:
         raise StepError(f"dt = {dt} exceeds the stability/accuracy cap 0.5*h = {0.5 * grid.spacing}")
 
 
-def cn_linear_step(u: FieldState, dt: float) -> FieldState:
-    """One Crank-Nicolson step of the linear defect flow i u_t = A u.
-
-    Unitary in the discrete L^2 norm up to solver roundoff, so the charge is
-    conserved to better than 1e-13 relative per step.
-    """
-    _check_positive_dt(dt)
-    stepper = _stepper(u.params, u.grid, dt)
-    return FieldState(stepper.step(np.asarray(u.samples, dtype=complex)), u.grid, u.time + dt, u.params)
-
-
-def nonlinear_phase_step(u: FieldState, dt: float) -> FieldState:
-    """Exact rotation u -> u * exp(i dt (l1|u|^2 + l2|u|^4)); moduli unchanged."""
-    _check_positive_dt(dt)
-    v = np.array(u.samples, dtype=complex)
-    v *= _phase(v, dt, u.params)[0]
-    return FieldState(v, u.grid, u.time, u.params)
-
-
-def strang_step(u: FieldState, dt: float) -> FieldState:
-    """Nonlinear half step, Crank-Nicolson full step, nonlinear half step."""
-    _check_dt_cap(dt, u.grid)
-    _check_positive_dt(dt)
-    v = np.array(u.samples, dtype=complex)
-    v *= _phase(v, 0.5 * dt, u.params)[0]
-    v = _stepper(u.params, u.grid, dt).step(v)
-    v *= _phase(v, 0.5 * dt, u.params)[0]
-    return FieldState(v, u.grid, u.time + dt, u.params)
-
-
 def _h1_norm_sq(v: np.ndarray, h: float) -> float:
     """Squared discrete H^1 norm of a real sample vector."""
     return float(np.sum(v**2)) * h + float(np.sum(np.diff(v) ** 2)) / h
-
-
-def sampled_profile(p: WaveParameters, grid: GridSpec) -> np.ndarray:
-    return ProfileEvaluator.from_params(p).value(grid.nodes())
-
-
-def orbital_distance(u: FieldState, p: WaveParameters, phi: np.ndarray | None = None) -> float:
-    """inf over theta of the discrete H^1 distance to e^{i theta} phi.
-
-    The minimizing phase is the argument of the H^1 pairing with the (real)
-    profile; the distance to that rotation is then taken directly, which
-    resolves it down to rounding of the field rather than of its O(1) norm.
-    `phi` is the profile sampled on u's grid; it is sampled here when not given.
-    """
-    if phi is None:
-        phi = sampled_profile(p, u.grid)
-    return _Observables(u.params, u.grid, phi)(u.samples)[2]
 
 
 class _Observables:
@@ -436,10 +371,11 @@ def simulate(
     x >= 0 half by the even-block solve alone, its rows are taken from that
     half with mirror weights, and it is unfolded only for the final state.
     Raises
-    DomainError unless `horizon_T` is finite and positive, `output_stride`
-    is None or at least 1, the amplitude is finite (for every kind, `NONE`
-    included) and, when a bump is added, |amplitude| is at most a tenth of
-    phi's discrete H^1 norm; GridError if the grid fails
+    DomainError unless `horizon_T` is finite and positive, horizon_T / dt
+    is at most `MAX_STEPS`, `output_stride` is None or at least 1, the
+    amplitude is finite (for every kind, `NONE` included) and, when a bump
+    is added, |amplitude| is at most a tenth of phi's discrete H^1 norm;
+    GridError if the grid fails
     `discretize_operator`'s resolution or extent bound, and BlowupError if
     the amplitude exceeds one thousand times its initial peak or the field
     stops being finite.
@@ -454,7 +390,9 @@ def simulate(
         dt = 0.25 * grid.spacing
     _check_dt_cap(dt, grid)
     _check_positive_dt(dt)
-    phi = sampled_profile(p, grid)
+    if horizon_T / dt > MAX_STEPS:
+        raise DomainError(f"horizon_T / dt = {horizon_T / dt:.6g} steps exceeds the cap of {MAX_STEPS}")
+    phi = ProfileEvaluator.from_params(p).value(grid.nodes())
     state = _initial_state(p, perturbation, grid, phi)
     steps = max(1, int(round(horizon_T / dt)))
     if output_stride is None:

@@ -9,7 +9,7 @@ decaying profile.  Away from the defect phi solves
 and at x = 0 it carries the derivative jump phi'(0+) - phi'(0-) = -Z*phi(0).
 The profile is an absolute-value translate of the defect-free solution; the
 translation is fixed through the inverse of an odd increasing diffeomorphism
-r_map : R -> (-1, 1), evaluated at Z / (2*sqrt(-omega)).
+R : R -> (-1, 1) (`_r_raw`), evaluated at Z / (2*sqrt(-omega)).
 
 Two parameter regimes admit such waves: cubic and quintic both focusing
 (attractive-attractive), and focusing cubic with defocusing quintic
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, RegimeError
+from .errors import RegimeError
 
 __all__ = [
     "Regime",
@@ -33,12 +33,6 @@ __all__ = [
     "WaveParameters",
     "ProfileEvaluator",
     "validate_params",
-    "r_map",
-    "r_inverse",
-    "phi_eval",
-    "phi_derivative",
-    "ode_residual",
-    "jump_defect",
     "phi_center_sq",
 ]
 
@@ -123,7 +117,7 @@ def _r_raw(arg, alpha: float, kappa: float):
     are rescaled by e^{-|arg|} so large arguments cannot overflow.  The result
     is clamped one ulp inside +-1: the clamp only engages when the true value
     is within an ulp of the boundary, and it keeps the open range (-1, 1) of
-    the exact map valid in float semantics (r_inverse stays total on outputs).
+    the exact map valid in float semantics (its inverse stays total on outputs).
     """
     arg = np.asarray(arg, dtype=float)
     t = np.abs(arg)
@@ -145,12 +139,6 @@ def _r_prime_raw(arg, alpha: float, kappa: float, nu: float):
     return num / den
 
 
-def r_map(s, p: WaveParameters):
-    """Odd increasing diffeomorphism R -> (-1, 1) that fixes the profile shift."""
-    alpha, kappa, nu = _coefficients(p)
-    return _r_raw(2.0 * nu * np.asarray(s, dtype=float), alpha, kappa)
-
-
 def _r_inverse_raw(y: float, alpha: float, kappa: float, nu: float) -> float:
     # With t = tanh(nu*s) the definition becomes the quadratic
     #   y*(kappa - alpha)*t^2 - 2*kappa*t + y*(alpha + kappa) = 0,
@@ -159,15 +147,6 @@ def _r_inverse_raw(y: float, alpha: float, kappa: float, nu: float) -> float:
     disc = kappa * kappa - y * y * (kappa * kappa - alpha * alpha)
     t = y * (alpha + kappa) / (kappa + math.sqrt(disc))
     return math.atanh(t) / nu
-
-
-def r_inverse(y: float, p: WaveParameters) -> float:
-    """Inverse of :func:`r_map`, computed in closed form (no iteration)."""
-    y = float(y)
-    if not abs(y) < 1.0:
-        raise DomainError(f"r_inverse requires |y| < 1, got {y}")
-    alpha, kappa, nu = _coefficients(p)
-    return _r_inverse_raw(y, alpha, kappa, nu)
 
 
 @dataclass(frozen=True)
@@ -227,37 +206,6 @@ class ProfileEvaluator:
         return (-nu * rp + (nu * r) ** 2) * phi
 
 
-def phi_eval(x, p: WaveParameters):
-    """Profile value phi(x)."""
-    return ProfileEvaluator.from_params(p).value(x)
-
-
-def phi_derivative(x, side: Side, p: WaveParameters):
-    """One-sided analytic derivative of the profile."""
-    return ProfileEvaluator.from_params(p).derivative(x, side)
-
-
-def ode_residual(x: float, p: WaveParameters) -> float:
-    """phi'' + omega*phi + lambda1*phi^3 + lambda2*phi^5 at x != 0.
-
-    Vanishes identically for the exact profile; the returned value measures
-    only floating-point error of the closed forms.
-    """
-    if np.any(np.asarray(x) == 0.0):
-        raise DomainError("ode_residual is defined off the defect (x != 0)")
-    ev = ProfileEvaluator.from_params(p)
-    phi = ev.value(x)
-    return ev.second_derivative(x) + p.omega * phi + p.lambda1 * phi**3 + p.lambda2 * phi**5
-
-
-def jump_defect(p: WaveParameters) -> float:
-    """phi'(0+) - phi'(0-) + Z*phi(0); zero up to rounding by construction."""
-    ev = ProfileEvaluator.from_params(p)
-    right = float(ev.derivative(0.0, Side.RIGHT))
-    left = float(ev.derivative(0.0, Side.LEFT))
-    return right - left + p.z * float(ev.value(0.0))
-
-
 def phi_center_sq(p: WaveParameters) -> float:
     """Closed-form phi(0)^2 in the attractive-repulsive regime.
 
@@ -268,7 +216,7 @@ def phi_center_sq(p: WaveParameters) -> float:
     """
     if p.regime is not Regime.ATTRACTIVE_REPULSIVE:
         raise RegimeError("phi_center_sq closed form applies to the attractive-repulsive regime; "
-                          "use phi_eval(0)**2 otherwise")
+                          "use ProfileEvaluator.value(0)**2 otherwise")
     inner = 1.0 - (16.0 * p.lambda2 / (3.0 * p.lambda1**2)) * (p.omega + p.z * p.z / 4.0)
     return (-3.0 * p.lambda1 / (4.0 * p.lambda2)) * (1.0 - math.sqrt(inner))
 

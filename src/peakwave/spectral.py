@@ -13,7 +13,8 @@ defect: three-point Laplacian, potential on the diagonal, and -Z/h lumped on
 the center node.  Its even and odd parity blocks are slices of it
 (`parity_blocks`): the even one is the half-line reduction with the flux
 condition f'(0+) = -(Z/2) f(0), the odd one the Dirichlet half-line operator.
-Negative counts are made per block, and n_full = n_even + n_odd.
+Negative counts are made per block by `parity_counts`; the full-line Morse
+index is their sum n_even + n_odd.
 
 Eigenvalue counts come from Sturm/Sylvester inertia (negative pivots of the
 shifted triangular factorization), eigenvalues from bisection on the count,
@@ -49,7 +50,6 @@ __all__ = [
     "inertia_below",
     "lowest_eigenpairs",
     "parity_counts",
-    "morse_index",
     "zero_exclusion_shift",
     "kernel_residual",
     "spectrum_report",
@@ -261,11 +261,6 @@ def parity_counts(kind: OperatorKind, p: WaveParameters, grid: GridSpec) -> tupl
             f"(even, odd) = {counts[0]} -> {counts[1]} at omega={p.omega}, Z={p.z}"
         )
     return counts[0]
-
-
-def morse_index(kind: OperatorKind, p: WaveParameters, grid: GridSpec) -> int:
-    """Number of negative eigenvalues on the full line, verified stable under one refinement."""
-    return sum(parity_counts(kind, p, grid))
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,14 @@ the charge's frequency derivative by a Richardson-checked central difference
 of that quadrature.  They check the closed forms of `vk` and the discrete
 form of `spectral`; an IntegrationWarning from quad raises ConvergenceError
 whatever the warning filters.
+
+`r_map` and `r_inverse` expose the shift diffeomorphism of `profile` and its
+closed-form inverse, and `ode_residual` and `jump_defect` measure how well the
+closed-form profile solves the ODE and the jump condition.  The full-line
+observables `discrete_energy`, `discrete_charge` and `orbital_distance`, and
+the one-step functions `cn_linear_step`, `nonlinear_phase_step` and
+`strang_step`, apply the private kernels `dynamics.simulate` runs on (its
+cached stepper, phase rotation and observables kernel) to a `FieldState`.
 """
 
 import math
@@ -26,9 +34,10 @@ from collections.abc import Callable
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
-from peakwave.dynamics import FieldState
+from peakwave.dynamics import FieldState, _check_dt_cap, _check_positive_dt, _Observables, _phase, _stepper
 from peakwave.errors import ConvergenceError, DomainError, RegimeError, StepError
-from peakwave.profile import ProfileEvaluator, WaveParameters, validate_params
+from peakwave.profile import ProfileEvaluator, Side, WaveParameters, validate_params
+from peakwave.profile import _coefficients, _r_inverse_raw, _r_raw
 from peakwave.spectral import GridSpec, OperatorKind, TridiagonalOperator
 
 _PAD_FACTOR = 4  # zero padding of the periodic extension, in multiples of the grid
@@ -185,3 +194,93 @@ def quadratic_form_phi(p: WaveParameters) -> float:
         return -2.0 * p.lambda1 * v**4 - 4.0 * p.lambda2 * v**6
 
     return even_integral(integrand, L, 1e-13)
+
+
+def r_map(s, p: WaveParameters):
+    """Odd increasing diffeomorphism R -> (-1, 1) that fixes the profile shift."""
+    alpha, kappa, nu = _coefficients(p)
+    return _r_raw(2.0 * nu * np.asarray(s, dtype=float), alpha, kappa)
+
+
+def r_inverse(y: float, p: WaveParameters) -> float:
+    """Inverse of :func:`r_map`, computed in closed form (no iteration)."""
+    y = float(y)
+    if not abs(y) < 1.0:
+        raise DomainError(f"r_inverse requires |y| < 1, got {y}")
+    alpha, kappa, nu = _coefficients(p)
+    return _r_inverse_raw(y, alpha, kappa, nu)
+
+
+def ode_residual(x: float, p: WaveParameters) -> float:
+    """phi'' + omega*phi + lambda1*phi^3 + lambda2*phi^5 at x != 0.
+
+    Vanishes identically for the exact profile; the returned value measures
+    only floating-point error of the closed forms.
+    """
+    if np.any(np.asarray(x) == 0.0):
+        raise DomainError("ode_residual is defined off the defect (x != 0)")
+    ev = ProfileEvaluator.from_params(p)
+    phi = ev.value(x)
+    return ev.second_derivative(x) + p.omega * phi + p.lambda1 * phi**3 + p.lambda2 * phi**5
+
+
+def jump_defect(p: WaveParameters) -> float:
+    """phi'(0+) - phi'(0-) + Z*phi(0); zero up to rounding by construction."""
+    ev = ProfileEvaluator.from_params(p)
+    right = float(ev.derivative(0.0, Side.RIGHT))
+    left = float(ev.derivative(0.0, Side.LEFT))
+    return right - left + p.z * float(ev.value(0.0))
+
+
+def discrete_energy(u: FieldState) -> float:
+    """Energy with the defect term: (1/2)int|u_x|^2 - (l1/4)int|u|^4
+    - (l2/6)int|u|^6 - (Z/2)|u(0)|^2, trapezoidal in space."""
+    return _Observables(u.params, u.grid)(u.samples)[0]
+
+
+def discrete_charge(u: FieldState) -> float:
+    """Half the squared discrete L^2 norm."""
+    return _Observables(u.params, u.grid)(u.samples)[1]
+
+
+def orbital_distance(u: FieldState, p: WaveParameters, phi: np.ndarray | None = None) -> float:
+    """inf over theta of the discrete H^1 distance to e^{i theta} phi.
+
+    The minimizing phase is the argument of the H^1 pairing with the (real)
+    profile; the distance to that rotation is then taken directly, which
+    resolves it down to rounding of the field rather than of its O(1) norm.
+    `phi` is the profile sampled on u's grid; it is sampled here when not given.
+    """
+    if phi is None:
+        phi = ProfileEvaluator.from_params(p).value(u.grid.nodes())
+    return _Observables(u.params, u.grid, phi)(u.samples)[2]
+
+
+def cn_linear_step(u: FieldState, dt: float) -> FieldState:
+    """One Crank-Nicolson step of the linear defect flow i u_t = A u.
+
+    Unitary in the discrete L^2 norm up to solver roundoff, so the charge is
+    conserved to better than 1e-13 relative per step.
+    """
+    _check_positive_dt(dt)
+    stepper = _stepper(u.params, u.grid, dt)
+    return FieldState(stepper.step(np.asarray(u.samples, dtype=complex)), u.grid, u.time + dt, u.params)
+
+
+def nonlinear_phase_step(u: FieldState, dt: float) -> FieldState:
+    """Exact rotation u -> u * exp(i dt (l1|u|^2 + l2|u|^4)); moduli unchanged."""
+    _check_positive_dt(dt)
+    v = np.array(u.samples, dtype=complex)
+    v *= _phase(v, dt, u.params)[0]
+    return FieldState(v, u.grid, u.time, u.params)
+
+
+def strang_step(u: FieldState, dt: float) -> FieldState:
+    """Nonlinear half step, Crank-Nicolson full step, nonlinear half step."""
+    _check_dt_cap(dt, u.grid)
+    _check_positive_dt(dt)
+    v = np.array(u.samples, dtype=complex)
+    v *= _phase(v, 0.5 * dt, u.params)[0]
+    v = _stepper(u.params, u.grid, dt).step(v)
+    v *= _phase(v, 0.5 * dt, u.params)[0]
+    return FieldState(v, u.grid, u.time + dt, u.params)

@@ -12,23 +12,13 @@ import time
 
 import numpy as np
 
-from peakwave import (
-    jump_defect,
-    ode_residual,
-    phi_eval,
-    validate_params,
-)
+from peakwave import ProfileEvaluator, validate_params
 from peakwave import dynamics, spectral, stability, vk
-from peakwave.dynamics import (
-    FieldState,
-    Perturbation,
-    PerturbationKind,
-    cn_linear_step,
-    simulate,
-)
+from peakwave.dynamics import FieldState, Perturbation, PerturbationKind, simulate
 from peakwave.spectral import GridSpec, OperatorKind
 
-from oracles import dnorm_domega_numeric, kernel_propagator_apply, quadratic_form_phi
+from oracles import cn_linear_step, dnorm_domega_numeric, jump_defect, kernel_propagator_apply
+from oracles import ode_residual, quadratic_form_phi
 
 # 25 admissible parameter points spanning both regimes.
 AA_POINTS = [
@@ -81,8 +71,9 @@ def test_criterion_1_profile_correctness():
     for point in ALL_POINTS:
         p = validate_params(*point)
         nu = math.sqrt(-p.omega)
+        ev = ProfileEvaluator.from_params(p)
         for x in (0.2 / nu, -0.45 / nu, 0.7 / nu, 1.3 / nu, -2.9 / nu, 5.5 / nu, 0.08):
-            scaled = abs(float(ode_residual(x, p))) / max(1.0, float(phi_eval(x, p)))
+            scaled = abs(float(ode_residual(x, p))) / max(1.0, float(ev.value(x)))
             worst_residual = max(worst_residual, scaled)
             assert scaled < 1e-10, (point, x)
         jump = abs(jump_defect(p))
@@ -120,10 +111,10 @@ def test_criterion_3_morse_indices():
     worst_l2 = 0.0
     for z, expected in [(0.5, 1), (1.0, 1), (2.0, 1), (-0.3, 2), (-0.7, 2), (-1.2, 2)]:
         p = validate_params(1.0, 1.0, -2.0, z)
-        n_coarse = spectral.morse_index(OperatorKind.L1, p, spectral.default_grid(p, 2001))
-        n_fine = spectral.morse_index(OperatorKind.L1, p, spectral.default_grid(p, 4001))
+        n_coarse = sum(spectral.parity_counts(OperatorKind.L1, p, spectral.default_grid(p, 2001)))
+        n_fine = sum(spectral.parity_counts(OperatorKind.L1, p, spectral.default_grid(p, 4001)))
         assert n_coarse == n_fine == expected, z
-        assert spectral.morse_index(OperatorKind.L2, p, l2_grid) == 0, z
+        assert sum(spectral.parity_counts(OperatorKind.L2, p, l2_grid)) == 0, z
         l2_zero = spectral.kernel_residual(p, l2_grid).l2_zero_abs
         worst_l2 = max(worst_l2, l2_zero)
         assert l2_zero < 5e-4, z

@@ -143,6 +143,17 @@ class TestVkScanCommand:
         assert "DomainError" in err and "must be finite" in err
         assert out == ""
 
+    @pytest.mark.parametrize("counts", [
+        ["--omega-points", "100000000000000000000"],
+        ["--omega-points", "1001", "--z-points", "1000", "--z-max", "0.9"],
+    ], ids=["huge-count", "product-over"])
+    def test_row_cap_exits_2_before_any_list(self, counts, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "_linspace", None)
+        code, out, err = run(["vk-scan", "--omega-min", "-3", "--omega-max", "-1", "--z-min", "0.5",
+                              *counts], capsys)
+        assert (code, out) == (2, "")
+        assert "DomainError" in err and f"cap of {cli.MAX_SCAN_ROWS} rows" in err
+
     def test_threshold_strength_exits_3(self, capsys):
         code, out, err = run(
             ["vk-scan", "--omega-min", "-6", "--omega-max", "-1.5", "--omega-points", "6",
@@ -344,6 +355,15 @@ class TestSimulateCommand:
              f"--dt={dt}", "--horizon", "0.1", "--n", "1201", "--out", str(out_file)], capsys)
         assert (code, out) == (2, "")
         assert "StepError" in err and "dt" in err
+        assert not out_file.exists()
+
+    def test_step_cap_exits_2(self, tmp_path, capsys):
+        out_file = tmp_path / "sim.csv"
+        code, out, err = run(
+            ["simulate", "--l1", "1", "--l2", "1", "--omega", "-2", "--z", "1",
+             "--horizon", "0.1", "--dt", "1e-300", "--out", str(out_file)], capsys)
+        assert (code, out) == (2, "")
+        assert "DomainError" in err and f"cap of {dynamics.MAX_STEPS}" in err
         assert not out_file.exists()
 
     def test_nonfinite_horizon_exits_2(self, capsys):

@@ -9,25 +9,14 @@ import numpy as np
 import pytest
 from scipy.linalg.lapack import zgttrf, zgttrs
 
-from peakwave import validate_params
+from peakwave import ProfileEvaluator, validate_params
 from peakwave.errors import BlowupError, DomainError, GridError, StepError
 from peakwave import dynamics, spectral, vk
-from peakwave.dynamics import (
-    FieldState,
-    Perturbation,
-    PerturbationKind,
-    cn_linear_step,
-    discrete_charge,
-    discrete_energy,
-    nonlinear_phase_step,
-    orbital_distance,
-    sampled_profile,
-    simulate,
-    strang_step,
-)
+from peakwave.dynamics import FieldState, Perturbation, PerturbationKind, simulate
 from peakwave.spectral import GridSpec, OperatorKind
 
-from oracles import kernel_propagator_apply
+from oracles import cn_linear_step, discrete_charge, discrete_energy, kernel_propagator_apply
+from oracles import nonlinear_phase_step, orbital_distance, strang_step
 
 P = validate_params(1.0, 1.0, -2.0, 1.0)
 UNSTABLE = validate_params(1.0, 1.0, -2.0, -0.5)
@@ -36,7 +25,7 @@ UNSTABLE = validate_params(1.0, 1.0, -2.0, -0.5)
 def make_state(p, n=2001, L=None, samples=None):
     grid = spectral.default_grid(p, n_points=n) if L is None else GridSpec(L, n)
     if samples is None:
-        samples = sampled_profile(p, grid).astype(complex)
+        samples = ProfileEvaluator.from_params(p).value(grid.nodes()).astype(complex)
     return FieldState(samples, grid, 0.0, p)
 
 
@@ -54,7 +43,7 @@ def energy_reference(u):
 def distance_reference(u, p):
     """orbital_distance's formula in complex arithmetic with complex abs."""
     h, v = u.grid.spacing, u.samples
-    phi = sampled_profile(p, u.grid)
+    phi = ProfileEvaluator.from_params(p).value(u.grid.nodes())
     pairing = complex(np.sum(v * phi) * h + np.sum(np.diff(v) * np.diff(phi)) / h)
     w = v - cmath.exp(1j * cmath.phase(pairing)) * phi
     return math.sqrt(float(np.sum(np.abs(w) ** 2)) * h + float(np.sum(np.abs(np.diff(w)) ** 2)) / h)
@@ -118,7 +107,7 @@ class TestObservableOracles:
     def test_energy_and_distance_match_complex_forms(self, p, kind):
         grid = spectral.default_grid(p, n_points=1201)
         pert = Perturbation(kind, 0.0 if kind is PerturbationKind.NONE else 1e-2)
-        u0 = dynamics._initial_state(p, pert, grid, sampled_profile(p, grid))
+        u0 = dynamics._initial_state(p, pert, grid, ProfileEvaluator.from_params(p).value(grid.nodes()))
         rotated = FieldState(u0.samples * cmath.exp(0.7j), grid, 0.0, p)
         evolved = simulate(p, pert, 0.5, grid=grid).final
         for u in (u0, rotated, evolved):
@@ -132,7 +121,7 @@ class TestObservableOracles:
         c = grid.center_index
         v = (1.0 + 0.5j) * np.cos(0.3 * grid.nodes()[c:]) + 0.2j
         u = FieldState(dynamics._unfold_even(v), grid, 0.0, P)
-        phi = sampled_profile(P, grid)
+        phi = ProfileEvaluator.from_params(P).value(grid.nodes())
         assert discrete_energy(u) == pytest.approx(energy_reference(u), rel=1e-13, abs=0.0)
         charge = 0.5 * grid.spacing * float(np.sum(np.abs(u.samples) ** 2))
         assert discrete_charge(u) == pytest.approx(charge, rel=1e-13, abs=0.0)
@@ -231,7 +220,7 @@ class TestCnLinearStep:
         p = validate_params(1.0, 1.0, -2.0, z)
         grid = spectral.default_grid(p, n_points=1201)
         x = grid.nodes()
-        u = (1.0 - 0.4j) * sampled_profile(p, grid) + (0.2 + 0.3j) * np.exp(-x * x)
+        u = (1.0 - 0.4j) * ProfileEvaluator.from_params(p).value(x) + (0.2 + 0.3j) * np.exp(-x * x)
         assert np.array_equal(u, u[::-1])
         stepper = dynamics._stepper(p, grid, 0.25 * grid.spacing)
         c = grid.center_index
@@ -308,7 +297,7 @@ class TestUnpivotedFactors:
         dt = 0.25 * grid.spacing
         op = self._operator(p, 4001)
         stepper, reference = dynamics._ParityCrankNicolson(op, dt), PivotedReference(op, dt)
-        phi = sampled_profile(p, grid)
+        phi = ProfileEvaluator.from_params(p).value(grid.nodes())
         c = grid.center_index
         odd = dynamics._initial_state(p, Perturbation(PerturbationKind.ODD_BUMP, 1e-2), grid, phi)
         assert self._relative(stepper.step(odd.samples), reference.step(odd.samples)) <= 1e-13
@@ -324,7 +313,7 @@ class TestUnpivotedFactors:
         assert PivotedReference(op, dt).interchanges() > 0
         x = grid.nodes()
         rng = np.random.default_rng(17)
-        u = (sampled_profile(p, grid) + np.exp(-(x - 1.3) ** 2 + 2.0j * x)
+        u = (ProfileEvaluator.from_params(p).value(x) + np.exp(-(x - 1.3) ** 2 + 2.0j * x)
              + 1e-3 * (rng.standard_normal(x.size) + 1j * rng.standard_normal(x.size)))
         a = np.diag(op.diagonal) + np.diag(op.offdiagonal, 1) + np.diag(op.offdiagonal, -1)
         b = 0.5j * dt * a
@@ -429,7 +418,7 @@ class TestWindowedPhase:
         self.assert_bitwise(theta)
 
     def test_profile_window(self):
-        theta = rotation_angle(sampled_profile(P, self.GRID), self.DT, P)
+        theta = rotation_angle(ProfileEvaluator.from_params(P).value(self.GRID.nodes()), self.DT, P)
         active = np.abs(theta) >= dynamics._TRIVIAL_ANGLE
         assert 0 < np.count_nonzero(active) < len(theta)
         self.assert_bitwise(theta)
@@ -524,7 +513,7 @@ class TestOrbitalDistance:
         psi = x * np.exp(-x * x)
         h = grid.spacing
         norm = math.sqrt(float(np.sum(psi**2)) * h + float(np.sum(np.diff(psi) ** 2)) / h)
-        u = FieldState(cmath.exp(0.3j) * (sampled_profile(P, grid) + eps * psi), grid, 0.0, P)
+        u = FieldState(cmath.exp(0.3j) * (ProfileEvaluator.from_params(P).value(x) + eps * psi), grid, 0.0, P)
         assert orbital_distance(u, P) == pytest.approx(eps * norm, rel=1e-5)
 
     def test_orbit_point_is_zero(self):
@@ -539,13 +528,14 @@ class TestOrbitalDistance:
         chi = np.exp(-x * x)
         h = grid.spacing
         h1 = math.sqrt(float(np.sum(chi**2)) * h + float(np.sum(np.diff(chi) ** 2)) / h)
-        u = FieldState(sampled_profile(P, grid) + 1e-3 * chi / h1, grid, 0.0, P)
+        u = FieldState(ProfileEvaluator.from_params(P).value(x) + 1e-3 * chi / h1, grid, 0.0, P)
         assert orbital_distance(u, P) <= 1e-3 + 1e-12
 
     def test_phase_invariance(self):
         grid = spectral.default_grid(P, n_points=2001)
         x = grid.nodes()
-        u = FieldState((sampled_profile(P, grid) + 0.01 * np.exp(-x * x)).astype(complex), grid, 0.0, P)
+        u = FieldState((ProfileEvaluator.from_params(P).value(x) + 0.01 * np.exp(-x * x)).astype(complex),
+                       grid, 0.0, P)
         base = orbital_distance(u, P)
         rotated = FieldState(u.samples * cmath.exp(1.3j), grid, 0.0, P)
         assert orbital_distance(rotated, P) == pytest.approx(base, rel=1e-12)
@@ -593,7 +583,7 @@ class TestSimulate:
         # Unperturbed run: u(t) should match e^{-i omega t} phi up to scheme error.
         result = simulate(P, Perturbation(PerturbationKind.NONE, 0.0), 10.0)
         u = result.final
-        phi = sampled_profile(P, u.grid)
+        phi = ProfileEvaluator.from_params(P).value(u.grid.nodes())
         pairing = complex(np.sum(u.samples * phi))
         aligned = u.samples * cmath.exp(-1j * cmath.phase(pairing))
         assert float(np.max(np.abs(aligned - phi))) < 1e-3
@@ -619,6 +609,15 @@ class TestSimulate:
     def test_horizon_must_be_finite_and_positive(self, horizon):
         with pytest.raises(DomainError, match="horizon_T"):
             simulate(P, Perturbation(PerturbationKind.NONE, 0.0), horizon,
+                     grid=spectral.default_grid(P, n_points=1201))
+
+    @pytest.mark.parametrize("horizon,dt", [
+        (0.1, 1e-300), (1e300, 1e-3), (dynamics.MAX_STEPS * 1e-3 * (1.0 + 1e-9), 1e-3),
+    ], ids=["tiny-dt", "huge-horizon", "just-over"])
+    def test_step_count_capped_before_sampling(self, horizon, dt, monkeypatch):
+        monkeypatch.setattr(dynamics, "ProfileEvaluator", None)
+        with pytest.raises(DomainError, match="exceeds the cap"):
+            simulate(P, Perturbation(PerturbationKind.NONE, 0.0), horizon, dt=dt,
                      grid=spectral.default_grid(P, n_points=1201))
 
     @pytest.mark.parametrize("n", [3, 5])
@@ -666,7 +665,8 @@ class TestSimulateEquivalence:
     STEPS = 900  # the default stride is STEPS // 400 = 2, so half rotations merge
 
     def _strang_states(self, pert, dt):
-        u = dynamics._initial_state(P, pert, self.GRID, sampled_profile(P, self.GRID))
+        phi = ProfileEvaluator.from_params(P).value(self.GRID.nodes())
+        u = dynamics._initial_state(P, pert, self.GRID, phi)
         states = [u]
         for _ in range(self.STEPS):
             u = strang_step(u, dt)
@@ -726,7 +726,7 @@ class TestSimulateEquivalence:
     @pytest.mark.parametrize("p", [P, UNSTABLE], ids=["stable", "unstable"])
     def test_even_rows_match_full_line_observables(self, p, monkeypatch):
         grid, result, halves = self._even_run(p, monkeypatch)
-        phi = sampled_profile(p, grid)
+        phi = ProfileEvaluator.from_params(p).value(grid.nodes())
         assert len(halves) == len(result.rows)
         for row, v in zip(result.rows, halves):
             u = FieldState(dynamics._unfold_even(v), grid, row.time, p)

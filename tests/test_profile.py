@@ -14,15 +14,11 @@ from peakwave import (
     Regime,
     RegimeError,
     Side,
-    jump_defect,
-    ode_residual,
     phi_center_sq,
-    phi_derivative,
-    phi_eval,
-    r_inverse,
-    r_map,
     validate_params,
 )
+
+from oracles import jump_defect, ode_residual, r_inverse, r_map
 
 AA = validate_params(1.0, 1.0, -1.0, 0.0)
 AR = validate_params(2.0, -1.0, -0.5, 1.0)
@@ -172,12 +168,12 @@ class TestPhiEval:
         alpha = 0.25
         kappa = math.sqrt(alpha**2 + 1.0 / 3.0)
         expected = math.sqrt(1.0 / (alpha + kappa))
-        assert float(phi_eval(0.0, AA)) == pytest.approx(expected, rel=1e-14)
+        assert float(ProfileEvaluator.from_params(AA).value(0.0)) == pytest.approx(expected, rel=1e-14)
         assert expected == pytest.approx(1.06652, abs=1e-5)
 
     def test_first_integral_at_center(self):
         # Substituting phi(0) into the first integral closes it (phi'(0)=0 at Z=0).
-        phi0 = float(phi_eval(0.0, AA))
+        phi0 = float(ProfileEvaluator.from_params(AA).value(0.0))
         residual = AA.omega * phi0**2 + 0.5 * phi0**4 + (1.0 / 3.0) * phi0**6
         assert abs(residual) < 1e-14
 
@@ -185,40 +181,45 @@ class TestPhiEval:
     def test_even(self, point):
         p = _params(point)
         x = np.array([0.3, 1.1, 2.7, 6.0])
-        assert np.all(phi_eval(x, p) == phi_eval(-x, p))
+        ev = ProfileEvaluator.from_params(p)
+        assert np.all(ev.value(x) == ev.value(-x))
 
     def test_z_zero_reduces_to_defect_free_formula(self):
         p = validate_params(1.0, 1.0, -2.0, 0.0)
         alpha, kappa = 0.25, math.sqrt(0.25**2 + 2.0 / 3.0)
         for x in (0.0, 0.7, 2.2):
             direct = math.sqrt(2.0 / (alpha + kappa * math.cosh(2.0 * math.sqrt(2.0) * x)))
-            assert float(phi_eval(x, p)) == pytest.approx(direct, rel=1e-13)
+            assert float(ProfileEvaluator.from_params(p).value(x)) == pytest.approx(direct, rel=1e-13)
 
     def test_exponential_decay(self):
         p = validate_params(1.0, 1.0, -1.0, 0.5)
-        ratio = float(phi_eval(12.0, p)) / float(phi_eval(11.0, p))
+        ev = ProfileEvaluator.from_params(p)
+        ratio = float(ev.value(12.0)) / float(ev.value(11.0))
         assert ratio == pytest.approx(math.exp(-1.0), rel=1e-2)
 
     def test_no_overflow_far_out(self):
-        assert float(phi_eval(1e6, AA)) == 0.0
+        assert float(ProfileEvaluator.from_params(AA).value(1e6)) == 0.0
 
 
 class TestPhiDerivative:
     def test_sides_agree_off_origin(self):
+        ev = ProfileEvaluator.from_params(AR)
         for x in (0.5, -1.2, 3.0):
-            left = float(phi_derivative(x, Side.LEFT, AR))
-            right = float(phi_derivative(x, Side.RIGHT, AR))
+            left = float(ev.derivative(x, Side.LEFT))
+            right = float(ev.derivative(x, Side.RIGHT))
             assert left == right
 
     def test_peak_slope_positive_strength(self):
         p = validate_params(1.0, 1.0, -3.0, 2.0)
-        expected = -(p.z / 2.0) * float(phi_eval(0.0, p))
-        assert float(phi_derivative(0.0, Side.RIGHT, p)) == pytest.approx(expected, rel=1e-13)
-        assert float(phi_derivative(0.0, Side.RIGHT, p)) < 0.0
+        ev = ProfileEvaluator.from_params(p)
+        expected = -(p.z / 2.0) * float(ev.value(0.0))
+        assert float(ev.derivative(0.0, Side.RIGHT)) == pytest.approx(expected, rel=1e-13)
+        assert float(ev.derivative(0.0, Side.RIGHT)) < 0.0
 
     def test_smooth_maximum_at_zero_strength(self):
         p = validate_params(1.0, 1.0, -2.0, 0.0)
-        assert float(phi_derivative(0.0, Side.RIGHT, p)) == pytest.approx(0.0, abs=1e-15)
+        dphi = float(ProfileEvaluator.from_params(p).derivative(0.0, Side.RIGHT))
+        assert dphi == pytest.approx(0.0, abs=1e-15)
 
     def test_two_hump_shape_negative_strength(self):
         p = validate_params(1.0, 1.0, -3.0, -2.0)
@@ -233,7 +234,7 @@ class TestPhiDerivative:
     def test_monotone_decay_positive_strength(self):
         p = validate_params(1.0, 1.0, -2.0, 1.0)
         x = np.linspace(0.05, 8.0, 200)
-        values = phi_eval(x, p)
+        values = ProfileEvaluator.from_params(p).value(x)
         assert np.all(np.diff(values) < 0.0)
 
 
@@ -243,7 +244,7 @@ class TestOdeResidual:
         p = _params(point)
         nu = math.sqrt(-p.omega)
         for x in (0.7 / nu, -1.3 / nu, 0.1, 3.0 / nu):
-            bound = 1e-10 * max(1.0, float(phi_eval(x, p)))
+            bound = 1e-10 * max(1.0, float(ProfileEvaluator.from_params(p).value(x)))
             assert abs(float(ode_residual(x, p))) < bound
 
     def test_specific_points(self):
@@ -277,16 +278,18 @@ class TestFirstIntegral:
     def test_first_integral_off_origin(self, point):
         p = _params(point)
         alpha, beta = p.lambda1 / 4.0, p.lambda2 / 3.0
+        ev = ProfileEvaluator.from_params(p)
         for x in (0.4, 1.9, -0.9):
-            phi = float(phi_eval(x, p))
-            dphi = float(phi_derivative(x, Side.RIGHT, p))
+            phi = float(ev.value(x))
+            dphi = float(ev.derivative(x, Side.RIGHT))
             value = dphi**2 + p.omega * phi**2 + 2.0 * alpha * phi**4 + beta * phi**6
             assert abs(value) < 1e-10
 
 
 class TestPhiCenterSq:
     def test_matches_direct_evaluation(self):
-        assert phi_center_sq(AR) == pytest.approx(float(phi_eval(0.0, AR)) ** 2, abs=1e-10)
+        phi0 = float(ProfileEvaluator.from_params(AR).value(0.0))
+        assert phi_center_sq(AR) == pytest.approx(phi0**2, abs=1e-10)
 
     def test_regime_error_outside_ar(self):
         with pytest.raises(RegimeError):
@@ -316,9 +319,10 @@ class TestPhiCenterSq:
 def test_profile_properties_attractive_attractive(omega, z_frac, x):
     """Positivity, evenness, and the ODE residual over random admissible points."""
     p = validate_params(1.0, 1.0, omega, z_frac * 2.0 * math.sqrt(-omega))
-    value = float(phi_eval(x, p))
+    ev = ProfileEvaluator.from_params(p)
+    value = float(ev.value(x))
     assert value > 0.0
-    assert float(phi_eval(-x, p)) == value
+    assert float(ev.value(-x)) == value
     if x != 0.0:
         assert abs(float(ode_residual(x, p))) < 1e-10 * max(1.0, value)
     assert abs(jump_defect(p)) < 1e-12

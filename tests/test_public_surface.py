@@ -1,0 +1,74 @@
+"""The public surface: what each module exports, and the names that left it.
+
+The package exports what the command line, the verdict pipeline and
+`simulate` use.  The functions that only check it live in `tests/oracles.py`
+(or were thin wrappers of what remains), and none is an attribute of its old
+module any more.
+"""
+
+import importlib
+
+PUBLIC = {
+    "peakwave": [
+        "__version__",
+        "BlowupError",
+        "BracketError",
+        "ConvergenceError",
+        "DegenerateError",
+        "DomainError",
+        "GridError",
+        "InstabilityError",
+        "PeakwaveError",
+        "PreconditionError",
+        "RegimeError",
+        "StepError",
+        "ProfileEvaluator",
+        "Regime",
+        "Side",
+        "WaveParameters",
+        "phi_center_sq",
+        "validate_params",
+    ],
+    "peakwave.profile": [
+        "Regime", "Side", "WaveParameters", "ProfileEvaluator", "validate_params", "phi_center_sq",
+    ],
+    "peakwave.vk": [
+        "VkScanRow", "ZSTAR_REFERENCE", "norm_sq_closed", "dnorm_domega_closed", "slope", "p_index",
+        "find_zstar", "scan",
+    ],
+    "peakwave.spectral": [
+        "Sector", "OperatorKind", "GridSpec", "TridiagonalOperator", "SpectrumReport", "KernelReport",
+        "default_grid", "discretize_operator", "parity_blocks", "inertia_below", "lowest_eigenpairs",
+        "parity_counts", "zero_exclusion_shift", "kernel_residual", "spectrum_report",
+        "quadratic_form_discrete", "negative_direction_check",
+    ],
+    "peakwave.stability": [
+        "Space", "Outcome", "Provenance", "Verdict", "classify_numeric", "classify_analytic", "compare",
+    ],
+    "peakwave.dynamics": [
+        "FieldState", "PerturbationKind", "Perturbation", "SimRow", "SimulationResult", "simulate",
+    ],
+    "peakwave.cli": ["main", "RunConfig", "emit_report"],
+}
+
+_PROFILE_REMOVED = ["phi_eval", "phi_derivative", "r_map", "r_inverse", "ode_residual", "jump_defect"]
+
+REMOVED = {
+    "peakwave": _PROFILE_REMOVED,
+    "peakwave.profile": _PROFILE_REMOVED,
+    "peakwave.spectral": ["morse_index"],
+    "peakwave.dynamics": [
+        "sampled_profile", "discrete_energy", "discrete_charge", "orbital_distance", "strang_step",
+        "cn_linear_step", "nonlinear_phase_step",
+    ],
+}
+
+
+def test_exports_are_pinned_and_removed_names_are_gone():
+    for name, exported in PUBLIC.items():
+        module = importlib.import_module(name)
+        assert module.__all__ == exported, name
+        assert [attr for attr in exported if not hasattr(module, attr)] == [], name
+    for name, gone in REMOVED.items():
+        module = importlib.import_module(name)
+        assert [attr for attr in gone if hasattr(module, attr)] == [], name

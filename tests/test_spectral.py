@@ -19,7 +19,6 @@ from peakwave.spectral import (
     inertia_below,
     kernel_residual,
     lowest_eigenpairs,
-    morse_index,
     negative_direction_check,
     parity_blocks,
     parity_counts,
@@ -158,11 +157,11 @@ class TestMorseIndex:
                                             (-0.3, 2), (-0.7, 2), (-1.2, 2)])
     def test_counts_full_line(self, z, expected):
         p = validate_params(1.0, 1.0, -2.0, z)
-        assert morse_index(OperatorKind.L1, p, grid_for(p)) == expected
+        assert sum(parity_counts(OperatorKind.L1, p, grid_for(p))) == expected
 
     @pytest.mark.parametrize("p", [P_AA_POS, P_AA_NEG, P_AR_POS])
     def test_second_operator_has_none(self, p):
-        assert morse_index(OperatorKind.L2, p, grid_for(p)) == 0
+        assert sum(parity_counts(OperatorKind.L2, p, grid_for(p))) == 0
 
     @pytest.mark.parametrize("p", [P_AA_POS, P_AA_NEG, P_AR_POS])
     def test_even_sector_count_is_one(self, p):
@@ -172,12 +171,12 @@ class TestMorseIndex:
 
     def test_stable_across_three_grids(self):
         for n in (2001, 4001, 8001):
-            assert morse_index(OperatorKind.L1, P_AA_NEG, grid_for(P_AA_NEG, n)) == 2
+            assert sum(parity_counts(OperatorKind.L1, P_AA_NEG, grid_for(P_AA_NEG, n))) == 2
 
     def test_ar_counts(self):
-        assert morse_index(OperatorKind.L1, P_AR_POS, grid_for(P_AR_POS)) == 1
+        assert sum(parity_counts(OperatorKind.L1, P_AR_POS, grid_for(P_AR_POS))) == 1
         p = validate_params(2.0, -1.0, -0.5, -1.0)
-        assert morse_index(OperatorKind.L1, p, grid_for(p)) == 2
+        assert sum(parity_counts(OperatorKind.L1, p, grid_for(p))) == 2
 
 
 def seeded_points(seed, count):
@@ -231,7 +230,7 @@ class TestParityBlocks:
                 op = discretize_operator(kind, p, grid)
                 shift = -spectral.zero_exclusion_shift(grid, p)
                 assert n_even + n_odd == inertia_below(op, shift), (p, kind, grid.n_points)
-            assert morse_index(kind, p, g) == n_even + n_odd
+            assert sum(parity_counts(kind, p, g)) == n_even + n_odd
 
     def test_blocks_share_the_spectrum(self):
         op = discretize_operator(OperatorKind.L1, P_AA_NEG, grid_for(P_AA_NEG))
