@@ -8,7 +8,6 @@ stability threshold of the defect strength, and split-step time integration.
 from .errors import (
     BlowupError,
     BracketError,
-    ConvergenceError,
     DegenerateError,
     DomainError,
     GridError,
@@ -33,7 +32,6 @@ __all__ = [
     "__version__",
     "BlowupError",
     "BracketError",
-    "ConvergenceError",
     "DegenerateError",
     "DomainError",
     "GridError",

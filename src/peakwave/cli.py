@@ -12,10 +12,10 @@ a temporary path and renamed, so no command leaves a partial file behind.
 `--outdir` needs `--out`, and so does `--format json` on `classify` and
 `find-zstar`, which otherwise print a one-line summary.  Exit codes: 0
 success, 2 parameter/usage error (a bad `simulate --dt`, `find-zstar
---bracket` or `vk-scan` bound included, and a `simulate` of more than
-`dynamics.MAX_STEPS` steps or a `vk-scan` of more than `MAX_SCAN_ROWS`
-rows), 3 numerical error (grid errors included), 4 I/O error.  A header
-holding NaN or Infinity is not written.
+--bracket` or `vk-scan` bound included, a `--n` above `MAX_GRID_POINTS`,
+and a `simulate` of more than `dynamics.MAX_STEPS` steps or a `vk-scan` of
+more than `MAX_SCAN_ROWS` rows), 3 numerical error (grid errors included),
+4 I/O error.  A header holding NaN or Infinity is not written.
 """
 
 from __future__ import annotations
@@ -147,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_choice(p_spec, "--kind", OperatorKind.L1)
     _add_choice(p_spec, "--sector", Sector.FULL_LINE)
     p_spec.add_argument("--n", type=int, default=4001)
-    p_spec.add_argument("--k", type=int, default=3, help="number of eigenpairs to extract")
+    p_spec.add_argument("--k", type=int, default=3, help="number of lowest eigenvalues to list")
     _add_output_flags(p_spec)
 
     p_cls = sub.add_parser("classify", help="stability verdict, numeric and analytic")
@@ -217,7 +217,7 @@ def _cmd_spectrum(args) -> int:
     grid = spectral.default_grid(p, _odd(args.n))
     sector = Sector(args.sector)
     report = spectral.spectrum_report(OperatorKind(args.kind), p, grid, k=args.k, sector=sector)
-    rows = [(i, lam) for i, (lam, _) in enumerate(report.lowest_pairs)]
+    rows = list(enumerate(report.eigenvalues))
     n_points = grid.n_points if sector is Sector.FULL_LINE else grid.center_index + 1
     _report(args, ["index", "eigenvalue"], rows,
             kind=args.kind, sector=args.sector,
@@ -267,9 +267,17 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+#: Most grid nodes one command may build (--n, after rounding up to odd).
+MAX_GRID_POINTS = 10**6
+
+
 def _odd(n: int) -> int:
-    """Node count rounded up to odd, so a full-line grid has a node at x = 0."""
-    return n if n % 2 == 1 else n + 1
+    """Node count rounded up to odd, so a full-line grid has a node at x = 0;
+    DomainError above MAX_GRID_POINTS, before any grid is built."""
+    odd = n if n % 2 == 1 else n + 1
+    if odd > MAX_GRID_POINTS:
+        raise DomainError(f"--n {n} exceeds the cap of {MAX_GRID_POINTS} grid points")
+    return odd
 
 
 def _linspace(name: str, lo: float, hi: float, count: int) -> list[float]:

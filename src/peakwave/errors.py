@@ -38,10 +38,6 @@ class InstabilityError(PeakwaveError):
     """A count or check changed under grid refinement."""
 
 
-class ConvergenceError(PeakwaveError):
-    """An iterative solver failed to reach its tolerance."""
-
-
 class BlowupError(PeakwaveError):
     """Field amplitude exceeded the blow-up guard during time integration."""
 

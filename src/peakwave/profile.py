@@ -127,18 +127,6 @@ def _r_raw(arg, alpha: float, kappa: float):
     return np.clip(num / den, -_ONE_INSIDE, _ONE_INSIDE)
 
 
-def _r_prime_raw(arg, alpha: float, kappa: float, nu: float):
-    """dR/ds at hyperbolic argument arg = 2*nu*s, overflow-safe."""
-    arg = np.asarray(arg, dtype=float)
-    t = np.abs(arg)
-    em = np.exp(-t)
-    # R'(s) = 2*nu*kappa*(alpha*cosh + kappa) / (alpha + kappa*cosh)^2,
-    # with numerator and denominator scaled by e^{-2|arg|}.
-    num = 2.0 * nu * kappa * (alpha * 0.5 * (1.0 + em * em) * em + kappa * em * em)
-    den = (alpha * em + kappa * 0.5 * (1.0 + em * em)) ** 2
-    return num / den
-
-
 def _r_inverse_raw(y: float, alpha: float, kappa: float, nu: float) -> float:
     # With t = tanh(nu*s) the definition becomes the quadratic
     #   y*(kappa - alpha)*t^2 - 2*kappa*t + y*(alpha + kappa) = 0,
@@ -194,16 +182,6 @@ class ProfileEvaluator:
         side_sign = 1.0 if side is Side.RIGHT else -1.0
         sign = np.where(x_arr == 0.0, side_sign, sign)
         return -sign * self.slope_factor(x_arr) * self.value(x_arr)
-
-    def second_derivative(self, x):
-        """phi''(x) for x != 0 by differentiating the closed form once more."""
-        x_arr = np.asarray(x, dtype=float)
-        a = self._arg(x_arr)
-        nu = self.root_minus_omega
-        r = _r_raw(a, self.alpha, self.kappa)
-        rp = _r_prime_raw(a, self.alpha, self.kappa, nu)
-        phi = self.value(x_arr)
-        return (-nu * rp + (nu * r) ** 2) * phi
 
 
 def phi_center_sq(p: WaveParameters) -> float:

@@ -17,11 +17,10 @@ Negative counts are made per block by `parity_counts`; the full-line Morse
 index is their sum n_even + n_odd.
 
 Eigenvalue counts come from Sturm/Sylvester inertia (negative pivots of the
-shifted triangular factorization), eigenvalues from bisection on the count,
-and eigenvectors from one LAPACK stein call (inverse iteration with
-reorthogonalization) at the bisected eigenvalues; importing this module loads
-only scipy.linalg.  `quadratic_form_discrete` samples the form (L1 phi, phi)
-on a grid.
+shifted triangular factorization) and eigenvalues from bisection on the
+count.  The stability argument needs only where the spectra sit relative to
+0, so no eigenvector is computed, and importing this module loads no scipy.
+`quadratic_form_discrete` samples the form (L1 phi, phi) on a grid.
 """
 
 from __future__ import annotations
@@ -29,12 +28,11 @@ from __future__ import annotations
 import enum
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dstein
 
-from .errors import ConvergenceError, DomainError, GridError, InstabilityError, RegimeError
+from .errors import DomainError, GridError, InstabilityError, RegimeError
 from .profile import ProfileEvaluator, Regime, WaveParameters, phi_center_sq
 
 __all__ = [
@@ -48,7 +46,7 @@ __all__ = [
     "discretize_operator",
     "parity_blocks",
     "inertia_below",
-    "lowest_eigenpairs",
+    "lowest_eigenvalues",
     "parity_counts",
     "zero_exclusion_shift",
     "kernel_residual",
@@ -217,23 +215,11 @@ def _eigenvalue_by_index(op: TridiagonalOperator, index: int) -> float:
     return 0.5 * (lo + hi)
 
 
-def lowest_eigenpairs(op: TridiagonalOperator, k: int) -> list[tuple[float, np.ndarray]]:
-    """k smallest eigenpairs; eigenvalues by inertia bisection to 1e-10,
-    eigenvectors by LAPACK stein (inverse iteration with reorthogonalization)
-    at those eigenvalues, normalized in the h-weighted norm and signed so the
-    entry of largest magnitude at x >= 0 is positive."""
+def lowest_eigenvalues(op: TridiagonalOperator, k: int) -> list[float]:
+    """k smallest eigenvalues, ascending, by inertia bisection to 1e-10."""
     if not 1 <= k <= 5:
         raise DomainError(f"k must be between 1 and 5, got {k}")
-    n = op.size
-    lams = [_eigenvalue_by_index(op, j) for j in range(k)]
-    # Every coupling is -1/h^2 or -sqrt(2)/h^2, so the matrix is one unsplit block.
-    vecs, info = dstein(op.diagonal, op.offdiagonal, lams, np.ones(n, np.int32), np.full(n, n, np.int32))
-    if info != 0:
-        raise ConvergenceError(f"LAPACK stein failed with info = {info} at eigenvalues {lams}")
-    vecs = vecs.T / math.sqrt(op.spacing)
-    c = op.origin_row
-    # Signing on x >= 0 alone keeps the mirrored peaks of an odd vector from tying.
-    return [(lam, v if v[c + int(np.argmax(np.abs(v[c:])))] > 0.0 else -v) for lam, v in zip(lams, vecs)]
+    return [_eigenvalue_by_index(op, j) for j in range(k)]
 
 
 def zero_exclusion_shift(grid: GridSpec, p: WaveParameters) -> float:
@@ -296,20 +282,20 @@ def kernel_residual(p: WaveParameters, grid: GridSpec) -> KernelReport:
     return KernelReport(abs(_eigenvalue_by_index(l2_even, 0)), min(map(_distance_to_zero, l1_blocks)))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class SpectrumReport:
     """Discrete-spectrum summary of one operator realization; the bare defect
     has no kernel to measure, so its `kernel_residual` is None."""
 
     negative_count: int
-    lowest_pairs: list[tuple[float, np.ndarray]] = field(repr=False)
+    eigenvalues: list[float]
     kernel_residual: float | None
     essential_edge: float
 
 
 def spectrum_report(kind: OperatorKind, p: WaveParameters, grid: GridSpec, k: int = 3,
                     sector: Sector = Sector.FULL_LINE) -> SpectrumReport:
-    """Negative count, k lowest eigenpairs, and the essential-spectrum edge.
+    """Negative count, k lowest eigenvalues, and the essential-spectrum edge.
 
     The even sector is the even parity block.  Only eigenvalues below the
     essential edge are listed (-omega for the linearized operators, 0 for the
@@ -319,9 +305,7 @@ def spectrum_report(kind: OperatorKind, p: WaveParameters, grid: GridSpec, k: in
     if sector is Sector.EVEN_SECTOR:
         op = parity_blocks(op)[0]
     edge = 0.0 if kind is OperatorKind.FREE_WITH_DELTA else -p.omega
-    lowest = lowest_eigenpairs(op, k)
-    lams = [lam for lam, _ in lowest]
-    pairs = [(lam, v) for lam, v in lowest if lam < edge]
+    lams = lowest_eigenvalues(op, k)
     negative = inertia_below(op, -zero_exclusion_shift(grid, p))
     if kind is OperatorKind.L2:
         resid = abs(lams[0])
@@ -329,7 +313,7 @@ def spectrum_report(kind: OperatorKind, p: WaveParameters, grid: GridSpec, k: in
         resid = _distance_to_zero(op, lams)
     else:
         resid = None
-    return SpectrumReport(negative, pairs, resid, edge)
+    return SpectrumReport(negative, [lam for lam in lams if lam < edge], resid, edge)
 
 
 def quadratic_form_discrete(p: WaveParameters, grid: GridSpec) -> float:

@@ -15,16 +15,24 @@ operator.
 form (L1 phi, phi) by adaptive quadrature, and `dnorm_domega_numeric` takes
 the charge's frequency derivative by a Richardson-checked central difference
 of that quadrature.  They check the closed forms of `vk` and the discrete
-form of `spectral`; an IntegrationWarning from quad raises ConvergenceError
+form of `spectral`; an IntegrationWarning from quad raises QuadratureError
 whatever the warning filters.
+
+`lapack_eigenvalues` and `lapack_eigenvector` take the lowest eigenvalues
+and one eigenvector of a `TridiagonalOperator` from LAPACK (bisection by
+stebz, inverse iteration by stein).  They check the inertia bisection of
+`spectral` and the operator itself, through the eigenfunctions the package
+never computes.
 
 `r_map` and `r_inverse` expose the shift diffeomorphism of `profile` and its
 closed-form inverse, and `ode_residual` and `jump_defect` measure how well the
-closed-form profile solves the ODE and the jump condition.  The full-line
-observables `discrete_energy`, `discrete_charge` and `orbital_distance`, and
-the one-step functions `cn_linear_step`, `nonlinear_phase_step` and
-`strang_step`, apply the private kernels `dynamics.simulate` runs on (its
-cached stepper, phase rotation and observables kernel) to a `FieldState`.
+closed-form profile solves the ODE and the jump condition; `ode_residual`
+takes phi'' from `second_derivative`, the closed form differentiated once
+more.  The full-line observables `discrete_energy`, `discrete_charge` and
+`orbital_distance`, and the one-step functions `cn_linear_step`,
+`nonlinear_phase_step` and `strang_step`, apply the private kernels
+`dynamics.simulate` runs on (its cached stepper, phase rotation and
+observables kernel) to a `FieldState`.
 """
 
 import math
@@ -33,14 +41,19 @@ from collections.abc import Callable
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
+from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 
 from peakwave.dynamics import FieldState, _check_dt_cap, _check_positive_dt, _Observables, _phase, _stepper
-from peakwave.errors import ConvergenceError, DomainError, RegimeError, StepError
+from peakwave.errors import DomainError, RegimeError, StepError
 from peakwave.profile import ProfileEvaluator, Side, WaveParameters, validate_params
 from peakwave.profile import _coefficients, _r_inverse_raw, _r_raw
 from peakwave.spectral import GridSpec, OperatorKind, TridiagonalOperator
 
 _PAD_FACTOR = 4  # zero padding of the periodic extension, in multiples of the grid
+
+
+class QuadratureError(Exception):
+    """An adaptive quadrature of an oracle did not converge."""
 
 
 def kernel_propagator_apply(psi: FieldState, t: float) -> FieldState:
@@ -105,15 +118,27 @@ def even_sector_operator(kind: OperatorKind, p, grid: GridSpec) -> TridiagonalOp
     return TridiagonalOperator(diag, off, h, 0)
 
 
+def lapack_eigenvalues(op: TridiagonalOperator, k: int) -> list[float]:
+    """The k smallest eigenvalues of `op`, ascending, by LAPACK stebz."""
+    return eigvalsh_tridiagonal(op.diagonal, op.offdiagonal, select="i", select_range=(0, k - 1)).tolist()
+
+
+def lapack_eigenvector(op: TridiagonalOperator, index: int) -> np.ndarray:
+    """Eigenvector `index` (0 = lowest) of `op` by LAPACK stein, unit in the
+    h-weighted norm; its sign is whatever LAPACK returns."""
+    _, vecs = eigh_tridiagonal(op.diagonal, op.offdiagonal, select="i", select_range=(index, index))
+    return vecs[:, 0] / math.sqrt(op.spacing)
+
+
 def even_integral(integrand: Callable[[float], float], half_length: float, tol: float) -> float:
     """Twice `quad` over [0, half_length], at absolute and relative `tol`;
-    an IntegrationWarning from quad raises ConvergenceError."""
+    an IntegrationWarning from quad raises QuadratureError."""
     with warnings.catch_warnings():
         warnings.simplefilter("error", IntegrationWarning)
         try:
             val, _ = quad(integrand, 0.0, half_length, epsabs=tol, epsrel=tol, limit=400)
         except IntegrationWarning as exc:
-            raise ConvergenceError(f"adaptive quadrature did not converge: {exc}") from exc
+            raise QuadratureError(f"adaptive quadrature did not converge: {exc}") from exc
     return 2.0 * val
 
 
@@ -211,6 +236,29 @@ def r_inverse(y: float, p: WaveParameters) -> float:
     return _r_inverse_raw(y, alpha, kappa, nu)
 
 
+def _r_prime_raw(arg, alpha: float, kappa: float, nu: float):
+    """dR/ds at hyperbolic argument arg = 2*nu*s, overflow-safe."""
+    arg = np.asarray(arg, dtype=float)
+    t = np.abs(arg)
+    em = np.exp(-t)
+    # R'(s) = 2*nu*kappa*(alpha*cosh + kappa) / (alpha + kappa*cosh)^2,
+    # with numerator and denominator scaled by e^{-2|arg|}.
+    num = 2.0 * nu * kappa * (alpha * 0.5 * (1.0 + em * em) * em + kappa * em * em)
+    den = (alpha * em + kappa * 0.5 * (1.0 + em * em)) ** 2
+    return num / den
+
+
+def second_derivative(ev: ProfileEvaluator, x):
+    """phi''(x) for x != 0 by differentiating the closed form once more."""
+    x_arr = np.asarray(x, dtype=float)
+    a = ev._arg(x_arr)
+    nu = ev.root_minus_omega
+    r = _r_raw(a, ev.alpha, ev.kappa)
+    rp = _r_prime_raw(a, ev.alpha, ev.kappa, nu)
+    phi = ev.value(x_arr)
+    return (-nu * rp + (nu * r) ** 2) * phi
+
+
 def ode_residual(x: float, p: WaveParameters) -> float:
     """phi'' + omega*phi + lambda1*phi^3 + lambda2*phi^5 at x != 0.
 
@@ -221,7 +269,7 @@ def ode_residual(x: float, p: WaveParameters) -> float:
         raise DomainError("ode_residual is defined off the defect (x != 0)")
     ev = ProfileEvaluator.from_params(p)
     phi = ev.value(x)
-    return ev.second_derivative(x) + p.omega * phi + p.lambda1 * phi**3 + p.lambda2 * phi**5
+    return second_derivative(ev, x) + p.omega * phi + p.lambda1 * phi**3 + p.lambda2 * phi**5
 
 
 def jump_defect(p: WaveParameters) -> float:

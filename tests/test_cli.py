@@ -4,7 +4,6 @@ import csv
 import json
 import math
 
-import numpy as np
 import pytest
 
 from peakwave import cli, dynamics, spectral, validate_params
@@ -172,16 +171,6 @@ class TestSpectrumCommand:
         header = json.loads(out.split("\n")[0][2:])
         assert header["negative_count"] == 2
         assert header["essential_edge"] == 2.0
-
-    def test_stein_failure_exits_3(self, monkeypatch, capsys):
-        from peakwave import spectral
-        monkeypatch.setattr(spectral, "dstein", lambda d, e, w, *_: (np.zeros((len(d), len(w))), 1))
-        code, out, err = run(
-            ["spectrum", "--l1", "1", "--l2", "1", "--omega", "-2", "--z", "-1",
-             "--kind", "L2", "--n", "2001", "--k", "2"], capsys)
-        assert code == 3
-        assert "ConvergenceError" in err
-        assert out == ""
 
     @pytest.mark.parametrize("k", ["0", "7"])
     def test_k_outside_range_exits_2(self, k, capsys):
@@ -414,6 +403,24 @@ class TestUsage:
         assert "DomainError" in err and "--out" in err
 
 
+class TestGridCap:
+    """--n above cli.MAX_GRID_POINTS exits 2 before any grid or array is built."""
+
+    WAVE = ["--l1", "1", "--l2", "1", "--omega", "-2", "--z", "1"]
+
+    @pytest.mark.parametrize("command", ["profile", "spectrum", "classify", "simulate"])
+    @pytest.mark.parametrize("n", ["300000001", "1000000"], ids=["huge", "rounds-up-over"])
+    def test_exits_2_before_any_grid(self, command, n, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "GridSpec", None)
+        monkeypatch.setattr(spectral, "default_grid", None)
+        code, out, err = run([command, *self.WAVE, "--n", n], capsys)
+        assert (code, out) == (2, "")
+        assert "DomainError" in err and f"cap of {cli.MAX_GRID_POINTS} grid points" in err
+
+    def test_largest_odd_count_under_the_cap_passes(self):
+        assert cli._odd(cli.MAX_GRID_POINTS - 1) == cli.MAX_GRID_POINTS - 1
+
+
 class TestEvenSectorSpectrum:
     def test_even_sector_single_negative(self, capsys):
         code, out, _ = run(
@@ -436,7 +443,7 @@ class TestEvenSectorSpectrum:
         assert header["n_points"] == (2001 + 1) // 2
         assert header["spacing"] == grid.spacing
         even, _ = spectral.parity_blocks(spectral.discretize_operator(OperatorKind(kind), p, grid))
-        expected = [lam for lam, _ in spectral.lowest_eigenpairs(even, 3) if lam < -p.omega]
+        expected = [lam for lam in spectral.lowest_eigenvalues(even, 3) if lam < -p.omega]
         assert [float(line.split(",")[1]) for line in lines[2:]] == expected
 
 

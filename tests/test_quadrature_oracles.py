@@ -1,5 +1,6 @@
-"""No peakwave import or command loads scipy.integrate, and the quadrature
-oracles of the test suite report a quadrature failure as a typed error.
+"""No peakwave import or command loads scipy.integrate, the spectral and
+verdict modules load no scipy at all, and the quadrature oracles of the test
+suite report a quadrature failure as a typed error.
 
 Import contracts are checked in a fresh interpreter, since this process has
 long since loaded scipy."""
@@ -15,7 +16,7 @@ import pytest
 
 import oracles
 import peakwave
-from peakwave import ConvergenceError, validate_params
+from peakwave import validate_params
 
 POINTS = [(1.0, 1.0, -2.0, 1.0), (2.0, -1.0, -0.5, 1.0), (1.0, 1.0, -3.0, -0.5)]
 SRC = str(Path(peakwave.__file__).resolve().parent.parent)
@@ -53,7 +54,8 @@ def scipy_modules_after(module: str) -> set[str]:
 
 
 class TestImportContract:
-    @pytest.mark.parametrize("module", ["peakwave", "peakwave.profile", "peakwave.vk"])
+    @pytest.mark.parametrize("module", ["peakwave", "peakwave.profile", "peakwave.vk", "peakwave.spectral",
+                                        "peakwave.stability"])
     def test_loads_no_scipy(self, module):
         assert scipy_modules_after(module) == set()
 
@@ -94,11 +96,11 @@ class TestTypedQuadratureFailure:
     @pytest.mark.parametrize("oracle", [oracles.norm_sq_quadrature, oracles.quadratic_form_phi,
                                         oracles.dnorm_domega_numeric])
     def test_integration_warning_becomes_convergence_error(self, warning_quad, oracle):
-        with pytest.raises(ConvergenceError, match="maximum number of subdivisions"):
+        with pytest.raises(oracles.QuadratureError, match="maximum number of subdivisions"):
             oracle(validate_params(*POINTS[0]))
 
     def test_raised_whatever_the_warning_filters(self, warning_quad):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            with pytest.raises(ConvergenceError):
+            with pytest.raises(oracles.QuadratureError):
                 oracles.norm_sq_quadrature(validate_params(*POINTS[0]))
