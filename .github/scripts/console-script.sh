@@ -1,0 +1,46 @@
+#!/usr/bin/env bash
+# Runs the installed `peakwave` console script end to end: writes one report
+# per command into OUTDIR, checks every header is standard JSON, checks the
+# usage errors that must exit 2, and checks that importing the CLI loads no
+# scipy.  Set PEAKWAVE to another launcher (say "python -m peakwave.cli") to
+# run it without installing the console script.
+#
+#   .github/scripts/console-script.sh OUTDIR
+set -euo pipefail
+out=${1:?usage: console-script.sh OUTDIR}
+read -r -a peakwave <<< "${PEAKWAVE:-peakwave}"
+
+"${peakwave[@]}" profile --l1 1 --l2 1 --omega -2 --z 1 --xmax 10 --n 21 --out "$out/profile.csv"
+"${peakwave[@]}" classify --l1 1 --l2 1 --omega -2 --z 1 --format json --out "$out/classify.json"
+"${peakwave[@]}" simulate --l1 1 --l2 1 --omega -2 --z 1 --n 1201 --horizon 0.5 --perturbation even --amplitude 1e-2 --format json --out "$out/simulate.json"
+"${peakwave[@]}" spectrum --l1 1 --l2 1 --omega -2 --z -1 --kind L1 --sector full --n 2001 --out "$out/spectrum-full.csv"
+"${peakwave[@]}" spectrum --l1 1 --l2 1 --omega -2 --z -1 --kind L1 --sector even --n 2001 --out "$out/spectrum-even.csv"
+"${peakwave[@]}" spectrum --l1 1 --l2 1 --omega -2 --z -1 --kind free --n 1201 --format json --out "$out/spectrum-free.json"
+test -s "$out/profile.csv" && test -s "$out/classify.json" && test -s "$out/simulate.json"
+test -s "$out/spectrum-full.csv" && test -s "$out/spectrum-even.csv" && test -s "$out/spectrum-free.json"
+python - "$out"/classify.json "$out"/simulate.json "$out"/spectrum-free.json \
+  "$out"/profile.csv "$out"/spectrum-full.csv "$out"/spectrum-even.csv <<'PY'
+import json, sys
+def reject(constant):
+    raise ValueError(f"{constant} is not standard JSON")
+for path in sys.argv[1:]:
+    with open(path) as handle:
+        text = handle.read() if path.endswith(".json") else handle.readline()[2:]
+    json.loads(text, parse_constant=reject)
+PY
+
+# Each of these is a usage error: exit 2, whatever the sizes asked for.
+exits_2() {
+  local code=0
+  timeout 30 "${peakwave[@]}" "$@" || code=$?
+  test "$code" -eq 2
+}
+exits_2 find-zstar --bracket -0.75 -0.95
+exits_2 simulate --l1 1 --l2 1 --omega -2 --z 1 --horizon 0.1 --dt 1e-300
+exits_2 vk-scan --omega-min -3 --omega-max -1 --omega-points 100000000000000000000 --z-min 0.5
+exits_2 spectrum --l1 1 --l2 1 --omega -2 --z 1 --n 300000001
+exits_2 spectrum --l1 1 --l2 1 --omega -2 --z 1 --n 1
+exits_2 simulate --l1 1 --l2 1 --omega -2 --z 1 --horizon 0.1 --perturbation none --amplitude 0.05
+
+# Only `simulate` loads scipy, and only when it builds its stepper.
+python -c 'import sys, peakwave.cli; loaded = [m for m in sys.modules if m.split(".")[0] == "scipy"]; sys.exit(f"import peakwave.cli loaded {loaded}" if loaded else 0)'

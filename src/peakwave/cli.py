@@ -12,10 +12,12 @@ a temporary path and renamed, so no command leaves a partial file behind.
 `--outdir` needs `--out`, and so does `--format json` on `classify` and
 `find-zstar`, which otherwise print a one-line summary.  Exit codes: 0
 success, 2 parameter/usage error (a bad `simulate --dt`, `find-zstar
---bracket` or `vk-scan` bound included, a `--n` above `MAX_GRID_POINTS`,
-and a `simulate` of more than `dynamics.MAX_STEPS` steps or a `vk-scan` of
-more than `MAX_SCAN_ROWS` rows), 3 numerical error (grid errors included),
-4 I/O error.  A header holding NaN or Infinity is not written.
+--bracket` or `vk-scan` bound included, a `--n` below 2 or above
+`MAX_GRID_POINTS`, a `simulate --amplitude` other than 0 with
+`--perturbation none`, and a `simulate` of more than `dynamics.MAX_STEPS`
+steps or a `vk-scan` of more than `MAX_SCAN_ROWS` rows), 3 numerical error
+(grid errors included), 4 I/O error.  A header holding NaN or Infinity is
+not written.
 """
 
 from __future__ import annotations
@@ -175,11 +177,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_profile(args) -> int:
     p = validate_params(args.l1, args.l2, args.omega, args.z)
-    if args.n < 2:
-        raise DomainError(f"--n must be >= 2, got {args.n}")
+    n = _odd(args.n)
     if not (math.isfinite(args.xmax) and args.xmax > 0.0):
         raise DomainError(f"--xmax must be finite and positive, got {args.xmax}")
-    n = _odd(args.n)
     try:
         x = GridSpec(args.xmax, n).nodes()
     except GridError as exc:
@@ -273,7 +273,9 @@ MAX_GRID_POINTS = 10**6
 
 def _odd(n: int) -> int:
     """Node count rounded up to odd, so a full-line grid has a node at x = 0;
-    DomainError above MAX_GRID_POINTS, before any grid is built."""
+    DomainError below 2 or above MAX_GRID_POINTS, before any grid is built."""
+    if n < 2:
+        raise DomainError(f"--n must be >= 2, got {n}")
     odd = n if n % 2 == 1 else n + 1
     if odd > MAX_GRID_POINTS:
         raise DomainError(f"--n {n} exceeds the cap of {MAX_GRID_POINTS} grid points")

@@ -28,7 +28,10 @@ cached.  No interchange is needed for any dt: every pivot has real part at
 least 1, because the block is 1 + iS with S real symmetric up to a diagonal
 similarity.  By the Cayley identity (1 + B)^-1 (1 - B) = 2 (1 + B)^-1 - 1 a
 step is two unit band sweeps (BLAS tbsv) and one multiply by the reciprocal
-pivots per block; 1 - B is never applied.  The rotation takes cos and sin of
+pivots per block; 1 - B is never applied.  scipy.linalg's BLAS module is
+imported when the first stepper is built, not with this module, so importing
+`dynamics` (and `cli`) loads numpy only and a command that never steps a
+field never loads scipy.  The rotation takes cos and sin of
 the real angle only on the window from the first to the last node where the
 angle is at least 2^-27 in magnitude; outside it the rounded phase is
 exactly (1, angle), so the window changes no bit.  `simulate` runs on raw
@@ -52,7 +55,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import ztbsv
 
 from .errors import BlowupError, DomainError, StepError
 from .profile import ProfileEvaluator, WaveParameters
@@ -110,9 +112,10 @@ def _unpivoted_ldu(lower: np.ndarray, diag: np.ndarray,
     return band, pivots
 
 
-def _band_solve(band: np.ndarray, scale: np.ndarray, b: np.ndarray,
+def _band_solve(ztbsv, band: np.ndarray, scale: np.ndarray, b: np.ndarray,
                 overwrite: bool) -> np.ndarray:
-    """U^-1 (scale * L^-1 b) for the unit factors in `band` (see `_unpivoted_ldu`)."""
+    """U^-1 (scale * L^-1 b) for the unit factors in `band` (see `_unpivoted_ldu`),
+    by two sweeps of the BLAS routine `ztbsv`."""
     x = ztbsv(1, band, b, lower=1, diag=1, overwrite_x=overwrite)
     x *= scale
     return ztbsv(1, band, x, diag=1, overwrite_x=1)
@@ -139,10 +142,14 @@ class _ParityCrankNicolson:
     even and odd parts of u, reassembles the full line and subtracts u.
     The odd part of an even field is zero, so `step_even` advances such a
     field on the even block alone, given and returned as its x >= 0 half,
-    multiplying by 2/d instead.
+    multiplying by 2/d instead.  scipy's BLAS is bound here, at the first
+    stepper build, so that no other command loads scipy.
     """
 
     def __init__(self, op: TridiagonalOperator, dt: float):
+        from scipy.linalg.blas import ztbsv
+
+        self._ztbsv = ztbsv
         c = op.origin_row
         diag, off = op.diagonal, op.offdiagonal
         gamma = 0.5j * dt
@@ -163,8 +170,8 @@ class _ParityCrankNicolson:
     def step(self, u: np.ndarray) -> np.ndarray:
         c = self._c
         even_factors, odd_factors = self._factors
-        x_even = _band_solve(*even_factors, u[c:] + u[c::-1], True)
-        x_odd = _band_solve(*odd_factors, u[c + 1:] - u[c - 1::-1], True)
+        x_even = _band_solve(self._ztbsv, *even_factors, u[c:] + u[c::-1], True)
+        x_odd = _band_solve(self._ztbsv, *odd_factors, u[c + 1:] - u[c - 1::-1], True)
         out = np.empty_like(u)
         out[c] = x_even[0]
         out[c + 1:] = x_even[1:] + x_odd
@@ -174,7 +181,7 @@ class _ParityCrankNicolson:
 
     def step_even(self, v: np.ndarray) -> np.ndarray:
         """`step` of the even field whose x >= 0 half is v, as its x >= 0 half."""
-        x = _band_solve(*self._even_twice, v, False)
+        x = _band_solve(self._ztbsv, *self._even_twice, v, False)
         x -= v
         return x
 
@@ -337,6 +344,10 @@ def _initial_state(p: WaveParameters, perturbation: Perturbation, grid: GridSpec
                    phi: np.ndarray) -> FieldState:
     if not math.isfinite(perturbation.amplitude):
         raise DomainError(f"perturbation amplitude must be finite, got {perturbation.amplitude}")
+    if perturbation.kind is PerturbationKind.NONE and perturbation.amplitude != 0.0:
+        raise DomainError(
+            f"perturbation kind 'none' takes amplitude 0, got {perturbation.amplitude}"
+        )
     x = grid.nodes()
     h = grid.spacing
     u0 = phi.astype(complex)
@@ -373,8 +384,8 @@ def simulate(
     Raises
     DomainError unless `horizon_T` is finite and positive, horizon_T / dt
     is at most `MAX_STEPS`, `output_stride` is None or at least 1, the
-    amplitude is finite (for every kind, `NONE` included) and, when a bump
-    is added, |amplitude| is at most a tenth of phi's discrete H^1 norm;
+    amplitude is finite, zero for kind `NONE` and, when a bump is added,
+    at most a tenth of phi's discrete H^1 norm in magnitude;
     GridError if the grid fails
     `discretize_operator`'s resolution or extent bound, and BlowupError if
     the amplitude exceeds one thousand times its initial peak or the field

@@ -335,6 +335,16 @@ class TestSimulateCommand:
         assert out == ""
         assert not out_file.exists()
 
+    def test_amplitude_without_bump_exits_2(self, tmp_path, capsys):
+        out_file = tmp_path / "sim.csv"
+        code, out, err = run(
+            ["simulate", "--l1", "1", "--l2", "1", "--omega", "-2", "--z", "1",
+             "--perturbation", "none", "--amplitude", "0.05", "--horizon", "0.02",
+             "--n", "1201", "--out", str(out_file)], capsys)
+        assert (code, out) == (2, "")
+        assert "DomainError" in err and "'none' takes amplitude 0" in err
+        assert not out_file.exists()
+
     @pytest.mark.parametrize("dt", ["nan", "-1", "0.05"])
     def test_bad_dt_exits_2(self, dt, tmp_path, capsys):
         # n = 1201 at omega = -2 gives h = 0.0354, so 0.05 is above the cap 0.5*h.
@@ -404,21 +414,33 @@ class TestUsage:
 
 
 class TestGridCap:
-    """--n above cli.MAX_GRID_POINTS exits 2 before any grid or array is built."""
+    """--n below 2 or above cli.MAX_GRID_POINTS exits 2 before any grid or array is built."""
 
     WAVE = ["--l1", "1", "--l2", "1", "--omega", "-2", "--z", "1"]
 
     @pytest.mark.parametrize("command", ["profile", "spectrum", "classify", "simulate"])
-    @pytest.mark.parametrize("n", ["300000001", "1000000"], ids=["huge", "rounds-up-over"])
-    def test_exits_2_before_any_grid(self, command, n, monkeypatch, capsys):
+    @pytest.mark.parametrize("n, message", [
+        ("300000001", f"cap of {cli.MAX_GRID_POINTS} grid points"),
+        ("1000000", f"cap of {cli.MAX_GRID_POINTS} grid points"),
+        ("-5", "--n must be >= 2, got -5"),
+        ("0", "--n must be >= 2, got 0"),
+        ("1", "--n must be >= 2, got 1"),
+    ], ids=["huge", "rounds-up-over", "negative", "zero", "one"])
+    def test_exits_2_before_any_grid(self, command, n, message, monkeypatch, capsys):
         monkeypatch.setattr(cli, "GridSpec", None)
         monkeypatch.setattr(spectral, "default_grid", None)
         code, out, err = run([command, *self.WAVE, "--n", n], capsys)
         assert (code, out) == (2, "")
-        assert "DomainError" in err and f"cap of {cli.MAX_GRID_POINTS} grid points" in err
+        assert "DomainError" in err and message in err
 
     def test_largest_odd_count_under_the_cap_passes(self):
         assert cli._odd(cli.MAX_GRID_POINTS - 1) == cli.MAX_GRID_POINTS - 1
+
+    @pytest.mark.parametrize("command", ["spectrum", "classify", "simulate"])
+    def test_count_2_rounds_up_to_a_grid_error(self, command, capsys):
+        code, out, err = run([command, *self.WAVE, "--n", "2"], capsys)
+        assert (code, out) == (3, "")
+        assert "GridError" in err and "resolution bound" in err
 
 
 class TestEvenSectorSpectrum:
@@ -471,14 +493,15 @@ class TestEnumChoices:
 
     @pytest.mark.parametrize("kind", list(PerturbationKind))
     def test_simulate_rows_match_library(self, kind, capsys):
+        amplitude = 0.0 if kind is PerturbationKind.NONE else 0.01
         code, out, _ = run(["simulate", *self.WAVE, "--perturbation", kind.value,
-                            "--amplitude", "0.01", "--horizon", "0.1", "--n", "1201"], capsys)
+                            "--amplitude", str(amplitude), "--horizon", "0.1", "--n", "1201"], capsys)
         assert code == 0
         lines = out.strip().split("\n")
         assert json.loads(lines[0][2:])["perturbation"] == kind.value
         p = validate_params(1, 1, -2, -0.5)
         grid = spectral.default_grid(p, 1201)
-        result = dynamics.simulate(p, dynamics.Perturbation(kind, 0.01), 0.1, 0.25 * grid.spacing, grid)
+        result = dynamics.simulate(p, dynamics.Perturbation(kind, amplitude), 0.1, 0.25 * grid.spacing, grid)
         expected = [(r.time, r.energy, r.charge, r.orbital_distance) for r in result.rows]
         assert [tuple(float(tok) for tok in line.split(",")) for line in lines[2:]] == expected
 

@@ -557,6 +557,11 @@ class TestSimulate:
         with pytest.raises(DomainError, match="amplitude must be finite"):
             simulate(P, Perturbation(kind, amplitude), 0.02)
 
+    @pytest.mark.parametrize("amplitude", [0.05, -1e-300])
+    def test_amplitude_without_bump_rejected(self, amplitude):
+        with pytest.raises(DomainError, match="'none' takes amplitude 0"):
+            simulate(P, Perturbation(PerturbationKind.NONE, amplitude), 0.02)
+
     def test_rows_schema_and_growth(self):
         result = simulate(P, Perturbation(PerturbationKind.NONE, 0.0), 1.0,
                           grid=spectral.default_grid(P, n_points=2001))

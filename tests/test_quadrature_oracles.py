@@ -1,6 +1,6 @@
-"""No peakwave import or command loads scipy.integrate, the spectral and
-verdict modules load no scipy at all, and the quadrature oracles of the test
-suite report a quadrature failure as a typed error.
+"""No peakwave import loads scipy, only `simulate` loads it at run time (and
+then only scipy.linalg), and the quadrature oracles of the test suite report
+a quadrature failure as a typed error.
 
 Import contracts are checked in a fresh interpreter, since this process has
 long since loaded scipy."""
@@ -53,34 +53,41 @@ def scipy_modules_after(module: str) -> set[str]:
     ))
 
 
+def scipy_modules_after_runs(argvs: list[list[str]]) -> tuple[list[int], set[str]]:
+    """Exit codes of `cli.main` on each argv in one fresh interpreter, and the scipy modules it then holds."""
+    codes, loaded = fresh(
+        "import contextlib, io, json, sys\n"
+        "from peakwave import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [cli.main(argv) for argv in {argvs!r}]\n"
+        "print(json.dumps([codes, [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]]))"
+    )
+    return codes, set(loaded)
+
+
 class TestImportContract:
     @pytest.mark.parametrize("module", ["peakwave", "peakwave.profile", "peakwave.vk", "peakwave.spectral",
-                                        "peakwave.stability"])
+                                        "peakwave.stability", "peakwave.dynamics", "peakwave.cli"])
     def test_loads_no_scipy(self, module):
         assert scipy_modules_after(module) == set()
 
-    def test_cli_loads_only_scipy_linalg(self):
-        loaded = scipy_modules_after("peakwave.cli")
-        assert "scipy.linalg.lapack" in loaded
-        assert "scipy.integrate" not in loaded
-        # What scipy.linalg itself pulls in is up to the scipy release (1.17
-        # loads none of scipy.special, optimize or sparse), so the contract
-        # is that peakwave adds nothing on top of it.
-        assert loaded <= scipy_modules_after("scipy.linalg.lapack")
-
-    def test_every_command_runs_without_scipy_integrate(self, tmp_path):
+    def test_commands_other_than_simulate_load_no_scipy(self, tmp_path):
         argvs = [[str(tmp_path / f"{i}.out") if a == "{out}" else a for a in argv]
-                 for i, argv in enumerate(COMMANDS)]
-        codes, loaded = fresh(
-            "import contextlib, io, json, sys\n"
-            "from peakwave import cli\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            f"    codes = [cli.main(argv) for argv in {argvs!r}]\n"
-            "print(json.dumps([codes, [m for m in sys.modules if m.startswith('scipy.')]]))"
-        )
-        assert codes == [0] * len(COMMANDS)
-        assert not [m for m in loaded if m == "scipy.integrate" or m.startswith("scipy.integrate.")]
-        assert set(loaded) <= scipy_modules_after("scipy.linalg.lapack")
+                 for i, argv in enumerate(COMMANDS) if argv[0] != "simulate"]
+        assert len(argvs) == 7
+        codes, loaded = scipy_modules_after_runs(argvs)
+        assert codes == [0] * len(argvs)
+        assert loaded == set()
+
+    def test_simulate_loads_only_scipy_linalg(self):
+        (argv,) = [argv for argv in COMMANDS if argv[0] == "simulate"]
+        codes, loaded = scipy_modules_after_runs([argv])
+        assert codes == [0]
+        assert "scipy.linalg.blas" in loaded
+        # What scipy.linalg itself pulls in is up to the scipy release (1.17
+        # loads none of scipy.integrate, special, optimize or sparse), so the
+        # contract is that peakwave adds nothing on top of it.
+        assert loaded <= scipy_modules_after("scipy.linalg.lapack")
 
 
 class TestTypedQuadratureFailure:
