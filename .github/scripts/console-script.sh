@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Runs the installed `peakwave` console script end to end: writes one report
 # per command into OUTDIR, checks every header is standard JSON, checks the
-# usage errors that must exit 2, and checks that importing the CLI loads no
-# scipy.  Set PEAKWAVE to another launcher (say "python -m peakwave.cli") to
+# usage errors that must exit 2 and the numerical errors that must exit 3,
+# and checks that importing the CLI loads no scipy.  Set PEAKWAVE to another launcher (say "python -m peakwave.cli") to
 # run it without installing the console script.
 #
 #   .github/scripts/console-script.sh OUTDIR
@@ -41,6 +41,23 @@ exits_2 vk-scan --omega-min -3 --omega-max -1 --omega-points 1000000000000000000
 exits_2 spectrum --l1 1 --l2 1 --omega -2 --z 1 --n 300000001
 exits_2 spectrum --l1 1 --l2 1 --omega -2 --z 1 --n 1
 exits_2 simulate --l1 1 --l2 1 --omega -2 --z 1 --horizon 0.1 --perturbation none --amplitude 0.05
+# Finite coefficients whose kappa^2 = (lambda1/4)^2 - (lambda2/3)*omega overflows.
+exits_2 classify --l1 1e160 --l2 1 --omega -1 --z 0.5
+exits_2 vk-scan --l1 1e300 --l2 1 --omega-min -1 --omega-max -1 --omega-points 1 --z-min 0.5
+exits_2 profile --l1 1e300 --l2 1e300 --omega -1 --z 0.5 --n 3
+
+# A bad --dt is a DomainError like any other bad argument.
+dt_err=$(timeout 30 "${peakwave[@]}" simulate --l1 1 --l2 1 --omega -2 --z 1 --horizon 0.1 --dt 0 2>&1 >/dev/null) || true
+case "$dt_err" in DomainError:*) ;; *) echo "simulate --dt 0 wrote: $dt_err" >&2; exit 1 ;; esac
+
+# A numerical error: exit 3.  Here the grid at |omega| = 1e151 is so fine
+# that its squared coupling 2/h^4 overflows.
+exits_3() {
+  local code=0
+  timeout 30 "${peakwave[@]}" "$@" || code=$?
+  test "$code" -eq 3
+}
+exits_3 spectrum --l1 1 --l2 1 --omega=-1e151 --z 1
 
 # Only `simulate` loads scipy, and only when it builds its stepper.
 python -c 'import sys, peakwave.cli; loaded = [m for m in sys.modules if m.split(".")[0] == "scipy"]; sys.exit(f"import peakwave.cli loaded {loaded}" if loaded else 0)'

@@ -15,7 +15,6 @@ from .errors import (
     PeakwaveError,
     PreconditionError,
     RegimeError,
-    StepError,
 )
 from .profile import (
     ProfileEvaluator,
@@ -39,7 +38,6 @@ __all__ = [
     "PeakwaveError",
     "PreconditionError",
     "RegimeError",
-    "StepError",
     "ProfileEvaluator",
     "Regime",
     "Side",

@@ -4,8 +4,8 @@ Every report starts with a JSON header holding `command`, whichever of the
 coefficient and wave flags the command takes (`lambda1`, `lambda2`, `omega`,
 `z`) and the command's own parameters and numerical defaults, so a saved file
 is self-describing and reruns are byte-identical.  Choice flags take the
-values of the library enums they select (`OperatorKind`, `Sector`,
-`stability.Space`, `dynamics.PerturbationKind`).  Floats are written with 17
+values of the library enums they select (`OperatorKind`, `Space` for both
+`--sector` and `--space`, `PerturbationKind`).  Floats are written with 17
 significant digits (lossless for binary64 round-trips).  Files are written to
 a temporary path and renamed, so no command leaves a partial file behind.
 
@@ -32,9 +32,9 @@ import tempfile
 from dataclasses import dataclass
 
 from . import dynamics, spectral, stability, vk
-from .errors import DomainError, GridError, PeakwaveError, RegimeError, StepError
+from .errors import DomainError, GridError, PeakwaveError, RegimeError
 from .profile import ProfileEvaluator, Side, validate_params
-from .spectral import GridSpec, OperatorKind, Sector
+from .spectral import GridSpec, OperatorKind, Space
 
 __all__ = ["main", "RunConfig", "emit_report"]
 
@@ -147,14 +147,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_spec = sub.add_parser("spectrum", help="discrete spectrum of a linearized operator")
     _add_wave_flags(p_spec)
     _add_choice(p_spec, "--kind", OperatorKind.L1)
-    _add_choice(p_spec, "--sector", Sector.FULL_LINE)
+    _add_choice(p_spec, "--sector", Space.FULL_H1)
     p_spec.add_argument("--n", type=int, default=4001)
     p_spec.add_argument("--k", type=int, default=3, help="number of lowest eigenvalues to list")
     _add_output_flags(p_spec)
 
     p_cls = sub.add_parser("classify", help="stability verdict, numeric and analytic")
     _add_wave_flags(p_cls)
-    _add_choice(p_cls, "--space", stability.Space.FULL_H1)
+    _add_choice(p_cls, "--space", Space.FULL_H1)
     p_cls.add_argument("--n", type=int, default=2001)
     _add_output_flags(p_cls)
 
@@ -215,10 +215,10 @@ def _cmd_vk_scan(args) -> int:
 def _cmd_spectrum(args) -> int:
     p = validate_params(args.l1, args.l2, args.omega, args.z)
     grid = spectral.default_grid(p, _odd(args.n))
-    sector = Sector(args.sector)
+    sector = Space(args.sector)
     report = spectral.spectrum_report(OperatorKind(args.kind), p, grid, k=args.k, sector=sector)
     rows = list(enumerate(report.eigenvalues))
-    n_points = grid.n_points if sector is Sector.FULL_LINE else grid.center_index + 1
+    n_points = grid.n_points if sector is Space.FULL_H1 else grid.center_index + 1
     _report(args, ["index", "eigenvalue"], rows,
             kind=args.kind, sector=args.sector,
             half_width=grid.half_width, n_points=n_points, spacing=grid.spacing,
@@ -230,7 +230,7 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_classify(args) -> int:
     p = validate_params(args.l1, args.l2, args.omega, args.z)
-    space = stability.Space(args.space)
+    space = Space(args.space)
     grid = spectral.default_grid(p, _odd(args.n))
     numeric = stability.classify_numeric(p, space, grid)
     analytic = stability.classify_analytic(p, space)
@@ -318,8 +318,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _check_output_flags(args)
         return _COMMANDS[args.command](args)
-    except (RegimeError, DomainError, StepError) as exc:
-        # StepError here can only be simulate's check of --dt.
+    except (RegimeError, DomainError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except PeakwaveError as exc:

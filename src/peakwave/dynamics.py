@@ -56,7 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BlowupError, DomainError, StepError
+from .errors import BlowupError, DomainError
 from .profile import ProfileEvaluator, WaveParameters
 from .spectral import GridSpec, OperatorKind, TridiagonalOperator, default_grid, discretize_operator
 
@@ -243,12 +243,12 @@ def _phase(v: np.ndarray, dt: float, p: WaveParameters) -> tuple[np.ndarray, np.
 
 def _check_positive_dt(dt: float) -> None:
     if not (math.isfinite(dt) and dt > 0.0):
-        raise StepError(f"dt must be finite and positive, got {dt}")
+        raise DomainError(f"dt must be finite and positive, got {dt}")
 
 
 def _check_dt_cap(dt: float, grid: GridSpec) -> None:
     if dt > 0.5 * grid.spacing:
-        raise StepError(f"dt = {dt} exceeds the stability/accuracy cap 0.5*h = {0.5 * grid.spacing}")
+        raise DomainError(f"dt = {dt} exceeds the stability/accuracy cap 0.5*h = {0.5 * grid.spacing}")
 
 
 def _h1_norm_sq(v: np.ndarray, h: float) -> float:
@@ -264,13 +264,10 @@ class _Observables:
     full line: the center node counts once, every other node and every
     difference twice, and the two trapezoid ends are its last node.  |u|^2 is
     re^2 + im^2; the squared norms of differences and of the distance are
-    vdot products.
-    `phi` is the profile of the orbit on the same nodes; without it the
-    distance is NaN.
+    vdot products.  `phi` is the profile of the orbit on the same nodes.
     """
 
-    def __init__(self, p: WaveParameters, grid: GridSpec, phi: np.ndarray | None = None,
-                 half: bool = False):
+    def __init__(self, p: WaveParameters, grid: GridSpec, phi: np.ndarray, half: bool = False):
         self._p = p
         self._h = grid.spacing
         self._fold = 2.0 if half else 1.0
@@ -283,9 +280,8 @@ class _Observables:
         if not half:
             self._trapezoid[0] *= 0.5
         self._phi = phi
-        if phi is not None:
-            self._d_phi = np.diff(phi)
-            self._node_phi = nodes * phi
+        self._d_phi = np.diff(phi)
+        self._node_phi = nodes * phi
 
     def __call__(self, v: np.ndarray) -> tuple[float, float, float]:
         p, h, fold, nodes = self._p, self._h, self._fold, self._nodes
@@ -299,10 +295,7 @@ class _Observables:
         energy = (0.5 * fold * float(np.vdot(dv, dv).real) / h - p.lambda1 / 4.0 * quartic
                   - p.lambda2 / 6.0 * sextic - p.z / 2.0 * float(mod2[self._center]))
         charge = 0.5 * h * float(nodes @ mod2)
-        phi = self._phi
-        if phi is None:
-            return energy, charge, math.nan
-        d_phi, node_phi = self._d_phi, self._node_phi
+        phi, d_phi, node_phi = self._phi, self._d_phi, self._node_phi
         theta = math.atan2(h * float(im @ node_phi) + fold * float(dv.imag @ d_phi) / h,
                            h * float(re @ node_phi) + fold * float(dv.real @ d_phi) / h)
         rotation = complex(math.cos(theta), math.sin(theta))

@@ -1,8 +1,9 @@
 """Exception hierarchy for peakwave.
 
-Every error raised by the library derives from :class:`PeakwaveError`, so
-callers (notably the CLI) can separate parameter-validation failures from
-numerical failures.
+Every error raised by the library derives from :class:`PeakwaveError`.  A bad
+argument is a :class:`RegimeError` (the wave parameters) or a
+:class:`DomainError` (anything else, a time step included); the CLI exits 2 on
+those two and 3 on every other, numerical, failure.
 """
 
 
@@ -15,11 +16,7 @@ class RegimeError(PeakwaveError):
 
 
 class DomainError(PeakwaveError):
-    """Argument outside the mathematical domain of an operation."""
-
-
-class StepError(PeakwaveError):
-    """A finite-difference or time step is inadmissible or inconsistent."""
+    """Argument outside the domain of an operation (an inadmissible time step included)."""
 
 
 class DegenerateError(PeakwaveError):

@@ -61,9 +61,10 @@ class WaveParameters:
 def validate_params(lambda1: float, lambda2: float, omega: float, z: float) -> WaveParameters:
     """Check the admissibility inequalities and tag the regime.
 
-    Raises :class:`RegimeError` for a non-finite parameter or naming the
-    first violated inequality.  All inequalities are strict: boundary
-    parameter values are rejected.
+    Raises :class:`RegimeError` for a non-finite parameter or a non-finite
+    kappa^2 = (lambda1/4)^2 - (lambda2/3)*omega (the profile's constants
+    would be inf or NaN), or naming the first violated inequality.  All
+    inequalities are strict: boundary parameter values are rejected.
     """
     lambda1 = float(lambda1)
     lambda2 = float(lambda2)
@@ -80,6 +81,9 @@ def validate_params(lambda1: float, lambda2: float, omega: float, z: float) -> W
         raise RegimeError(
             f"-omega > Z^2/4 violated: -omega = {-omega}, Z^2/4 = {z * z / 4.0}"
         )
+    kappa_sq = _kappa_sq(lambda1, lambda2, omega)
+    if not math.isfinite(kappa_sq):
+        raise RegimeError(f"kappa^2 = (lambda1/4)^2 - (lambda2/3)*omega = {kappa_sq} is not finite")
     if lambda2 > 0.0:
         return WaveParameters(lambda1, lambda2, omega, z, Regime.ATTRACTIVE_ATTRACTIVE)
     upper = -3.0 * lambda1 * lambda1 / (16.0 * lambda2)
@@ -95,14 +99,19 @@ def validate_params(lambda1: float, lambda2: float, omega: float, z: float) -> W
     return WaveParameters(lambda1, lambda2, omega, z, Regime.ATTRACTIVE_REPULSIVE)
 
 
+def _kappa_sq(lambda1: float, lambda2: float, omega: float) -> float:
+    """alpha^2 - beta*omega with alpha = lambda1/4, beta = lambda2/3."""
+    alpha = lambda1 / 4.0
+    beta = lambda2 / 3.0
+    return alpha * alpha - beta * omega
+
+
 def _coefficients(p: WaveParameters) -> tuple[float, float, float]:
     """(alpha, kappa, nu) with alpha = lambda1/4, beta = lambda2/3,
     kappa = sqrt(alpha^2 - beta*omega), nu = sqrt(-omega)."""
     alpha = p.lambda1 / 4.0
-    beta = p.lambda2 / 3.0
-    kappa_sq = alpha * alpha - beta * p.omega
-    # In the admissible set kappa_sq > 0 (the AR upper bound enforces it).
-    kappa = math.sqrt(kappa_sq)
+    # kappa^2 is positive (the AR upper bound) and finite (validate_params).
+    kappa = math.sqrt(_kappa_sq(p.lambda1, p.lambda2, p.omega))
     nu = math.sqrt(-p.omega)
     return alpha, kappa, nu
 

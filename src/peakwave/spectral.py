@@ -36,7 +36,7 @@ from .errors import DomainError, GridError, InstabilityError, RegimeError
 from .profile import ProfileEvaluator, Regime, WaveParameters, phi_center_sq
 
 __all__ = [
-    "Sector",
+    "Space",
     "OperatorKind",
     "GridSpec",
     "TridiagonalOperator",
@@ -54,11 +54,6 @@ __all__ = [
     "quadratic_form_discrete",
     "negative_direction_check",
 ]
-
-
-class Sector(enum.Enum):
-    FULL_LINE = "full"
-    EVEN_SECTOR = "even"
 
 
 class OperatorKind(enum.Enum):
@@ -147,7 +142,9 @@ def discretize_operator(kind: OperatorKind, p: WaveParameters, grid: GridSpec) -
     """Assemble the tridiagonal realization of L1, L2, or the bare defect.
 
     Preconditions: the grid must resolve the wave (h <= 0.05/sqrt(-omega)) and
-    contain it (L >= 30/sqrt(-omega)); GridError otherwise.
+    contain it (L >= 30/sqrt(-omega)), and 2/h^4, the largest squared
+    coupling an inertia count forms (the even block's center row), must be
+    finite; GridError otherwise.
     """
     nu = math.sqrt(-p.omega)
     h = grid.spacing
@@ -155,11 +152,21 @@ def discretize_operator(kind: OperatorKind, p: WaveParameters, grid: GridSpec) -
         raise GridError(f"spacing h = {h} exceeds the resolution bound 0.05/sqrt(-omega) = {0.05 / nu}")
     if grid.half_width < 30.0 / nu - 1e-9:
         raise GridError(f"half width L = {grid.half_width} below the extent bound 30/sqrt(-omega) = {30.0 / nu}")
+    even_coupling = math.sqrt(2.0) / h**2
+    if not math.isfinite(even_coupling * even_coupling):
+        raise GridError(f"spacing h = {h} is so fine that the squared coupling 2/h^4 overflows")
     x = grid.nodes()
     diag = 2.0 / h**2 + _potential(kind, p, x)
     off = np.full(grid.n_points - 1, -1.0 / h**2)
     diag[grid.center_index] -= p.z / h
     return TridiagonalOperator(diag, off, h, grid.center_index)
+
+
+class Space(enum.Enum):
+    """H^1 on the line, or its invariant even subspace H^1_even (the even parity block)."""
+
+    FULL_H1 = "full"
+    EVEN_H1 = "even"
 
 
 def parity_blocks(op: TridiagonalOperator) -> tuple[TridiagonalOperator, TridiagonalOperator]:
@@ -294,7 +301,7 @@ class SpectrumReport:
 
 
 def spectrum_report(kind: OperatorKind, p: WaveParameters, grid: GridSpec, k: int = 3,
-                    sector: Sector = Sector.FULL_LINE) -> SpectrumReport:
+                    sector: Space = Space.FULL_H1) -> SpectrumReport:
     """Negative count, k lowest eigenvalues, and the essential-spectrum edge.
 
     The even sector is the even parity block.  Only eigenvalues below the
@@ -302,7 +309,7 @@ def spectrum_report(kind: OperatorKind, p: WaveParameters, grid: GridSpec, k: in
     bare defect); deeper entries would be box artifacts of the truncation.
     """
     op = discretize_operator(kind, p, grid)
-    if sector is Sector.EVEN_SECTOR:
+    if sector is Space.EVEN_H1:
         op = parity_blocks(op)[0]
     edge = 0.0 if kind is OperatorKind.FREE_WITH_DELTA else -p.omega
     lams = lowest_eigenvalues(op, k)

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from . import spectral, vk
 from .errors import DegenerateError, PreconditionError
 from .profile import Regime, WaveParameters
-from .spectral import GridSpec, OperatorKind
+from .spectral import GridSpec, OperatorKind, Space
 
 __all__ = [
     "Space",
@@ -47,11 +47,6 @@ __all__ = [
     "classify_analytic",
     "compare",
 ]
-
-
-class Space(enum.Enum):
-    FULL_H1 = "full"
-    EVEN_H1 = "even"
 
 
 class Outcome(enum.Enum):

@@ -96,8 +96,8 @@ def slope(p: WaveParameters) -> float:
 
 
 def _index_of_slope(s: float, p: WaveParameters) -> int:
-    """Slope index of slope s at p; DegenerateError when |s| <= 1e-9."""
-    if abs(s) <= 1e-9:
+    """Slope index of slope s at p; DegenerateError unless |s| > 1e-9 (so for NaN too)."""
+    if not abs(s) > 1e-9:
         raise DegenerateError(
             f"slope magnitude {abs(s)} <= 1e-9 at omega={p.omega}, Z={p.z}: too close to the threshold"
         )

@@ -44,7 +44,7 @@ from scipy.integrate import IntegrationWarning, quad
 from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 
 from peakwave.dynamics import FieldState, _check_dt_cap, _check_positive_dt, _Observables, _phase, _stepper
-from peakwave.errors import DomainError, RegimeError, StepError
+from peakwave.errors import DomainError, RegimeError
 from peakwave.profile import ProfileEvaluator, Side, WaveParameters, validate_params
 from peakwave.profile import _coefficients, _r_inverse_raw, _r_raw
 from peakwave.spectral import GridSpec, OperatorKind, TridiagonalOperator
@@ -182,13 +182,13 @@ def dnorm_domega_numeric(p: WaveParameters, step: float | None = None) -> float:
     if step is None:
         step = 1e-5 * abs(p.omega)
     if step <= 0.0:
-        raise StepError(f"step must be positive, got {step}")
+        raise DomainError(f"step must be positive, got {step}")
 
     def norm_at(omega: float) -> float:
         try:
             q = validate_params(p.lambda1, p.lambda2, omega, p.z)
         except RegimeError as exc:
-            raise StepError(
+            raise DomainError(
                 f"omega = {omega} leaves the admissible regime for step {step}"
             ) from exc
         return norm_sq_quadrature(q)
@@ -200,7 +200,7 @@ def dnorm_domega_numeric(p: WaveParameters, step: float | None = None) -> float:
     d_half = central(step / 2.0)
     denom = max(abs(d_half), 1e-300)
     if abs(d_full - d_half) / denom >= 1e-4:
-        raise StepError(
+        raise DomainError(
             "finite-difference estimates at step and step/2 disagree beyond 1e-4 relative; "
             f"step {step} is unreliable at omega = {p.omega}"
         )
@@ -280,15 +280,24 @@ def jump_defect(p: WaveParameters) -> float:
     return right - left + p.z * float(ev.value(0.0))
 
 
+def _observables(u: FieldState, p: WaveParameters,
+                 phi: np.ndarray | None = None) -> tuple[float, float, float]:
+    """Energy and charge of u, and its orbital distance to p's profile `phi`
+    (sampled on u's grid when not given)."""
+    if phi is None:
+        phi = ProfileEvaluator.from_params(p).value(u.grid.nodes())
+    return _Observables(u.params, u.grid, phi)(u.samples)
+
+
 def discrete_energy(u: FieldState) -> float:
     """Energy with the defect term: (1/2)int|u_x|^2 - (l1/4)int|u|^4
     - (l2/6)int|u|^6 - (Z/2)|u(0)|^2, trapezoidal in space."""
-    return _Observables(u.params, u.grid)(u.samples)[0]
+    return _observables(u, u.params)[0]
 
 
 def discrete_charge(u: FieldState) -> float:
     """Half the squared discrete L^2 norm."""
-    return _Observables(u.params, u.grid)(u.samples)[1]
+    return _observables(u, u.params)[1]
 
 
 def orbital_distance(u: FieldState, p: WaveParameters, phi: np.ndarray | None = None) -> float:
@@ -299,9 +308,7 @@ def orbital_distance(u: FieldState, p: WaveParameters, phi: np.ndarray | None = 
     resolves it down to rounding of the field rather than of its O(1) norm.
     `phi` is the profile sampled on u's grid; it is sampled here when not given.
     """
-    if phi is None:
-        phi = ProfileEvaluator.from_params(p).value(u.grid.nodes())
-    return _Observables(u.params, u.grid, phi)(u.samples)[2]
+    return _observables(u, p, phi)[2]
 
 
 def cn_linear_step(u: FieldState, dt: float) -> FieldState:

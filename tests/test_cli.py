@@ -8,8 +8,7 @@ import pytest
 
 from peakwave import cli, dynamics, spectral, validate_params
 from peakwave.dynamics import PerturbationKind
-from peakwave.spectral import OperatorKind, Sector
-from peakwave.stability import Space
+from peakwave.spectral import OperatorKind, Space
 
 
 def run(argv, capsys):
@@ -160,6 +159,31 @@ class TestVkScanCommand:
         assert code == 3
         assert "DegenerateError" in err
         assert out == ""
+
+
+class TestOverflowingConstants:
+    """Finite flags whose derived constants overflow are refused, not turned into numbers."""
+
+    @pytest.mark.parametrize("argv", [
+        ["classify", "--l1", "1e160", "--l2", "1", "--omega", "-1", "--z", "0.5"],
+        ["vk-scan", "--l1", "1e300", "--l2", "1", "--omega-min", "-1", "--omega-max", "-1",
+         "--omega-points", "1", "--z-min", "0.5"],
+        ["profile", "--l1", "1e300", "--l2", "1e300", "--omega", "-1", "--z", "0.5", "--n", "3"],
+    ], ids=["classify", "vk-scan", "profile"])
+    def test_overflowing_kappa_exits_2(self, argv, capsys):
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (2, "")
+        assert "RegimeError" in err and "kappa" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--l1", "1", "--l2", "1", "--omega=-1e151", "--z", "1"],
+        ["spectrum", "--l1", "1", "--l2", "1", "--omega=-1e155", "--z", "1"],
+        ["classify", "--l1", "1", "--l2", "1", "--omega=-1e155", "--z", "1", "--n", "201"],
+    ], ids=["spectrum-1e151", "spectrum-1e155", "classify-1e155"])
+    def test_overflowing_coupling_exits_3(self, argv, capsys):
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (3, "")
+        assert "GridError" in err and "2/h^4" in err
 
 
 class TestSpectrumCommand:
@@ -353,7 +377,7 @@ class TestSimulateCommand:
             ["simulate", "--l1", "1", "--l2", "1", "--omega", "-2", "--z", "1",
              f"--dt={dt}", "--horizon", "0.1", "--n", "1201", "--out", str(out_file)], capsys)
         assert (code, out) == (2, "")
-        assert "StepError" in err and "dt" in err
+        assert "DomainError" in err and "dt" in err
         assert not out_file.exists()
 
     def test_step_cap_exits_2(self, tmp_path, capsys):
@@ -475,7 +499,7 @@ class TestEnumChoices:
     WAVE = ["--l1", "1", "--l2", "1", "--omega", "-2", "--z", "-0.5"]
 
     @pytest.mark.parametrize("kind", [k.value for k in OperatorKind])
-    @pytest.mark.parametrize("sector", [s.value for s in Sector])
+    @pytest.mark.parametrize("sector", [s.value for s in Space])
     def test_spectrum(self, kind, sector, capsys):
         code, out, _ = run(["spectrum", *self.WAVE, "--kind", kind, "--sector", sector,
                             "--n", "1201", "--k", "1"], capsys)

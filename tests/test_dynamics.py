@@ -10,7 +10,7 @@ import pytest
 from scipy.linalg.lapack import zgttrf, zgttrs
 
 from peakwave import ProfileEvaluator, validate_params
-from peakwave.errors import BlowupError, DomainError, GridError, StepError
+from peakwave.errors import BlowupError, DomainError, GridError
 from peakwave import dynamics, spectral, vk
 from peakwave.dynamics import FieldState, Perturbation, PerturbationKind, simulate
 from peakwave.spectral import GridSpec, OperatorKind
@@ -171,14 +171,14 @@ class TestCnLinearStep:
         assert abs(discrete_charge(u) - q0) / q0 < 1e-13
 
     def test_positive_dt_required(self):
-        with pytest.raises(StepError):
+        with pytest.raises(DomainError):
             cn_linear_step(make_state(P), -0.1)
 
     @pytest.mark.parametrize("dt", [math.inf, math.nan])
     @pytest.mark.parametrize("step", [cn_linear_step, strang_step])
     def test_nonfinite_dt_rejected(self, step, dt):
         dynamics._stepper.cache_clear()
-        with pytest.raises(StepError, match="dt"):
+        with pytest.raises(DomainError, match="dt"):
             step(make_state(P, n=1201), dt)
         assert dynamics._stepper.cache_info().currsize == 0
 
@@ -347,10 +347,10 @@ class TestUnpivotedFactors:
 
 @pytest.mark.parametrize("dt", [math.inf, math.nan, 0.0, -1.0])
 @pytest.mark.parametrize("step", [cn_linear_step, nonlinear_phase_step, strang_step])
-def test_inadmissible_dt_is_a_step_error_without_warning(step, dt):
+def test_inadmissible_dt_is_a_domain_error_without_warning(step, dt):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(StepError, match="dt"):
+        with pytest.raises(DomainError, match="dt"):
             step(make_state(P, n=1201), dt)
 
 
@@ -439,7 +439,7 @@ class TestWindowedPhase:
 class TestStrangStep:
     def test_time_step_cap(self):
         u = make_state(P)
-        with pytest.raises(StepError):
+        with pytest.raises(DomainError):
             strang_step(u, u.grid.spacing)
 
     def test_charge_drift_over_thousand_steps(self):
@@ -605,7 +605,7 @@ class TestSimulate:
     @pytest.mark.parametrize("factor", [0.0, -0.25, 0.75, math.inf, math.nan])
     def test_dt_checked_up_front(self, factor):
         grid = spectral.default_grid(P, n_points=1201)
-        with pytest.raises(StepError):
+        with pytest.raises(DomainError):
             simulate(P, Perturbation(PerturbationKind.NONE, 0.0), 1.0,
                      dt=factor * grid.spacing, grid=grid)
 

@@ -99,6 +99,19 @@ class TestValidateParams:
         with pytest.raises(RegimeError, match="finite"):
             validate_params(*point)
 
+    @pytest.mark.parametrize("point", [
+        (1e160, 1, -1, 0.5),
+        (1e300, 1, -1, 0.5),
+        (1e300, 1e300, -1, 0.5),
+        (1e160, -1, -1, 0.5),
+    ])
+    def test_overflowing_kappa_rejected(self, point):
+        # Every parameter is finite and every inequality holds, but
+        # kappa^2 = (lambda1/4)^2 - (lambda2/3)*omega is inf, so the profile's
+        # kappa would be inf and its shift NaN.
+        with pytest.raises(RegimeError, match="kappa"):
+            validate_params(*point)
+
 
 class TestRMap:
     def test_zero(self):

@@ -4,11 +4,16 @@ The package exports what the command line, the verdict pipeline and
 `simulate` use.  The functions that only check it live in `tests/oracles.py`
 (or were thin wrappers of what remains), and none is an attribute of its old
 module or class any more.  Spectra are eigenvalues and counts: the
-eigenvector solve and the error only it raised are gone.
+eigenvector solve and the error only it raised are gone.  Each concept has one
+name: the space of a count or verdict is `spectral.Space` (the `--sector` of
+`spectrum` and the `--space` of `classify`), and a bad time step is a
+`DomainError` like any other bad argument.
 """
 
 import importlib
 import pkgutil
+
+from peakwave import spectral, stability
 
 PUBLIC = {
     "peakwave": [
@@ -22,7 +27,6 @@ PUBLIC = {
         "PeakwaveError",
         "PreconditionError",
         "RegimeError",
-        "StepError",
         "ProfileEvaluator",
         "Regime",
         "Side",
@@ -38,7 +42,7 @@ PUBLIC = {
         "find_zstar", "scan",
     ],
     "peakwave.spectral": [
-        "Sector", "OperatorKind", "GridSpec", "TridiagonalOperator", "SpectrumReport", "KernelReport",
+        "Space", "OperatorKind", "GridSpec", "TridiagonalOperator", "SpectrumReport", "KernelReport",
         "default_grid", "discretize_operator", "parity_blocks", "inertia_below", "lowest_eigenvalues",
         "parity_counts", "zero_exclusion_shift", "kernel_residual", "spectrum_report",
         "quadratic_form_discrete", "negative_direction_check",
@@ -55,11 +59,11 @@ PUBLIC = {
 _PROFILE_REMOVED = ["phi_eval", "phi_derivative", "r_map", "r_inverse", "ode_residual", "jump_defect"]
 
 REMOVED = {
-    "peakwave": [*_PROFILE_REMOVED, "ConvergenceError"],
-    "peakwave.errors": ["ConvergenceError"],
+    "peakwave": [*_PROFILE_REMOVED, "ConvergenceError", "StepError"],
+    "peakwave.errors": ["ConvergenceError", "StepError"],
     "peakwave.profile": [*_PROFILE_REMOVED, "_r_prime_raw"],
     "peakwave.profile.ProfileEvaluator": ["second_derivative"],
-    "peakwave.spectral": ["morse_index", "lowest_eigenpairs", "dstein", "ConvergenceError"],
+    "peakwave.spectral": ["morse_index", "lowest_eigenpairs", "dstein", "ConvergenceError", "Sector"],
     "peakwave.dynamics": [
         "sampled_profile", "discrete_energy", "discrete_charge", "orbital_distance", "strang_step",
         "cn_linear_step", "nonlinear_phase_step",
@@ -75,3 +79,7 @@ def test_exports_are_pinned_and_removed_names_are_gone():
     for name, gone in REMOVED.items():
         owner = pkgutil.resolve_name(name)
         assert [attr for attr in gone if hasattr(owner, attr)] == [], name
+
+
+def test_stability_space_is_the_spectral_enum():
+    assert stability.Space is spectral.Space

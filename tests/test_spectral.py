@@ -16,7 +16,7 @@ from peakwave import spectral
 from peakwave.spectral import (
     GridSpec,
     OperatorKind,
-    Sector,
+    Space,
     discretize_operator,
     inertia_below,
     kernel_residual,
@@ -84,6 +84,24 @@ class TestDiscretizeOperator:
     def test_extent_precondition(self):
         with pytest.raises(GridError):
             discretize_operator(OperatorKind.L1, P_AA_POS, GridSpec(5.0, 2001))
+
+    @pytest.mark.parametrize("omega", [-1e151, -1e155])
+    def test_overflowing_coupling_at_extreme_frequency(self, omega):
+        # The default grid resolves the wave, so h ~ 1/sqrt(-omega) and 2/h^4
+        # overflows; the counts would otherwise read NaN pivots (or, at
+        # -1e155, zero_exclusion_shift would raise OverflowError).
+        p = validate_params(1.0, 1.0, omega, 1.0)
+        with pytest.raises(GridError, match="2/h\\^4"):
+            spectrum_report(OperatorKind.L1, p, grid_for(p, 4001))
+
+    def test_even_block_coupling_sets_the_overflow_bound(self):
+        # At h = 9e-78 the full line's 1/h^4 is finite, but the even block's
+        # center coupling sqrt(2)/h^2 squares to inf.
+        h = 9e-78
+        assert math.isfinite(1.0 / h**4) and not math.isfinite(2.0 / h**4)
+        p = validate_params(1.0, 1.0, -1e150, 1.0)
+        with pytest.raises(GridError, match="2/h\\^4"):
+            discretize_operator(OperatorKind.FREE_WITH_DELTA, p, GridSpec(1000.0 * h, 2001))
 
     def test_symmetric_by_construction(self):
         op = discretize_operator(OperatorKind.L1, P_AA_POS, grid_for(P_AA_POS))
@@ -297,12 +315,12 @@ class TestEigenvaluesAgainstLapack:
     POINTS = seeded_points(99, 6)
 
     @pytest.mark.parametrize("kind", list(OperatorKind))
-    @pytest.mark.parametrize("sector", list(Sector))
+    @pytest.mark.parametrize("sector", list(Space))
     def test_bisection_matches_lapack(self, kind, sector):
         for p in self.POINTS:
             g = grid_for(p, 1201)
             op = discretize_operator(kind, p, g)
-            if sector is Sector.EVEN_SECTOR:
+            if sector is Space.EVEN_H1:
                 op = parity_blocks(op)[0]
             lams = lowest_eigenvalues(op, 5)
             ref = lapack_eigenvalues(op, 5)

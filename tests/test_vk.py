@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from peakwave import ProfileEvaluator, RegimeError, StepError, validate_params
+from peakwave import ProfileEvaluator, RegimeError, validate_params
 from peakwave.errors import BracketError, DegenerateError, DomainError
 from peakwave import vk
 
@@ -176,7 +176,7 @@ class TestDnormDomegaNumeric:
 
     def test_step_leaving_regime_rejected(self):
         p = validate_params(2.0, -1.0, -0.74, 0.5)
-        with pytest.raises(StepError):
+        with pytest.raises(DomainError):
             dnorm_domega_numeric(p, step=0.05)
 
 
@@ -185,6 +185,10 @@ class TestPIndex:
         assert vk.p_index(validate_params(1.0, 1.0, -2.0, 1.0)) == 1
         assert vk.p_index(validate_params(1.0, 1.0, -2.0, -0.9)) == 0
         assert vk.p_index(validate_params(2.0, -1.0, -0.5, -1.0)) == 1
+
+    def test_nan_slope_is_degenerate(self):
+        with pytest.raises(DegenerateError):
+            vk._index_of_slope(math.nan, validate_params(1.0, 1.0, -2.0, 1.0))
 
     def test_degenerate_near_threshold(self):
         # A strength within ~1e-10 of the threshold drives the slope under 1e-9.
