@@ -45,19 +45,23 @@ exits_2 simulate --l1 1 --l2 1 --omega -2 --z 1 --horizon 0.1 --perturbation non
 exits_2 classify --l1 1e160 --l2 1 --omega -1 --z 0.5
 exits_2 vk-scan --l1 1e300 --l2 1 --omega-min -1 --omega-max -1 --omega-points 1 --z-min 0.5
 exits_2 profile --l1 1e300 --l2 1e300 --omega -1 --z 0.5 --n 3
+# An odd bump that vanishes at every node of an admissible grid (h = 50).
+exits_2 simulate --l1 1 --l2 1 --omega=-1e-6 --z 1e-3 --n 1201 --perturbation odd --amplitude 1e-9
 
 # A bad --dt is a DomainError like any other bad argument.
 dt_err=$(timeout 30 "${peakwave[@]}" simulate --l1 1 --l2 1 --omega -2 --z 1 --horizon 0.1 --dt 0 2>&1 >/dev/null) || true
 case "$dt_err" in DomainError:*) ;; *) echo "simulate --dt 0 wrote: $dt_err" >&2; exit 1 ;; esac
 
 # A numerical error: exit 3.  Here the grid at |omega| = 1e151 is so fine
-# that its squared coupling 2/h^4 overflows.
+# that its squared coupling 2/h^4 overflows, and the --n 3 grid (h = 21.2)
+# breaks the resolution bound, which simulate checks before it samples a bump.
 exits_3() {
   local code=0
   timeout 30 "${peakwave[@]}" "$@" || code=$?
   test "$code" -eq 3
 }
 exits_3 spectrum --l1 1 --l2 1 --omega=-1e151 --z 1
+exits_3 simulate --l1 1 --l2 1 --omega=-2 --z 1 --n 3 --perturbation odd --amplitude 1e-3
 
 # Only `simulate` loads scipy, and only when it builds its stepper.
 python -c 'import sys, peakwave.cli; loaded = [m for m in sys.modules if m.split(".")[0] == "scipy"]; sys.exit(f"import peakwave.cli loaded {loaded}" if loaded else 0)'

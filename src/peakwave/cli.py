@@ -13,11 +13,11 @@ a temporary path and renamed, so no command leaves a partial file behind.
 `find-zstar`, which otherwise print a one-line summary.  Exit codes: 0
 success, 2 parameter/usage error (a bad `simulate --dt`, `find-zstar
 --bracket` or `vk-scan` bound included, a `--n` below 2 or above
-`MAX_GRID_POINTS`, a `simulate --amplitude` other than 0 with
-`--perturbation none`, and a `simulate` of more than `dynamics.MAX_STEPS`
-steps or a `vk-scan` of more than `MAX_SCAN_ROWS` rows), 3 numerical error
-(grid errors included), 4 I/O error.  A header holding NaN or Infinity is
-not written.
+`MAX_GRID_POINTS`, a `simulate --amplitude` other than 0 with `--perturbation
+none` or with a bump of zero discrete H^1 norm, and a `simulate` of more than
+`dynamics.MAX_STEPS` steps or a `vk-scan` of more than `MAX_SCAN_ROWS` rows),
+3 numerical error (grid errors included), 4 I/O error.  A header holding NaN
+or Infinity is not written.
 """
 
 from __future__ import annotations
@@ -215,13 +215,12 @@ def _cmd_vk_scan(args) -> int:
 def _cmd_spectrum(args) -> int:
     p = validate_params(args.l1, args.l2, args.omega, args.z)
     grid = spectral.default_grid(p, _odd(args.n))
-    sector = Space(args.sector)
-    report = spectral.spectrum_report(OperatorKind(args.kind), p, grid, k=args.k, sector=sector)
+    report = spectral.spectrum_report(OperatorKind(args.kind), p, grid, k=args.k,
+                                      sector=Space(args.sector))
     rows = list(enumerate(report.eigenvalues))
-    n_points = grid.n_points if sector is Space.FULL_H1 else grid.center_index + 1
     _report(args, ["index", "eigenvalue"], rows,
             kind=args.kind, sector=args.sector,
-            half_width=grid.half_width, n_points=n_points, spacing=grid.spacing,
+            half_width=grid.half_width, n_points=report.n_points, spacing=grid.spacing,
             negative_count=report.negative_count, kernel_residual=report.kernel_residual,
             essential_edge=report.essential_edge,
             zero_exclusion_shift=spectral.zero_exclusion_shift(grid, p))

@@ -333,28 +333,25 @@ class SimulationResult:
     final: FieldState
 
 
-def _initial_state(p: WaveParameters, perturbation: Perturbation, grid: GridSpec,
-                   phi: np.ndarray) -> FieldState:
-    if not math.isfinite(perturbation.amplitude):
-        raise DomainError(f"perturbation amplitude must be finite, got {perturbation.amplitude}")
-    if perturbation.kind is PerturbationKind.NONE and perturbation.amplitude != 0.0:
+def _initial_state(perturbation: Perturbation, grid: GridSpec, phi: np.ndarray) -> np.ndarray:
+    """phi's samples plus the amplitude times the bump of unit discrete H^1 norm;
+    DomainError when the bump's norm is not positive (an odd bump with h > ~26)."""
+    u0 = phi.astype(complex)
+    if perturbation.kind is PerturbationKind.NONE:
+        return u0
+    h = grid.spacing
+    if abs(perturbation.amplitude) > 0.1 * math.sqrt(_h1_norm_sq(phi, h)):
         raise DomainError(
-            f"perturbation kind 'none' takes amplitude 0, got {perturbation.amplitude}"
+            f"perturbation amplitude {perturbation.amplitude} exceeds 10% of the wave norm"
         )
     x = grid.nodes()
-    h = grid.spacing
-    u0 = phi.astype(complex)
-    if perturbation.kind is not PerturbationKind.NONE:
-        if abs(perturbation.amplitude) > 0.1 * math.sqrt(_h1_norm_sq(phi, h)):
-            raise DomainError(
-                f"perturbation amplitude {perturbation.amplitude} exceeds 10% of the wave norm"
-            )
-        bump = np.exp(-x * x)
-        if perturbation.kind is PerturbationKind.ODD_BUMP:
-            bump = x * bump
-        bump = bump / math.sqrt(_h1_norm_sq(bump, h))
-        u0 = u0 + perturbation.amplitude * bump
-    return FieldState(u0, grid, 0.0, p)
+    bump = np.exp(-x * x)
+    if perturbation.kind is PerturbationKind.ODD_BUMP:
+        bump = x * bump
+    bump_norm_sq = _h1_norm_sq(bump, h)
+    if not bump_norm_sq > 0.0:
+        raise DomainError(f"the {perturbation.kind.value} bump has zero discrete H^1 norm at h = {h}")
+    return u0 + perturbation.amplitude * (bump / math.sqrt(bump_norm_sq))
 
 
 def simulate(
@@ -374,15 +371,15 @@ def simulate(
     mirror-symmetric start (no bump or an even one) is advanced on its
     x >= 0 half by the even-block solve alone, its rows are taken from that
     half with mirror weights, and it is unfolded only for the final state.
-    Raises
-    DomainError unless `horizon_T` is finite and positive, horizon_T / dt
-    is at most `MAX_STEPS`, `output_stride` is None or at least 1, the
-    amplitude is finite, zero for kind `NONE` and, when a bump is added,
-    at most a tenth of phi's discrete H^1 norm in magnitude;
-    GridError if the grid fails
-    `discretize_operator`'s resolution or extent bound, and BlowupError if
-    the amplitude exceeds one thousand times its initial peak or the field
-    stops being finite.
+    The grid is checked (the stepper built) before phi and the bump are
+    sampled.  Raises DomainError unless `horizon_T` is finite and positive,
+    horizon_T / dt is at most `MAX_STEPS`, `output_stride` is None or at
+    least 1, the amplitude is finite, zero for kind `NONE` and, when a bump
+    is added, at most a tenth of phi's discrete H^1 norm in magnitude, and
+    the bump has a positive discrete H^1 norm on the grid; GridError if the
+    grid fails `discretize_operator`'s resolution or extent bound, and
+    BlowupError if the amplitude exceeds one thousand times its initial peak
+    or the field stops being finite.
     """
     if not (math.isfinite(horizon_T) and horizon_T > 0.0):
         raise DomainError(f"horizon_T must be finite and positive, got {horizon_T}")
@@ -396,22 +393,25 @@ def simulate(
     _check_positive_dt(dt)
     if horizon_T / dt > MAX_STEPS:
         raise DomainError(f"horizon_T / dt = {horizon_T / dt:.6g} steps exceeds the cap of {MAX_STEPS}")
+    if not math.isfinite(perturbation.amplitude):
+        raise DomainError(f"perturbation amplitude must be finite, got {perturbation.amplitude}")
+    if perturbation.kind is PerturbationKind.NONE and perturbation.amplitude != 0.0:
+        raise DomainError(f"perturbation kind 'none' takes amplitude 0, got {perturbation.amplitude}")
+    stepper = _stepper(p, grid, dt)
     phi = ProfileEvaluator.from_params(p).value(grid.nodes())
-    state = _initial_state(p, perturbation, grid, phi)
+    u = _initial_state(perturbation, grid, phi)
     steps = max(1, int(round(horizon_T / dt)))
     if output_stride is None:
         output_stride = max(1, steps // 400)
-    guard_sq = (1e3 * float(np.max(np.abs(state.samples)))) ** 2
-    stepper = _stepper(p, grid, dt)
-    u = state.samples.copy()
+    guard_sq = (1e3 * float(np.max(np.abs(u)))) ** 2
     half = bool(np.array_equal(u, u[::-1]))
     if half:
         c = grid.center_index
         u, phi = u[c:], phi[c:]
     advance = stepper.step_even if half else stepper.step
     observables = _Observables(p, grid, phi, half)
-    rows = [SimRow(state.time, *observables(u))]
-    t = state.time
+    rows = [SimRow(0.0, *observables(u))]
+    t = 0.0
     u *= _phase(u, 0.5 * dt, p)[0]
     for i in range(steps):
         u = advance(u)

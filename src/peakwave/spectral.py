@@ -144,15 +144,16 @@ def discretize_operator(kind: OperatorKind, p: WaveParameters, grid: GridSpec) -
     Preconditions: the grid must resolve the wave (h <= 0.05/sqrt(-omega)) and
     contain it (L >= 30/sqrt(-omega)), and 2/h^4, the largest squared
     coupling an inertia count forms (the even block's center row), must be
-    finite; GridError otherwise.
+    finite (so h^2 must be positive); GridError otherwise.  The bounds allow
+    relative slacks of 1e-12/0.05 and 1e-9/30 (1e-12 and 1e-9 at omega = -1).
     """
     nu = math.sqrt(-p.omega)
     h = grid.spacing
-    if h > 0.05 / nu + 1e-12:
+    if h > (0.05 + 1e-12) / nu:
         raise GridError(f"spacing h = {h} exceeds the resolution bound 0.05/sqrt(-omega) = {0.05 / nu}")
-    if grid.half_width < 30.0 / nu - 1e-9:
+    if grid.half_width < (30.0 - 1e-9) / nu:
         raise GridError(f"half width L = {grid.half_width} below the extent bound 30/sqrt(-omega) = {30.0 / nu}")
-    even_coupling = math.sqrt(2.0) / h**2
+    even_coupling = math.sqrt(2.0) / h**2 if h**2 > 0.0 else math.inf
     if not math.isfinite(even_coupling * even_coupling):
         raise GridError(f"spacing h = {h} is so fine that the squared coupling 2/h^4 overflows")
     x = grid.nodes()
@@ -292,12 +293,14 @@ def kernel_residual(p: WaveParameters, grid: GridSpec) -> KernelReport:
 @dataclass(frozen=True)
 class SpectrumReport:
     """Discrete-spectrum summary of one operator realization; the bare defect
-    has no kernel to measure, so its `kernel_residual` is None."""
+    has no kernel to measure, so its `kernel_residual` is None.  `n_points`
+    is the size of the matrix measured (the even block's in the even sector)."""
 
     negative_count: int
     eigenvalues: list[float]
     kernel_residual: float | None
     essential_edge: float
+    n_points: int
 
 
 def spectrum_report(kind: OperatorKind, p: WaveParameters, grid: GridSpec, k: int = 3,
@@ -320,7 +323,7 @@ def spectrum_report(kind: OperatorKind, p: WaveParameters, grid: GridSpec, k: in
         resid = _distance_to_zero(op, lams)
     else:
         resid = None
-    return SpectrumReport(negative, [lam for lam in lams if lam < edge], resid, edge)
+    return SpectrumReport(negative, [lam for lam in lams if lam < edge], resid, edge, op.size)
 
 
 def quadratic_form_discrete(p: WaveParameters, grid: GridSpec) -> float:
@@ -336,16 +339,13 @@ def negative_direction_check(p: WaveParameters) -> bool:
     The window is 0 < Z < sqrt(3)*lambda1/(2*sqrt(-lambda2)) together with
     Z^2/4 < -omega < min(-3*lambda1^2/(16*lambda2), -lambda1^2/(6*lambda2) + Z^2/4);
     inside it the center value satisfies lambda1/(2*lambda2) + phi(0)^2 < 0,
-    which forces the quadratic form negative.
+    which forces the quadratic form negative.  `validate_params` already
+    enforces |Z| < sqrt(3)*lambda1/(2*sqrt(-lambda2)), Z^2/4 < -omega and
+    -omega < -3*lambda1^2/(16*lambda2) for every attractive-repulsive point,
+    so only 0 < Z and -omega < -lambda1^2/(6*lambda2) + Z^2/4 are tested here.
     """
     if p.regime is not Regime.ATTRACTIVE_REPULSIVE:
         raise RegimeError("negative_direction_check applies to the attractive-repulsive regime")
-    z_bound = math.sqrt(3.0) * p.lambda1 / (2.0 * math.sqrt(-p.lambda2))
-    upper = min(
-        -3.0 * p.lambda1**2 / (16.0 * p.lambda2),
-        -p.lambda1**2 / (6.0 * p.lambda2) + p.z**2 / 4.0,
-    )
-    window = (0.0 < p.z < z_bound) and (p.z**2 / 4.0 < -p.omega < upper)
-    if not window:
+    if not (0.0 < p.z and -p.omega < -p.lambda1**2 / (6.0 * p.lambda2) + p.z**2 / 4.0):
         return False
     return p.lambda1 / (2.0 * p.lambda2) + phi_center_sq(p) < 0.0

@@ -14,9 +14,11 @@ nu = sqrt(-omega), c = nu*sqrt(|beta|)/(kappa + alpha) and t = tanh(nu*b),
 where b is the profile shift.  t comes from the shift equation in closed form,
 so the charge is an analytic function of omega and its derivative is taken by
 the complex step Im f(omega + i*h)/h (Squire & Trapp, SIAM Rev. 1998), exact
-to rounding with no subtraction.  Nothing here integrates numerically, and
-importing this module loads no scipy at all; the test suite holds the closed
-forms to adaptive quadrature and a Richardson-checked finite difference.
+to rounding with no subtraction.  The step h = 1e-30 shrinks to 1e-20*|omega|
+below |omega| = 1e-10, where a fixed step would not be small against omega.
+Nothing here integrates numerically, and importing this module loads no scipy
+at all; the test suite holds the closed forms to adaptive quadrature and a
+Richardson-checked finite difference.
 
 A sign change of the slope occurs for unit coefficients at the defect
 strength z* = -sqrt(3)/2; `find_zstar` locates it by bisection on the minimum
@@ -37,7 +39,6 @@ from .profile import Regime, WaveParameters, validate_params
 __all__ = [
     "VkScanRow",
     "ZSTAR_REFERENCE",
-    "norm_sq_closed",
     "dnorm_domega_closed",
     "slope",
     "p_index",
@@ -51,7 +52,7 @@ ZSTAR_REFERENCE = -math.sqrt(3.0) / 2.0
 #: Default frequency probe grid for threshold detection.
 DEFAULT_PROBE_GRID = (-1.5, -2.0, -3.0, -5.0, -10.0, -50.0)
 
-#: Imaginary frequency step of the complex-step derivative.
+#: Imaginary frequency step of the complex-step derivative (at most 1e-20*|omega|).
 _COMPLEX_STEP = 1e-30
 
 
@@ -79,20 +80,15 @@ def _charge(p: WaveParameters, omega: complex) -> complex:
     return 2.0 / root_beta * cmath.atanh(c * (1.0 - t) / (1.0 - c * c * t))
 
 
-def norm_sq_closed(omega: float, z: float) -> float:
-    """||phi||^2 for lambda1 = lambda2 = 1 in closed form; (omega, z) is validated."""
-    p = validate_params(1.0, 1.0, omega, z)
-    return _charge(p, p.omega).real
-
-
 def dnorm_domega_closed(omega: float, z: float) -> float:
     """d/domega of ||phi||^2 for lambda1 = lambda2 = 1 in closed form; (omega, z) is validated."""
     return -slope(validate_params(1.0, 1.0, omega, z))
 
 
 def slope(p: WaveParameters) -> float:
-    """-d/domega ||phi||^2, by the complex step of the closed-form charge."""
-    return -_charge(p, complex(p.omega, _COMPLEX_STEP)).imag / _COMPLEX_STEP
+    """-d/domega ||phi||^2, by a complex step of min(1e-30, 1e-20*|omega|) of the closed-form charge."""
+    step = min(_COMPLEX_STEP, 1e-20 * abs(p.omega))
+    return -_charge(p, complex(p.omega, step)).imag / step
 
 
 def _index_of_slope(s: float, p: WaveParameters) -> int:

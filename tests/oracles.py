@@ -11,6 +11,9 @@ shares no code with the Crank-Nicolson stepper it checks.
 It is the reference for the even parity block sliced from the full-line
 operator.
 
+`negative_direction_window` tests the paper's whole window for
+(L1 phi, phi) < 0, including the bounds `validate_params` already enforces.
+
 `norm_sq_quadrature` and `quadratic_form_phi` integrate the charge and the
 form (L1 phi, phi) by adaptive quadrature, and `dnorm_domega_numeric` takes
 the charge's frequency derivative by a Richardson-checked central difference
@@ -45,7 +48,7 @@ from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 
 from peakwave.dynamics import FieldState, _check_dt_cap, _check_positive_dt, _Observables, _phase, _stepper
 from peakwave.errors import DomainError, RegimeError
-from peakwave.profile import ProfileEvaluator, Side, WaveParameters, validate_params
+from peakwave.profile import ProfileEvaluator, Side, WaveParameters, phi_center_sq, validate_params
 from peakwave.profile import _coefficients, _r_inverse_raw, _r_raw
 from peakwave.spectral import GridSpec, OperatorKind, TridiagonalOperator
 
@@ -219,6 +222,18 @@ def quadratic_form_phi(p: WaveParameters) -> float:
         return -2.0 * p.lambda1 * v**4 - 4.0 * p.lambda2 * v**6
 
     return even_integral(integrand, L, 1e-13)
+
+
+def negative_direction_window(p: WaveParameters) -> bool:
+    """The paper's full window for (L1 phi, phi) < 0, every bound tested, then the
+    center-value condition: the reference for `spectral.negative_direction_check`."""
+    z_bound = math.sqrt(3.0) * p.lambda1 / (2.0 * math.sqrt(-p.lambda2))
+    upper = min(
+        -3.0 * p.lambda1**2 / (16.0 * p.lambda2),
+        -p.lambda1**2 / (6.0 * p.lambda2) + p.z**2 / 4.0,
+    )
+    window = (0.0 < p.z < z_bound) and (p.z**2 / 4.0 < -p.omega < upper)
+    return window and p.lambda1 / (2.0 * p.lambda2) + phi_center_sq(p) < 0.0
 
 
 def r_map(s, p: WaveParameters):

@@ -3,9 +3,14 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import peakwave
 from peakwave import cli, dynamics, spectral, validate_params
 from peakwave.dynamics import PerturbationKind
 from peakwave.spectral import OperatorKind, Space
@@ -15,6 +20,17 @@ def run(argv, capsys):
     code = cli.main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_fresh(argv):
+    """`python -m peakwave.cli argv` in a new interpreter that shows every warning:
+    (exit code, stdout, stderr)."""
+    src = str(Path(peakwave.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONWARNINGS="default",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "peakwave.cli", *argv], env=env, capture_output=True,
+                          text=True, timeout=120)
+    return done.returncode, done.stdout, done.stderr
 
 
 def strict_json(text):
@@ -152,6 +168,15 @@ class TestVkScanCommand:
         assert (code, out) == (2, "")
         assert "DomainError" in err and f"cap of {cli.MAX_SCAN_ROWS} rows" in err
 
+    def test_slope_at_tiny_frequency(self, capsys):
+        # ||phi||^2 ~ 4 sqrt(-omega) there, so d/domega ||phi||^2 ~ -2/sqrt(-omega).
+        code, out, _ = run(
+            ["vk-scan", "--omega-min=-1e-40", "--omega-max=-1e-30", "--omega-points", "2",
+             "--z-min", "0"], capsys)
+        assert code == 0
+        slopes = [float(line.split(",")[3]) for line in out.strip().split("\n")[2:]]
+        assert slopes == pytest.approx([-2e20, -2e15], rel=1e-6)
+
     def test_threshold_strength_exits_3(self, capsys):
         code, out, err = run(
             ["vk-scan", "--omega-min", "-6", "--omega-max", "-1.5", "--omega-points", "6",
@@ -178,7 +203,7 @@ class TestOverflowingConstants:
     @pytest.mark.parametrize("argv", [
         ["spectrum", "--l1", "1", "--l2", "1", "--omega=-1e151", "--z", "1"],
         ["spectrum", "--l1", "1", "--l2", "1", "--omega=-1e155", "--z", "1"],
-        ["classify", "--l1", "1", "--l2", "1", "--omega=-1e155", "--z", "1", "--n", "201"],
+        ["classify", "--l1", "1", "--l2", "1", "--omega=-1e155", "--z", "1"],
     ], ids=["spectrum-1e151", "spectrum-1e155", "classify-1e155"])
     def test_overflowing_coupling_exits_3(self, argv, capsys):
         code, out, err = run(argv, capsys)
@@ -330,6 +355,24 @@ class TestSimulateCommand:
         assert code == 3
         assert "GridError" in err and "resolution bound" in err
         assert out == ""
+
+    def test_odd_bump_on_unresolved_grid_exits_3_without_warning(self):
+        # The grid (h = 21.2) is checked before the vanishing odd bump is sampled.
+        code, out, err = run_fresh(
+            ["simulate", "--l1", "1", "--l2", "1", "--omega=-2", "--z", "1", "--n", "3",
+             "--perturbation", "odd", "--amplitude", "1e-3"])
+        assert (code, out) == (3, "")
+        assert err.startswith("GridError:") and "resolution bound" in err
+        assert "RuntimeWarning" not in err
+
+    def test_vanishing_odd_bump_exits_2_without_warning(self):
+        # h = 50 is admissible at omega = -1e-6, but x exp(-x^2) is 0 at every node.
+        code, out, err = run_fresh(
+            ["simulate", "--l1", "1", "--l2", "1", "--omega=-1e-6", "--z", "1e-3", "--n", "1201",
+             "--perturbation", "odd", "--amplitude", "1e-9"])
+        assert (code, out) == (2, "")
+        assert err.startswith("DomainError:") and "odd bump" in err
+        assert "RuntimeWarning" not in err
 
     def test_nonfinite_parameter_exits_2(self, capsys):
         code, _, err = run(

@@ -85,7 +85,7 @@ class TestConservedQuantities:
     def test_charge_matches_closed_norm(self):
         u = make_state(P, n=4001)
         assert 2.0 * discrete_charge(u) == pytest.approx(
-            vk.norm_sq_closed(P.omega, P.z), abs=1e-4
+            vk.scan(1.0, 1.0, [P.omega], [P.z])[0].norm_sq, abs=1e-4
         )
 
     @pytest.mark.parametrize("n", [1201, 2001, 4001])
@@ -107,7 +107,8 @@ class TestObservableOracles:
     def test_energy_and_distance_match_complex_forms(self, p, kind):
         grid = spectral.default_grid(p, n_points=1201)
         pert = Perturbation(kind, 0.0 if kind is PerturbationKind.NONE else 1e-2)
-        u0 = dynamics._initial_state(p, pert, grid, ProfileEvaluator.from_params(p).value(grid.nodes()))
+        phi = ProfileEvaluator.from_params(p).value(grid.nodes())
+        u0 = FieldState(dynamics._initial_state(pert, grid, phi), grid, 0.0, p)
         rotated = FieldState(u0.samples * cmath.exp(0.7j), grid, 0.0, p)
         evolved = simulate(p, pert, 0.5, grid=grid).final
         for u in (u0, rotated, evolved):
@@ -298,10 +299,10 @@ class TestUnpivotedFactors:
         stepper, reference = dynamics._ParityCrankNicolson(op, dt), PivotedReference(op, dt)
         phi = ProfileEvaluator.from_params(p).value(grid.nodes())
         c = grid.center_index
-        odd = dynamics._initial_state(p, Perturbation(PerturbationKind.ODD_BUMP, 1e-2), grid, phi)
-        assert self._relative(stepper.step(odd.samples), reference.step(odd.samples)) <= 1e-13
-        even = dynamics._initial_state(p, Perturbation(PerturbationKind.EVEN_BUMP, 1e-2), grid, phi)
-        v = even.samples[c:]
+        odd = dynamics._initial_state(Perturbation(PerturbationKind.ODD_BUMP, 1e-2), grid, phi)
+        assert self._relative(stepper.step(odd), reference.step(odd)) <= 1e-13
+        even = dynamics._initial_state(Perturbation(PerturbationKind.EVEN_BUMP, 1e-2), grid, phi)
+        v = even[c:]
         assert self._relative(stepper.step_even(v), reference.step_even(v)) <= 1e-13
 
     def test_matches_dense_solve_where_lapack_interchanges_rows(self):
@@ -654,6 +655,29 @@ class TestGridContract:
         with pytest.raises(GridError, match=bound):
             simulate(p, Perturbation(PerturbationKind.NONE, 0.0), 0.05, grid=grid)
 
+    def test_grid_is_checked_before_the_profile_is_sampled(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "ProfileEvaluator", None)
+        with pytest.raises(GridError, match="extent bound"):
+            simulate(P, Perturbation(PerturbationKind.ODD_BUMP, 1e-3), 0.05, grid=self.NARROW)
+
+    def test_odd_bump_on_unresolved_grid_is_a_grid_error(self):
+        # n = 3 gives h = 21.2: the odd bump vanishes there, and the grid breaks
+        # the resolution bound, which is reported first and with no warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GridError, match="resolution bound"):
+                simulate(P, Perturbation(PerturbationKind.ODD_BUMP, 1e-3), 10.0,
+                         grid=spectral.default_grid(P, n_points=3))
+
+    def test_vanishing_odd_bump_is_a_domain_error(self):
+        # h = 50 resolves omega = -1e-6, but x exp(-x^2) is 0 at every node.
+        p = validate_params(1.0, 1.0, -1e-6, 1e-3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="odd bump has zero discrete H\\^1 norm"):
+                simulate(p, Perturbation(PerturbationKind.ODD_BUMP, 1e-9), 10.0,
+                         grid=spectral.default_grid(p, n_points=1201))
+
     @pytest.mark.parametrize("step", [cn_linear_step, strang_step])
     def test_steps_reject_narrow_grid(self, step):
         u = make_state(P, n=self.NARROW.n_points, L=self.NARROW.half_width)
@@ -670,7 +694,7 @@ class TestSimulateEquivalence:
 
     def _strang_states(self, pert, dt):
         phi = ProfileEvaluator.from_params(P).value(self.GRID.nodes())
-        u = dynamics._initial_state(P, pert, self.GRID, phi)
+        u = FieldState(dynamics._initial_state(pert, self.GRID, phi), self.GRID, 0.0, P)
         states = [u]
         for _ in range(self.STEPS):
             u = strang_step(u, dt)

@@ -7,7 +7,8 @@ module or class any more.  Spectra are eigenvalues and counts: the
 eigenvector solve and the error only it raised are gone.  Each concept has one
 name: the space of a count or verdict is `spectral.Space` (the `--sector` of
 `spectrum` and the `--space` of `classify`), and a bad time step is a
-`DomainError` like any other bad argument.
+`DomainError` like any other bad argument.  The unit-pair charge
+`vk.norm_sq_closed` only tests called; they read the charge from `vk.scan`.
 """
 
 import importlib
@@ -38,8 +39,7 @@ PUBLIC = {
         "Regime", "Side", "WaveParameters", "ProfileEvaluator", "validate_params", "phi_center_sq",
     ],
     "peakwave.vk": [
-        "VkScanRow", "ZSTAR_REFERENCE", "norm_sq_closed", "dnorm_domega_closed", "slope", "p_index",
-        "find_zstar", "scan",
+        "VkScanRow", "ZSTAR_REFERENCE", "dnorm_domega_closed", "slope", "p_index", "find_zstar", "scan",
     ],
     "peakwave.spectral": [
         "Space", "OperatorKind", "GridSpec", "TridiagonalOperator", "SpectrumReport", "KernelReport",
@@ -63,6 +63,7 @@ REMOVED = {
     "peakwave.errors": ["ConvergenceError", "StepError"],
     "peakwave.profile": [*_PROFILE_REMOVED, "_r_prime_raw"],
     "peakwave.profile.ProfileEvaluator": ["second_derivative"],
+    "peakwave.vk": ["norm_sq_closed"],
     "peakwave.spectral": ["morse_index", "lowest_eigenpairs", "dstein", "ConvergenceError", "Sector"],
     "peakwave.dynamics": [
         "sampled_profile", "discrete_energy", "discrete_charge", "orbital_distance", "strang_step",

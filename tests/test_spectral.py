@@ -9,6 +9,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from peakwave import validate_params
 from peakwave.errors import DomainError, GridError, InstabilityError, RegimeError
@@ -28,7 +30,8 @@ from peakwave.spectral import (
     spectrum_report,
 )
 
-from oracles import even_sector_operator, lapack_eigenvalues, lapack_eigenvector, quadratic_form_phi
+from oracles import even_sector_operator, lapack_eigenvalues, lapack_eigenvector
+from oracles import negative_direction_window, quadratic_form_phi
 
 P_AA_POS = validate_params(1.0, 1.0, -2.0, 1.0)
 P_AA_NEG = validate_params(1.0, 1.0, -2.0, -1.0)
@@ -95,13 +98,46 @@ class TestDiscretizeOperator:
             spectrum_report(OperatorKind.L1, p, grid_for(p, 4001))
 
     def test_even_block_coupling_sets_the_overflow_bound(self):
-        # At h = 9e-78 the full line's 1/h^4 is finite, but the even block's
-        # center coupling sqrt(2)/h^2 squares to inf.
-        h = 9e-78
-        assert math.isfinite(1.0 / h**4) and not math.isfinite(2.0 / h**4)
+        # On the extent floor 30/nu at nu = 1e75, n = 6669 gives h = 8.998e-78:
+        # the full line's 1/h^4 is finite, but the even block's center
+        # coupling sqrt(2)/h^2 squares to inf.
         p = validate_params(1.0, 1.0, -1e150, 1.0)
+        grid = GridSpec(30.0 / 1e75, 6669)
+        h = grid.spacing
+        assert math.isfinite(1.0 / h**4) and not math.isfinite(2.0 / h**4)
         with pytest.raises(GridError, match="2/h\\^4"):
-            discretize_operator(OperatorKind.FREE_WITH_DELTA, p, GridSpec(1000.0 * h, 2001))
+            discretize_operator(OperatorKind.FREE_WITH_DELTA, p, grid)
+
+    def test_extent_bound_is_relative(self):
+        # 30/sqrt(-omega) = 3e-10 is far below the old absolute slack 1e-9, which
+        # let a box 300 times too short through and read a count of 0 for L1.
+        p = validate_params(1.0, 1.0, -1e22, 1.0)
+        with pytest.raises(GridError, match="extent bound"):
+            parity_counts(OperatorKind.L1, p, GridSpec(1e-12, 2001))
+
+    def test_resolution_bound_is_relative(self):
+        # h = 9.5e-79 is six times the bound 1.58e-79, far below the old 1e-12 slack.
+        p = validate_params(1.0, 1.0, -1e155, 1.0)
+        with pytest.raises(GridError, match="resolution bound"):
+            discretize_operator(OperatorKind.L1, p, spectral.default_grid(p, 201))
+
+    def test_bounds_keep_their_slack_at_unit_frequency(self):
+        p = validate_params(1.0, 1.0, -1.0, 1.0)
+        for grid in (GridSpec(30.0 - 0.9e-9, 1201), GridSpec(30.0, 1201), GridSpec(0.05 * 600 + 5e-10, 1201)):
+            discretize_operator(OperatorKind.FREE_WITH_DELTA, p, grid)
+        for grid in (GridSpec(30.0 - 1.1e-9, 1201), GridSpec(0.05 * 600 + 7e-10, 1201)):
+            with pytest.raises(GridError):
+                discretize_operator(OperatorKind.FREE_WITH_DELTA, p, grid)
+
+    @pytest.mark.parametrize("omega, grid", [
+        (-1e300, GridSpec(1e-170, 3)),
+        # On the extent floor at omega = -1e308, with h^2 below the smallest subnormal.
+        (-1e308, GridSpec(30.0 / math.sqrt(1e308), 10**10 + 1)),
+    ], ids=["short-box", "h-squared-underflows"])
+    def test_vanishing_spacing_is_a_grid_error(self, omega, grid):
+        p = validate_params(1.0, 1.0, omega, 1.0)
+        with pytest.raises(GridError):
+            discretize_operator(OperatorKind.L1, p, grid)
 
     def test_symmetric_by_construction(self):
         op = discretize_operator(OperatorKind.L1, P_AA_POS, grid_for(P_AA_POS))
@@ -377,6 +413,16 @@ class TestSpectrumReport:
         assert report.essential_edge == 0.0
         assert report.negative_count == 1
 
+    @pytest.mark.parametrize("kind", list(OperatorKind))
+    @pytest.mark.parametrize("sector", list(Space))
+    def test_n_points_is_the_size_measured(self, kind, sector, monkeypatch):
+        sizes = []
+        real = spectral.lowest_eigenvalues
+        monkeypatch.setattr(spectral, "lowest_eigenvalues", lambda op, k: sizes.append(op.size) or real(op, k))
+        grid = grid_for(P_AA_NEG, 1201)
+        report = spectrum_report(kind, P_AA_NEG, grid, k=1, sector=sector)
+        assert report.n_points == sizes[0] == (1201 if sector is Space.FULL_H1 else 601)
+
 
 class TestQuadraticForm:
     def test_negative_attractive_attractive(self):
@@ -404,6 +450,17 @@ class TestNegativeDirectionCheck:
     def test_regime_error(self):
         with pytest.raises(RegimeError):
             negative_direction_check(P_AA_POS)
+
+    @given(l1=st.floats(0.1, 10.0), l2=st.floats(-10.0, -0.01), z_frac=st.floats(-0.999, 0.999),
+           omega_frac=st.floats(0.001, 0.999))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_full_window_over_admissible_points(self, l1, l2, z_frac, omega_frac):
+        # validate_params owns the window's outer bounds, so testing only the
+        # two it leaves gives the full window's answer on every admissible point.
+        z = z_frac * math.sqrt(3.0) * l1 / (2.0 * math.sqrt(-l2))
+        lo, hi = z * z / 4.0, -3.0 * l1 * l1 / (16.0 * l2)
+        p = validate_params(l1, l2, -(lo + omega_frac * (hi - lo)), z)
+        assert negative_direction_check(p) is negative_direction_window(p), p
 
     def test_window_implies_negative_form(self):
         for (l1, l2, omega, z) in [(2.0, -1.0, -0.5, 1.0), (2.0, -1.0, -0.6, 0.9),

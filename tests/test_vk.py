@@ -20,6 +20,11 @@ def _fd(fun, x, h):
     return (fun(x + h) - fun(x - h)) / (2.0 * h)
 
 
+def unit_charge(omega, z):
+    """||phi||^2 for lambda1 = lambda2 = 1, as `vk.scan` tabulates it; (omega, z) is validated."""
+    return vk.scan(1.0, 1.0, [omega], [z])[0].norm_sq
+
+
 def _unit_omega(z_u, frac):
     """A frequency of the unit-coefficient box at strength z_u; frac in [0, 1]."""
     lo = max(1.3 * z_u * z_u / 4.0 + 0.2, 1.2)
@@ -56,7 +61,7 @@ class TestClosedFormCoefficients:
     def test_inadmissible_rejected(self):
         # Closed forms accept only (omega, z) admissible for unit coefficients.
         with pytest.raises(RegimeError):
-            vk.norm_sq_closed(-0.5, 2.0)
+            unit_charge(-0.5, 2.0)
 
 
 class TestClosedFormAllCoefficients:
@@ -88,6 +93,15 @@ class TestClosedFormAllCoefficients:
         assert vk.slope(above) > 0.0 > vk.slope(below)
         assert vk.p_index(above) == 1 and vk.p_index(below) == 0
 
+    @pytest.mark.parametrize("omega", [-1e-30, -1e-40, -1e-300])
+    def test_slope_at_tiny_frequency_matches_central_difference(self, omega):
+        # The charge grows like sqrt(-omega) there, so the slope is about 2/sqrt(-omega);
+        # a fixed step of 1e-30 is not small against omega.
+        p = validate_params(1.0, 1.0, omega, 0.0)
+        delta = 1e-4 * abs(omega)
+        expected = (unit_charge(omega + delta, 0.0) - unit_charge(omega - delta, 0.0)) / (2.0 * delta)
+        assert -vk.slope(p) == pytest.approx(expected, rel=1e-7)
+
     def test_threshold_is_root_three_over_two(self):
         assert vk.ZSTAR_REFERENCE == -math.sqrt(3.0) / 2.0
         for omega in (-1.0, -2.0, -10.0, -400.0):
@@ -98,34 +112,34 @@ class TestNormSqClosed:
     def test_zero_strength_reduces_to_single_arctan(self):
         # b = 0 at Z = 0, so the second arctan vanishes.
         theta = (math.sqrt(3.0) - math.sqrt(3.0 + 16.0)) / 4.0
-        assert vk.norm_sq_closed(-1.0, 0.0) == pytest.approx(
+        assert unit_charge(-1.0, 0.0) == pytest.approx(
             -2.0 * math.sqrt(3.0) * math.atan(theta), rel=1e-14
         )
 
     @pytest.mark.parametrize("omega,z", [(-3.0, 2.0), (-3.0, -2.0)])
     def test_matches_quadrature(self, omega, z):
         p = validate_params(1.0, 1.0, omega, z)
-        assert vk.norm_sq_closed(omega, z) == pytest.approx(
+        assert unit_charge(omega, z) == pytest.approx(
             norm_sq_quadrature(p), abs=1e-8
         )
 
     def test_negative_strength_carries_more_mass(self):
-        assert vk.norm_sq_closed(-3.0, -2.0) > vk.norm_sq_closed(-3.0, 2.0)
+        assert unit_charge(-3.0, -2.0) > unit_charge(-3.0, 2.0)
 
     def test_grid_agreement(self):
         # 6x6 admissible grid, closed vs quadrature to 1e-8.
         for z in (-1.2, -0.7, 0.0, 0.6, 1.4, 2.5):
             for omega in (-1.8, -2.5, -3.5, -6.0, -12.0, -40.0):
                 p = validate_params(1.0, 1.0, omega, z)
-                assert vk.norm_sq_closed(omega, z) == pytest.approx(
+                assert unit_charge(omega, z) == pytest.approx(
                     norm_sq_quadrature(p), abs=1e-8
                 ), (omega, z)
 
     def test_continuity_across_zero_strength(self):
         for omega in (-1.0, -4.0):
-            base = vk.norm_sq_closed(omega, 0.0)
-            assert abs(vk.norm_sq_closed(omega, 1e-8) - base) < 1e-6
-            assert abs(vk.norm_sq_closed(omega, -1e-8) - base) < 1e-6
+            base = unit_charge(omega, 0.0)
+            assert abs(unit_charge(omega, 1e-8) - base) < 1e-6
+            assert abs(unit_charge(omega, -1e-8) - base) < 1e-6
 
 
 class TestNormSqQuadrature:
@@ -156,7 +170,7 @@ class TestDnormDomegaClosed:
     def test_matches_finite_difference_grid(self):
         for z in (-0.9, -0.5, 0.0, 0.8, 2.0):
             for omega in (-1.5, -2.0, -3.0, -7.0, -20.0):
-                fd = _fd(lambda w: vk.norm_sq_closed(w, z), omega, 1e-5 * abs(omega))
+                fd = _fd(lambda w: unit_charge(w, z), omega, 1e-5 * abs(omega))
                 closed = vk.dnorm_domega_closed(omega, z)
                 assert closed == pytest.approx(fd, rel=1e-6), (omega, z)
 
