@@ -47,6 +47,20 @@ exits_2 vk-scan --l1 1e300 --l2 1 --omega-min -1 --omega-max -1 --omega-points 1
 exits_2 profile --l1 1e300 --l2 1e300 --omega -1 --z 0.5 --n 3
 # An odd bump that vanishes at every node of an admissible grid (h = 50).
 exits_2 simulate --l1 1 --l2 1 --omega=-1e-6 --z 1e-3 --n 1201 --perturbation odd --amplitude 1e-9
+# Points within rounding of an edge of the window: the shift's tanh(nu*b)
+# rounds to 1, kappa^2 to 0, or the charge's artanh argument to 1.
+exits_2 profile --l1 1 --l2 1 --omega=-1.0000000000000002 --z 2 --n 21
+exits_2 classify --l1 2 --l2 -1 --omega=-0.25000000000000006 --z 1
+exits_2 spectrum --l1 3 --l2 -5 --omega=-0.33749999999999997 --z 0 --n 1201
+exits_2 vk-scan --l1 7.90597882652009 --l2=-2.564831349355059 --omega-min=-4.569342923446585 --omega-max=-4.569342923446585 --omega-points 1 --z-min=-2.4954940761092166
+# A horizon shorter than half a step (dt = 0.00884).
+exits_2 simulate --l1 1 --l2 1 --omega=-2 --z 1 --horizon 1e-3 --n 1201
+
+# Tolerances scale with omega: a tiny and a huge frequency both classify.
+for point in "--omega=-1e-8 --z=1e-5" "--omega=-1e-8 --z=-1e-5" "--omega=-1e12 --z=5e5"; do
+  verdict=$(timeout 30 "${peakwave[@]}" classify --l1 1 --l2 1 $point)
+  case "$verdict" in *"(numeric=analytic)") ;; *) echo "classify $point wrote: $verdict" >&2; exit 1 ;; esac
+done
 
 # A bad --dt is a DomainError like any other bad argument.
 dt_err=$(timeout 30 "${peakwave[@]}" simulate --l1 1 --l2 1 --omega -2 --z 1 --horizon 0.1 --dt 0 2>&1 >/dev/null) || true

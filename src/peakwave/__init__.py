@@ -21,7 +21,6 @@ from .profile import (
     Regime,
     Side,
     WaveParameters,
-    phi_center_sq,
     validate_params,
 )
 
@@ -42,6 +41,5 @@ __all__ = [
     "Regime",
     "Side",
     "WaveParameters",
-    "phi_center_sq",
     "validate_params",
 ]

@@ -11,13 +11,13 @@ a temporary path and renamed, so no command leaves a partial file behind.
 
 `--outdir` needs `--out`, and so does `--format json` on `classify` and
 `find-zstar`, which otherwise print a one-line summary.  Exit codes: 0
-success, 2 parameter/usage error (a bad `simulate --dt`, `find-zstar
---bracket` or `vk-scan` bound included, a `--n` below 2 or above
-`MAX_GRID_POINTS`, a `simulate --amplitude` other than 0 with `--perturbation
-none` or with a bump of zero discrete H^1 norm, and a `simulate` of more than
-`dynamics.MAX_STEPS` steps or a `vk-scan` of more than `MAX_SCAN_ROWS` rows),
-3 numerical error (grid errors included), 4 I/O error.  A header holding NaN
-or Infinity is not written.
+success, 2 parameter/usage error (a point within rounding of an edge of the
+window, a bad `simulate --dt`, `find-zstar --bracket` or `vk-scan` bound, a
+`--n` below 2 or above `MAX_GRID_POINTS`, a `simulate --amplitude` other than
+0 with `--perturbation none` or with a bump of zero discrete H^1 norm, a
+`simulate` of no step or more than `dynamics.MAX_STEPS`, a `vk-scan` of more
+than `MAX_SCAN_ROWS` rows), 3 numerical error (grid errors included), 4 I/O
+error.  A header holding NaN or Infinity is not written.
 """
 
 from __future__ import annotations

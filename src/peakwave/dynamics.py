@@ -360,21 +360,21 @@ def simulate(
     horizon_T: float,
     dt: float | None = None,
     grid: GridSpec | None = None,
-    output_stride: int | None = None,
 ) -> SimulationResult:
     """Strang-split run from phi plus an optional normalized Gaussian bump.
 
-    Records (time, energy, charge, orbital distance) every `output_stride`
-    steps.  Between recorded steps the closing half rotation of one Strang
-    step and the opening half rotation of the next are applied as one full
-    rotation; on a recorded step one half-step phase serves both.  A bitwise
+    Takes round(horizon_T / dt) steps and records (time, energy, charge,
+    orbital distance) at the start, every max(1, steps // 400) steps and
+    after the last.  Between recorded steps the closing half rotation of one
+    Strang step and the opening half rotation of the next are applied as one
+    full rotation; on a recorded step one half-step phase serves both.  A bitwise
     mirror-symmetric start (no bump or an even one) is advanced on its
     x >= 0 half by the even-block solve alone, its rows are taken from that
     half with mirror weights, and it is unfolded only for the final state.
     The grid is checked (the stepper built) before phi and the bump are
     sampled.  Raises DomainError unless `horizon_T` is finite and positive,
-    horizon_T / dt is at most `MAX_STEPS`, `output_stride` is None or at
-    least 1, the amplitude is finite, zero for kind `NONE` and, when a bump
+    horizon_T / dt is at most `MAX_STEPS` and rounds to at least one step,
+    the amplitude is finite, zero for kind `NONE` and, when a bump
     is added, at most a tenth of phi's discrete H^1 norm in magnitude, and
     the bump has a positive discrete H^1 norm on the grid; GridError if the
     grid fails `discretize_operator`'s resolution or extent bound, and
@@ -383,8 +383,6 @@ def simulate(
     """
     if not (math.isfinite(horizon_T) and horizon_T > 0.0):
         raise DomainError(f"horizon_T must be finite and positive, got {horizon_T}")
-    if output_stride is not None and output_stride < 1:
-        raise DomainError(f"output_stride must be at least 1, got {output_stride}")
     if grid is None:
         grid = default_grid(p)
     if dt is None:
@@ -393,6 +391,9 @@ def simulate(
     _check_positive_dt(dt)
     if horizon_T / dt > MAX_STEPS:
         raise DomainError(f"horizon_T / dt = {horizon_T / dt:.6g} steps exceeds the cap of {MAX_STEPS}")
+    steps = int(round(horizon_T / dt))
+    if steps == 0:
+        raise DomainError(f"horizon_T = {horizon_T} is shorter than half a step dt = {dt}")
     if not math.isfinite(perturbation.amplitude):
         raise DomainError(f"perturbation amplitude must be finite, got {perturbation.amplitude}")
     if perturbation.kind is PerturbationKind.NONE and perturbation.amplitude != 0.0:
@@ -400,9 +401,7 @@ def simulate(
     stepper = _stepper(p, grid, dt)
     phi = ProfileEvaluator.from_params(p).value(grid.nodes())
     u = _initial_state(perturbation, grid, phi)
-    steps = max(1, int(round(horizon_T / dt)))
-    if output_stride is None:
-        output_stride = max(1, steps // 400)
+    stride = max(1, steps // 400)
     guard_sq = (1e3 * float(np.max(np.abs(u)))) ** 2
     half = bool(np.array_equal(u, u[::-1]))
     if half:
@@ -416,7 +415,7 @@ def simulate(
     for i in range(steps):
         u = advance(u)
         t = t + dt
-        record = (i + 1) % output_stride == 0 or i == steps - 1
+        record = (i + 1) % stride == 0 or i == steps - 1
         phase, mod2 = _phase(u, 0.5 * dt if record else dt, p)
         if not float(np.max(mod2)) <= guard_sq:
             raise BlowupError(f"amplitude exceeded the blow-up guard or became non-finite at t = {t}")

@@ -33,7 +33,6 @@ __all__ = [
     "WaveParameters",
     "ProfileEvaluator",
     "validate_params",
-    "phi_center_sq",
 ]
 
 
@@ -64,7 +63,9 @@ def validate_params(lambda1: float, lambda2: float, omega: float, z: float) -> W
     Raises :class:`RegimeError` for a non-finite parameter or a non-finite
     kappa^2 = (lambda1/4)^2 - (lambda2/3)*omega (the profile's constants
     would be inf or NaN), or naming the first violated inequality.  All
-    inequalities are strict: boundary parameter values are rejected.
+    inequalities are strict: boundary parameter values are rejected.  Last
+    come the points within rounding of an edge: kappa^2 rounded to 0 or below,
+    or the shift's tanh(nu*b), as `ProfileEvaluator.from_params` takes it, at +-1.
     """
     lambda1 = float(lambda1)
     lambda2 = float(lambda2)
@@ -85,18 +86,27 @@ def validate_params(lambda1: float, lambda2: float, omega: float, z: float) -> W
     if not math.isfinite(kappa_sq):
         raise RegimeError(f"kappa^2 = (lambda1/4)^2 - (lambda2/3)*omega = {kappa_sq} is not finite")
     if lambda2 > 0.0:
-        return WaveParameters(lambda1, lambda2, omega, z, Regime.ATTRACTIVE_ATTRACTIVE)
-    upper = -3.0 * lambda1 * lambda1 / (16.0 * lambda2)
-    if not (-omega < upper):
-        raise RegimeError(
-            f"-omega < -3*lambda1^2/(16*lambda2) violated: -omega = {-omega}, bound = {upper}"
-        )
-    z_bound = math.sqrt(3.0) * lambda1 / (2.0 * math.sqrt(-lambda2))
-    if not (abs(z) < z_bound):
-        raise RegimeError(
-            f"|Z| < sqrt(3)*lambda1/(2*sqrt(-lambda2)) violated: |Z| = {abs(z)}, bound = {z_bound}"
-        )
-    return WaveParameters(lambda1, lambda2, omega, z, Regime.ATTRACTIVE_REPULSIVE)
+        regime = Regime.ATTRACTIVE_ATTRACTIVE
+    else:
+        regime = Regime.ATTRACTIVE_REPULSIVE
+        upper = -3.0 * lambda1 * lambda1 / (16.0 * lambda2)
+        if not (-omega < upper):
+            raise RegimeError(
+                f"-omega < -3*lambda1^2/(16*lambda2) violated: -omega = {-omega}, bound = {upper}"
+            )
+        z_bound = math.sqrt(3.0) * lambda1 / (2.0 * math.sqrt(-lambda2))
+        if not (abs(z) < z_bound):
+            raise RegimeError(
+                f"|Z| < sqrt(3)*lambda1/(2*sqrt(-lambda2)) violated: |Z| = {abs(z)}, bound = {z_bound}"
+            )
+    p = WaveParameters(lambda1, lambda2, omega, z, regime)
+    if not kappa_sq > 0.0:
+        raise RegimeError(f"kappa^2 = {kappa_sq} is not positive: the point rounds onto an edge of the window")
+    alpha, kappa, nu = _coefficients(p)
+    t = _shift_tanh(z / (2.0 * nu), alpha, kappa)
+    if not abs(t) < 1.0:
+        raise RegimeError(f"shift tanh(nu*b) = {t} is not in (-1, 1): the point rounds onto an edge of the window")
+    return p
 
 
 def _kappa_sq(lambda1: float, lambda2: float, omega: float) -> float:
@@ -110,7 +120,7 @@ def _coefficients(p: WaveParameters) -> tuple[float, float, float]:
     """(alpha, kappa, nu) with alpha = lambda1/4, beta = lambda2/3,
     kappa = sqrt(alpha^2 - beta*omega), nu = sqrt(-omega)."""
     alpha = p.lambda1 / 4.0
-    # kappa^2 is positive (the AR upper bound) and finite (validate_params).
+    # kappa^2 is finite, and positive once validate_params has checked it.
     kappa = math.sqrt(_kappa_sq(p.lambda1, p.lambda2, p.omega))
     nu = math.sqrt(-p.omega)
     return alpha, kappa, nu
@@ -136,14 +146,17 @@ def _r_raw(arg, alpha: float, kappa: float):
     return np.clip(num / den, -_ONE_INSIDE, _ONE_INSIDE)
 
 
-def _r_inverse_raw(y: float, alpha: float, kappa: float, nu: float) -> float:
-    # With t = tanh(nu*s) the definition becomes the quadratic
+def _shift_tanh(y: float, alpha: float, kappa: float) -> float:
+    # With t = tanh(nu*s) the definition R(s) = y becomes the quadratic
     #   y*(kappa - alpha)*t^2 - 2*kappa*t + y*(alpha + kappa) = 0,
     # whose root in (-1, 1) is, in the cancellation-free form,
     #   t = y*(alpha + kappa) / (kappa + sqrt(kappa^2 - y^2*(kappa^2 - alpha^2))).
     disc = kappa * kappa - y * y * (kappa * kappa - alpha * alpha)
-    t = y * (alpha + kappa) / (kappa + math.sqrt(disc))
-    return math.atanh(t) / nu
+    return y * (alpha + kappa) / (kappa + math.sqrt(disc))
+
+
+def _r_inverse_raw(y: float, alpha: float, kappa: float, nu: float) -> float:
+    return math.atanh(_shift_tanh(y, alpha, kappa)) / nu
 
 
 @dataclass(frozen=True)
@@ -191,19 +204,3 @@ class ProfileEvaluator:
         side_sign = 1.0 if side is Side.RIGHT else -1.0
         sign = np.where(x_arr == 0.0, side_sign, sign)
         return -sign * self.slope_factor(x_arr) * self.value(x_arr)
-
-
-def phi_center_sq(p: WaveParameters) -> float:
-    """Closed-form phi(0)^2 in the attractive-repulsive regime.
-
-    phi(0)^2 solves the quadratic obtained from the first integral combined
-    with the derivative jump; the admissible root is
-
-        (-3*lambda1/(4*lambda2)) * (1 - sqrt(1 - (16*lambda2/(3*lambda1^2))*(omega + Z^2/4))).
-    """
-    if p.regime is not Regime.ATTRACTIVE_REPULSIVE:
-        raise RegimeError("phi_center_sq closed form applies to the attractive-repulsive regime; "
-                          "use ProfileEvaluator.value(0)**2 otherwise")
-    inner = 1.0 - (16.0 * p.lambda2 / (3.0 * p.lambda1**2)) * (p.omega + p.z * p.z / 4.0)
-    return (-3.0 * p.lambda1 / (4.0 * p.lambda2)) * (1.0 - math.sqrt(inner))
-

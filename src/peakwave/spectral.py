@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, GridError, InstabilityError, RegimeError
-from .profile import ProfileEvaluator, Regime, WaveParameters, phi_center_sq
+from .profile import ProfileEvaluator, Regime, WaveParameters
 
 __all__ = [
     "Space",
@@ -236,9 +236,10 @@ def zero_exclusion_shift(grid: GridSpec, p: WaveParameters) -> float:
     The discrete image of a true zero eigenvalue lands at O(h^2 * omega^2), so
     the exclusion must scale the same way; 3*h^2*omega^2 gives an order of
     magnitude of margin at the mandated grids while remaining far below the
-    smallest genuinely negative eigenvalues at tested parameters.
+    smallest genuinely negative eigenvalues at tested parameters.  The floor
+    1e-6*|omega| is relative too: the whole spectrum scales with |omega|.
     """
-    return max(1e-6 * max(1.0, abs(p.omega)), 3.0 * grid.spacing**2 * p.omega**2)
+    return max(1e-6 * abs(p.omega), 3.0 * grid.spacing**2 * p.omega**2)
 
 
 def parity_counts(kind: OperatorKind, p: WaveParameters, grid: GridSpec) -> tuple[int, int]:
@@ -348,4 +349,5 @@ def negative_direction_check(p: WaveParameters) -> bool:
         raise RegimeError("negative_direction_check applies to the attractive-repulsive regime")
     if not (0.0 < p.z and -p.omega < -p.lambda1**2 / (6.0 * p.lambda2) + p.z**2 / 4.0):
         return False
-    return p.lambda1 / (2.0 * p.lambda2) + phi_center_sq(p) < 0.0
+    phi0 = float(ProfileEvaluator.from_params(p).value(0.0))
+    return p.lambda1 / (2.0 * p.lambda2) + phi0 * phi0 < 0.0

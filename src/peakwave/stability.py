@@ -139,7 +139,7 @@ def classify_numeric(p: WaveParameters, space: Space, grid: GridSpec | None = No
     return _numeric_verdicts(p, grid)[space]
 
 
-def _analytic_verdicts(p: WaveParameters, zstar: float | None) -> dict[Space, Verdict]:
+def _analytic_verdicts(p: WaveParameters) -> dict[Space, Verdict]:
     """Both verdicts from the proven index table."""
     if p.regime is Regime.ATTRACTIVE_REPULSIVE:
         if p.z == 0.0:
@@ -148,23 +148,22 @@ def _analytic_verdicts(p: WaveParameters, zstar: float | None) -> dict[Space, Ve
     else:
         # Exact scaling onto unit coefficients; z_u == Z for lambda1 = lambda2 = 1.
         z_u = p.z * math.sqrt(p.lambda2) / p.lambda1
-        zs = vk.ZSTAR_REFERENCE if zstar is None else zstar
-        if abs(z_u - zs) <= ZSTAR_EXCLUSION:
+        if abs(z_u - vk.ZSTAR_REFERENCE) <= ZSTAR_EXCLUSION:
             raise DegenerateError(
                 f"scaled strength Z * sqrt(lambda2) / lambda1 = {z_u} within {ZSTAR_EXCLUSION} "
-                f"of the unit threshold {zs}"
+                f"of the unit threshold {vk.ZSTAR_REFERENCE}"
             )
-        p_idx = 1 if z_u > zs else 0
+        p_idx = 1 if z_u > vk.ZSTAR_REFERENCE else 0
     return _verdicts(1 if z_u >= 0.0 else 2, 1, p_idx, Provenance.ANALYTIC_TABLE)
 
 
-def classify_analytic(p: WaveParameters, space: Space, zstar: float | None = None) -> Verdict:
+def classify_analytic(p: WaveParameters, space: Space) -> Verdict:
     """Verdict from the proven classification tables.
 
-    `zstar` overrides the unit-coefficient threshold -sqrt(3)/2; a general
-    focusing pair is compared with it after scaling Z onto unit coefficients.
+    A focusing pair is compared with the unit-coefficient threshold
+    `vk.ZSTAR_REFERENCE` = -sqrt(3)/2 after scaling Z onto unit coefficients.
     """
-    return _analytic_verdicts(p, zstar)[space]
+    return _analytic_verdicts(p)[space]
 
 
 def compare(p: WaveParameters, grid: GridSpec | None = None) -> bool:
@@ -174,5 +173,5 @@ def compare(p: WaveParameters, grid: GridSpec | None = None) -> bool:
     there, which is a shared exclusion, not a disagreement).
     """
     numeric = _numeric_verdicts(p, grid)
-    analytic = _analytic_verdicts(p, None)
+    analytic = _analytic_verdicts(p)
     return all(numeric[space].outcome is analytic[space].outcome for space in Space)

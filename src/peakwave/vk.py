@@ -22,7 +22,7 @@ Richardson-checked finite difference.
 
 A sign change of the slope occurs for unit coefficients at the defect
 strength z* = -sqrt(3)/2; `find_zstar` locates it by bisection on the minimum
-slope over a frequency probe grid.  The scaling u = A v(Bx, B^2 t) with
+`slope` over a frequency probe grid.  The scaling u = A v(Bx, B^2 t) with
 A^2 = lambda1/lambda2, B^2 = lambda1^2/lambda2 carries it to
 Z*(lambda1, lambda2) = z* * lambda1/sqrt(lambda2) for every focusing pair.
 """
@@ -33,13 +33,12 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .errors import BracketError, DegenerateError, DomainError
+from .errors import BracketError, DegenerateError, DomainError, RegimeError
 from .profile import Regime, WaveParameters, validate_params
 
 __all__ = [
     "VkScanRow",
     "ZSTAR_REFERENCE",
-    "dnorm_domega_closed",
     "slope",
     "p_index",
     "find_zstar",
@@ -77,12 +76,11 @@ def _charge(p: WaveParameters, omega: complex) -> complex:
     # (the subtraction formulas hold because c^2*|t| < 1).
     if p.regime is Regime.ATTRACTIVE_ATTRACTIVE:
         return 2.0 / root_beta * cmath.atan(c * (1.0 - t) / (1.0 + c * c * t))
-    return 2.0 / root_beta * cmath.atanh(c * (1.0 - t) / (1.0 - c * c * t))
-
-
-def dnorm_domega_closed(omega: float, z: float) -> float:
-    """d/domega of ||phi||^2 for lambda1 = lambda2 = 1 in closed form; (omega, z) is validated."""
-    return -slope(validate_params(1.0, 1.0, omega, z))
+    arg = c * (1.0 - t) / (1.0 - c * c * t)
+    if not abs(arg.real) < 1.0:
+        raise RegimeError(f"artanh argument {arg.real} of the charge is not in (-1, 1): "
+                          "the point rounds onto an edge of the window")
+    return 2.0 / root_beta * cmath.atanh(arg)
 
 
 def slope(p: WaveParameters) -> float:
@@ -91,18 +89,21 @@ def slope(p: WaveParameters) -> float:
     return -_charge(p, complex(p.omega, step)).imag / step
 
 
-def _index_of_slope(s: float, p: WaveParameters) -> int:
-    """Slope index of slope s at p; DegenerateError unless |s| > 1e-9 (so for NaN too)."""
-    if not abs(s) > 1e-9:
+def _index_of_slope(s: float, p: WaveParameters, norm_sq: float) -> int:
+    """Slope index of slope s at p, whose charge is norm_sq; DegenerateError unless
+    |omega*s| > 1e-9*norm_sq (so for NaN too), a bound no rescaling of omega moves."""
+    if not abs(p.omega * s) > 1e-9 * norm_sq:
+        relative = abs(p.omega * s) / norm_sq if norm_sq > 0.0 else math.nan
         raise DegenerateError(
-            f"slope magnitude {abs(s)} <= 1e-9 at omega={p.omega}, Z={p.z}: too close to the threshold"
+            f"relative slope |omega * slope| / ||phi||^2 = {relative} <= 1e-9 at omega={p.omega}, "
+            f"Z={p.z}: too close to the threshold"
         )
     return 1 if s > 0.0 else 0
 
 
 def p_index(p: WaveParameters) -> int:
     """Slope index: 1 when -d/domega ||phi||^2 > 0, else 0."""
-    return _index_of_slope(slope(p), p)
+    return _index_of_slope(slope(p), p, _charge(p, p.omega).real)
 
 
 def find_zstar(
@@ -124,7 +125,7 @@ def find_zstar(
         raise BracketError("probe grid is empty")
 
     def g(z: float) -> float:
-        return min(-dnorm_domega_closed(w, z) for w in probes)
+        return min(slope(validate_params(1.0, 1.0, w, z)) for w in probes)
 
     g_lo, g_hi = g(z_lo), g(z_hi)
     if (g_lo > 0.0) == (g_hi > 0.0):
@@ -155,11 +156,12 @@ class VkScanRow:
 
 def scan(lambda1: float, lambda2: float, omegas, zs) -> list[VkScanRow]:
     """Tabulate charge, slope, and slope index over an (omega, z) grid;
-    DegenerateError, as in `p_index`, where |slope| <= 1e-9."""
+    DegenerateError, as in `p_index`, where |omega*slope| <= 1e-9*||phi||^2."""
     rows = []
     for z in zs:
         for omega in omegas:
             p = validate_params(lambda1, lambda2, omega, z)
             s = slope(p)
-            rows.append(VkScanRow(omega, z, _charge(p, p.omega).real, -s, _index_of_slope(s, p)))
+            norm_sq = _charge(p, p.omega).real
+            rows.append(VkScanRow(omega, z, norm_sq, -s, _index_of_slope(s, p, norm_sq)))
     return rows

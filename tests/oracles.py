@@ -12,7 +12,9 @@ It is the reference for the even parity block sliced from the full-line
 operator.
 
 `negative_direction_window` tests the paper's whole window for
-(L1 phi, phi) < 0, including the bounds `validate_params` already enforces.
+(L1 phi, phi) < 0, including the bounds `validate_params` already enforces,
+and takes phi(0)^2 from `phi_center_sq`, the closed form of the
+attractive-repulsive center value, not from the profile evaluator.
 
 `norm_sq_quadrature` and `quadratic_form_phi` integrate the charge and the
 form (L1 phi, phi) by adaptive quadrature, and `dnorm_domega_numeric` takes
@@ -48,7 +50,7 @@ from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 
 from peakwave.dynamics import FieldState, _check_dt_cap, _check_positive_dt, _Observables, _phase, _stepper
 from peakwave.errors import DomainError, RegimeError
-from peakwave.profile import ProfileEvaluator, Side, WaveParameters, phi_center_sq, validate_params
+from peakwave.profile import ProfileEvaluator, Regime, Side, WaveParameters, validate_params
 from peakwave.profile import _coefficients, _r_inverse_raw, _r_raw
 from peakwave.spectral import GridSpec, OperatorKind, TridiagonalOperator
 
@@ -222,6 +224,21 @@ def quadratic_form_phi(p: WaveParameters) -> float:
         return -2.0 * p.lambda1 * v**4 - 4.0 * p.lambda2 * v**6
 
     return even_integral(integrand, L, 1e-13)
+
+
+def phi_center_sq(p: WaveParameters) -> float:
+    """Closed-form phi(0)^2 in the attractive-repulsive regime.
+
+    phi(0)^2 solves the quadratic obtained from the first integral combined
+    with the derivative jump; the admissible root is
+
+        (-3*lambda1/(4*lambda2)) * (1 - sqrt(1 - (16*lambda2/(3*lambda1^2))*(omega + Z^2/4))).
+    """
+    if p.regime is not Regime.ATTRACTIVE_REPULSIVE:
+        raise RegimeError("phi_center_sq closed form applies to the attractive-repulsive regime; "
+                          "use ProfileEvaluator.value(0)**2 otherwise")
+    inner = 1.0 - (16.0 * p.lambda2 / (3.0 * p.lambda1**2)) * (p.omega + p.z * p.z / 4.0)
+    return (-3.0 * p.lambda1 / (4.0 * p.lambda2)) * (1.0 - math.sqrt(inner))
 
 
 def negative_direction_window(p: WaveParameters) -> bool:

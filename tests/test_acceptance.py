@@ -147,7 +147,7 @@ def test_criterion_5_slope_signs():
     assert checked == 400
     for z, positive in ((-0.8, True), (-0.9, False)):
         for omega in np.linspace(-1.0, -30.0, 50):
-            s = -vk.dnorm_domega_closed(float(omega), z)
+            s = vk.slope(validate_params(1.0, 1.0, float(omega), z))
             assert (s > 0.0) is positive, (omega, z)
     elapsed = time.time() - start
     assert elapsed < 60.0
@@ -182,14 +182,13 @@ def _classification_grid_ar():
 
 def test_criterion_6_classification_agreement():
     start = time.time()
-    zstar = vk.find_zstar()
     outcomes = set()
     count = 0
     for p in _classification_grid_unit() + _classification_grid_ar():
         assert stability.compare(p) is True, (p.lambda1, p.lambda2, p.omega, p.z)
         for space in (stability.Space.FULL_H1, stability.Space.EVEN_H1):
-            v = stability.classify_analytic(p, space, zstar=zstar)
-            outcomes.add((p.regime.value, p.z > 0.0, p.z > zstar, space.value, v.outcome.value))
+            v = stability.classify_analytic(p, space)
+            outcomes.add((p.regime.value, p.z > 0.0, p.z > vk.ZSTAR_REFERENCE, space.value, v.outcome.value))
         count += 1
     assert count == 200
     # Every clause of the two classifications is exercised by the grid.

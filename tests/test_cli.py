@@ -231,6 +231,53 @@ class TestSpectrumCommand:
         assert out == ""
 
 
+class TestRoundedEdges:
+    """Points that pass every inequality but lie within rounding of an edge of
+    the window exit 2 with a RegimeError instead of crashing."""
+
+    @pytest.mark.parametrize("argv", [
+        ["profile", "--l1", "1", "--l2", "1", "--omega=-1.0000000000000002", "--z", "2", "--n", "21"],
+        ["classify", "--l1", "1", "--l2", "1", "--omega=-1.0000000000000002", "--z", "2"],
+        ["simulate", "--l1", "1", "--l2", "1", "--omega=-1.0000000000000002", "--z", "2", "--n", "1201"],
+        ["vk-scan", "--omega-min=-1.0000000000000002", "--omega-max=-1.0000000000000002",
+         "--omega-points", "1", "--z-min", "2"],
+        ["classify", "--l1", "2", "--l2", "-1", "--omega=-0.25000000000000006", "--z", "1"],
+        ["spectrum", "--l1", "3", "--l2", "-5", "--omega=-0.33749999999999997", "--z", "0", "--n", "1201"],
+        ["vk-scan", "--l1", "3", "--l2", "-5", "--omega-min=-0.33749999999999997",
+         "--omega-max=-0.33749999999999997", "--omega-points", "1", "--z-min", "0.1"],
+        ["vk-scan", "--l1", "7.90597882652009", "--l2=-2.564831349355059", "--omega-min=-4.569342923446585",
+         "--omega-max=-4.569342923446585", "--omega-points", "1", "--z-min=-2.4954940761092166"],
+    ], ids=["profile-tanh", "classify-tanh", "simulate-tanh", "vk-scan-tanh", "classify-ar-tanh",
+            "spectrum-kappa", "vk-scan-kappa", "vk-scan-artanh"])
+    def test_exits_2(self, argv, capsys):
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("RegimeError:") and "rounds onto an edge of the window" in err
+
+
+class TestScaleFreeTolerances:
+    def test_small_frequency_spectrum_counts_its_negative_eigenvalue(self, capsys):
+        code, out, _ = run(
+            ["spectrum", "--l1", "1", "--l2", "1", "--omega=-1e-8", "--z", "1e-5", "--n", "2001"], capsys)
+        assert code == 0
+        header = json.loads(out.split("\n")[0][2:])
+        assert header["negative_count"] == 1
+        # 3*h^2*omega^2 with h = 300, where the old absolute floor gave 1e-6.
+        assert header["zero_exclusion_shift"] == pytest.approx(2.7e-11, rel=1e-12)
+
+    @pytest.mark.parametrize("z, full", [("1e-5", "OrbitallyStable"), ("-1e-5", "OrbitallyUnstable")])
+    @pytest.mark.parametrize("space", ["full", "even"])
+    def test_small_frequency_classify_agrees(self, z, full, space, capsys):
+        code, out, _ = run(["classify", "--l1", "1", "--l2", "1", "--omega=-1e-8", f"--z={z}",
+                            "--space", space], capsys)
+        outcome = full if space == "full" else "OrbitallyStable"
+        assert (code, out) == (0, f"{outcome} (numeric=analytic)\n")
+
+    def test_large_frequency_classify_agrees(self, capsys):
+        code, out, _ = run(["classify", "--l1", "1", "--l2", "1", "--omega=-1e12", "--z", "5e5"], capsys)
+        assert (code, out) == (0, "OrbitallyStable (numeric=analytic)\n")
+
+
 class TestClassifyCommand:
     def test_stable_line(self, capsys):
         code, out, _ = run(
@@ -347,11 +394,20 @@ class TestSimulateCommand:
         assert "BlowupError" in err
         assert out == ""
 
+    def test_horizon_shorter_than_half_a_step_exits_2(self, capsys):
+        # dt = h/4 = 0.00884: one step would write a last row 8.8 times past the horizon.
+        code, out, err = run(
+            ["simulate", "--l1", "1", "--l2", "1", "--omega=-2", "--z", "1",
+             "--horizon", "1e-3", "--n", "1201"], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("DomainError:") and "shorter than half a step" in err
+
     @pytest.mark.parametrize("n", ["3", "5"])
     def test_grid_below_parity_block_minimum_exits_3(self, n, capsys):
+        # The horizon spans steps of dt = h/4 (h = 21.2 and 10.6), so the grid is what fails.
         code, out, err = run(
             ["simulate", "--l1", "1", "--l2", "1", "--omega", "-2", "--z", "1",
-             "--horizon", "0.1", "--n", n], capsys)
+             "--horizon", "10", "--n", n], capsys)
         assert code == 3
         assert "GridError" in err and "resolution bound" in err
         assert out == ""

@@ -9,16 +9,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from peakwave import (
+    DegenerateError,
     DomainError,
     ProfileEvaluator,
     Regime,
     RegimeError,
     Side,
-    phi_center_sq,
     validate_params,
 )
+from peakwave import vk
 
-from oracles import jump_defect, ode_residual, r_inverse, r_map
+from oracles import jump_defect, ode_residual, phi_center_sq, r_inverse, r_map
 
 AA = validate_params(1.0, 1.0, -1.0, 0.0)
 AR = validate_params(2.0, -1.0, -0.5, 1.0)
@@ -300,9 +301,24 @@ class TestFirstIntegral:
 
 
 class TestPhiCenterSq:
+    """The closed form of phi(0)^2 (an oracle) against the evaluator, which
+    `spectral.negative_direction_check` reads it from."""
+
     def test_matches_direct_evaluation(self):
         phi0 = float(ProfileEvaluator.from_params(AR).value(0.0))
         assert phi_center_sq(AR) == pytest.approx(phi0**2, abs=1e-10)
+
+    @given(l1=st.floats(0.1, 10.0), l2=st.floats(-10.0, -0.1), z_frac=st.floats(-0.999, 0.999),
+           omega_frac=st.floats(0.001, 0.999))
+    @settings(max_examples=200, deadline=None)
+    def test_evaluator_matches_closed_form_over_the_window(self, l1, l2, z_frac, omega_frac):
+        # Both are O(-3*lambda1/(4*lambda2)); relative to that scale they agree to 1.5e-14
+        # on 20000 seeded points (the closed form cancels near the floor, the evaluator does not).
+        z = z_frac * math.sqrt(3.0) * l1 / (2.0 * math.sqrt(-l2))
+        lo, hi = z * z / 4.0, -3.0 * l1 * l1 / (16.0 * l2)
+        p = validate_params(l1, l2, -(lo + omega_frac * (hi - lo)), z)
+        phi0 = float(ProfileEvaluator.from_params(p).value(0.0))
+        assert abs(phi0 * phi0 - phi_center_sq(p)) <= 1e-13 * (-3.0 * l1 / (4.0 * l2))
 
     def test_regime_error_outside_ar(self):
         with pytest.raises(RegimeError):
@@ -321,6 +337,75 @@ class TestPhiCenterSq:
                   for omega in (-0.30, -0.27, -0.2501)]
         assert values[0] > values[1] > values[2]
         assert values[2] < 4e-4
+
+
+@st.composite
+def edge_points(draw):
+    """(lambda1, lambda2, omega, Z) with omega up to 4 ulps outside or 8 inside
+    an edge: -omega = Z^2/4 in either regime, or the attractive-repulsive
+    upper edge -omega = -3*lambda1^2/(16*lambda2)."""
+    repulsive = draw(st.booleans())
+    l1 = draw(st.floats(0.1, 10.0))
+    l2 = draw(st.floats(0.1, 10.0)) * (-1.0 if repulsive else 1.0)
+    z_bound = math.sqrt(3.0) * l1 / (2.0 * math.sqrt(-l2)) if repulsive else 3.0
+    z = draw(st.floats(0.05, 0.999)) * z_bound * draw(st.sampled_from([-1.0, 1.0]))
+    omega = 3.0 * l1 * l1 / (16.0 * l2) if repulsive and draw(st.booleans()) else -(z * z / 4.0)
+    ulps = draw(st.integers(-4, 8))
+    for _ in range(abs(ulps)):
+        omega = math.nextafter(omega, -math.inf if ulps > 0 else math.inf)
+    return l1, l2, omega, z
+
+
+class TestWindowEdges:
+    """Points within a few ulps of an edge of the admissible window.
+
+    There tanh(nu*b) of the shift can round to +-1 (math.atanh then fails),
+    kappa^2 can round to 0 (a zero division or a square root of a negative),
+    and, one ulp inside the attractive-repulsive upper edge with Z < 0, the
+    charge's artanh argument can round to 1.  Each is a RegimeError.
+    """
+
+    @pytest.mark.parametrize("point, match", [
+        ((1.0, 1.0, -1.0000000000000002, 2.0), "tanh"),
+        ((2.0, -1.0, -0.25000000000000006, 1.0), "tanh"),
+        ((3.0, -5.0, -0.33749999999999997, 0.0), "kappa"),
+        ((3.0, -5.0, -0.33749999999999997, 0.1), "kappa"),
+    ])
+    def test_validate_params_rejects_rounded_edges(self, point, match):
+        with pytest.raises(RegimeError, match=match):
+            validate_params(*point)
+
+    def test_charge_rejects_a_rounded_upper_edge(self):
+        # One ulp inside the upper edge -omega = 4.569342923446586.
+        point = (7.90597882652009, -2.564831349355059, -4.569342923446585, -2.4954940761092166)
+        p = validate_params(*point)
+        assert float(ProfileEvaluator.from_params(p).value(0.0)) > 0.0
+        with pytest.raises(RegimeError, match="artanh"):
+            vk.scan(p.lambda1, p.lambda2, [p.omega], [p.z])
+        with pytest.raises(RegimeError, match="artanh"):
+            vk.p_index(p)
+
+    @given(edge_points())
+    @settings(max_examples=400, deadline=None)
+    def test_edge_points_are_rejected_or_finite(self, point):
+        try:
+            p = validate_params(*point)
+        except RegimeError:
+            return
+        phi0 = float(ProfileEvaluator.from_params(p).value(0.0))
+        assert math.isfinite(phi0) and phi0 > 0.0
+        try:
+            row = vk.scan(p.lambda1, p.lambda2, [p.omega], [p.z])[0]
+        except RegimeError as exc:
+            assert "artanh" in str(exc)
+            return
+        except DegenerateError:
+            # The draw can hit the slope threshold of a focusing pair itself.
+            z_u = p.z * math.sqrt(p.lambda2) / p.lambda1
+            assert p.regime is Regime.ATTRACTIVE_ATTRACTIVE and abs(z_u - vk.ZSTAR_REFERENCE) < 1e-6
+            return
+        # The charge vanishes at the lower edge, so one ulp inside it may round to 0.
+        assert math.isfinite(row.norm_sq) and row.norm_sq >= 0.0 and math.isfinite(row.dnorm_domega)
 
 
 @given(

@@ -9,12 +9,18 @@ name: the space of a count or verdict is `spectral.Space` (the `--sector` of
 `spectrum` and the `--space` of `classify`), and a bad time step is a
 `DomainError` like any other bad argument.  The unit-pair charge
 `vk.norm_sq_closed` only tests called; they read the charge from `vk.scan`.
+Each quantity has one formula: phi(0)^2 is the profile's value at 0 (its
+attractive-repulsive closed form `phi_center_sq` is a test oracle), and the
+unit-pair charge derivative is `-vk.slope`, so `vk.dnorm_domega_closed` is
+gone.
 """
 
 import importlib
+import inspect
 import pkgutil
 
-from peakwave import spectral, stability
+import peakwave
+from peakwave import dynamics, spectral, stability
 
 PUBLIC = {
     "peakwave": [
@@ -32,15 +38,10 @@ PUBLIC = {
         "Regime",
         "Side",
         "WaveParameters",
-        "phi_center_sq",
         "validate_params",
     ],
-    "peakwave.profile": [
-        "Regime", "Side", "WaveParameters", "ProfileEvaluator", "validate_params", "phi_center_sq",
-    ],
-    "peakwave.vk": [
-        "VkScanRow", "ZSTAR_REFERENCE", "dnorm_domega_closed", "slope", "p_index", "find_zstar", "scan",
-    ],
+    "peakwave.profile": ["Regime", "Side", "WaveParameters", "ProfileEvaluator", "validate_params"],
+    "peakwave.vk": ["VkScanRow", "ZSTAR_REFERENCE", "slope", "p_index", "find_zstar", "scan"],
     "peakwave.spectral": [
         "Space", "OperatorKind", "GridSpec", "TridiagonalOperator", "SpectrumReport", "KernelReport",
         "default_grid", "discretize_operator", "parity_blocks", "inertia_below", "lowest_eigenvalues",
@@ -59,11 +60,11 @@ PUBLIC = {
 _PROFILE_REMOVED = ["phi_eval", "phi_derivative", "r_map", "r_inverse", "ode_residual", "jump_defect"]
 
 REMOVED = {
-    "peakwave": [*_PROFILE_REMOVED, "ConvergenceError", "StepError"],
+    "peakwave": [*_PROFILE_REMOVED, "phi_center_sq", "ConvergenceError", "StepError"],
     "peakwave.errors": ["ConvergenceError", "StepError"],
-    "peakwave.profile": [*_PROFILE_REMOVED, "_r_prime_raw"],
+    "peakwave.profile": [*_PROFILE_REMOVED, "phi_center_sq", "_r_prime_raw"],
     "peakwave.profile.ProfileEvaluator": ["second_derivative"],
-    "peakwave.vk": ["norm_sq_closed"],
+    "peakwave.vk": ["norm_sq_closed", "dnorm_domega_closed"],
     "peakwave.spectral": ["morse_index", "lowest_eigenpairs", "dstein", "ConvergenceError", "Sector"],
     "peakwave.dynamics": [
         "sampled_profile", "discrete_energy", "discrete_charge", "orbital_distance", "strang_step",
@@ -84,3 +85,14 @@ def test_exports_are_pinned_and_removed_names_are_gone():
 
 def test_stability_space_is_the_spectral_enum():
     assert stability.Space is spectral.Space
+
+
+def test_no_module_keeps_a_second_formula():
+    for info in pkgutil.iter_modules(peakwave.__path__, "peakwave."):
+        module = importlib.import_module(info.name)
+        assert [a for a in ("phi_center_sq", "dnorm_domega_closed") if hasattr(module, a)] == [], info.name
+
+
+def test_options_only_tests_set_are_gone():
+    assert "output_stride" not in inspect.signature(dynamics.simulate).parameters
+    assert "zstar" not in inspect.signature(stability.classify_analytic).parameters

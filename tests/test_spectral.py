@@ -31,7 +31,7 @@ from peakwave.spectral import (
 )
 
 from oracles import even_sector_operator, lapack_eigenvalues, lapack_eigenvector
-from oracles import negative_direction_window, quadratic_form_phi
+from oracles import negative_direction_window, phi_center_sq, quadratic_form_phi
 
 P_AA_POS = validate_params(1.0, 1.0, -2.0, 1.0)
 P_AA_NEG = validate_params(1.0, 1.0, -2.0, -1.0)
@@ -424,6 +424,26 @@ class TestSpectrumReport:
         assert report.n_points == sizes[0] == (1201 if sector is Space.FULL_H1 else 601)
 
 
+class TestZeroExclusionShift:
+    @pytest.mark.parametrize("omega", [-1.0, -2.0, -50.0, -1e12])
+    def test_unchanged_for_unit_and_larger_frequencies(self, omega):
+        # The relative floor 1e-6*|omega| equals the old 1e-6*max(1, |omega|) there.
+        p = validate_params(1.0, 1.0, omega, 0.5)
+        for n in (1201, 2001, 4001):
+            grid = grid_for(p, n)
+            old = max(1e-6 * max(1.0, abs(omega)), 3.0 * grid.spacing**2 * omega**2)
+            assert spectral.zero_exclusion_shift(grid, p) == old
+
+    def test_small_frequency_counts_its_negative_eigenvalue(self):
+        # The L1 eigenvalue -2.92e-8 sits above an absolute floor of -1e-6; with
+        # the floor 1e-6*|omega| the shift is 3*h^2*omega^2 = 2.7e-11 (h = 300),
+        # which counts it, as the proven n = 1 for Z > 0 requires.
+        p = validate_params(1.0, 1.0, -1e-8, 1e-5)
+        report = spectrum_report(OperatorKind.L1, p, grid_for(p), k=2)
+        assert report.eigenvalues[0] == pytest.approx(-2.92e-8, rel=1e-2)
+        assert report.negative_count == 1
+
+
 class TestQuadraticForm:
     def test_negative_attractive_attractive(self):
         assert quadratic_form_phi(P_AA_POS) < 0.0
@@ -467,5 +487,5 @@ class TestNegativeDirectionCheck:
                                    (4.0, -2.0, -1.0, 1.2)]:
             p = validate_params(l1, l2, omega, z)
             if negative_direction_check(p):
-                assert p.lambda1 / (2.0 * p.lambda2) + spectral.phi_center_sq(p) < 0.0
+                assert p.lambda1 / (2.0 * p.lambda2) + phi_center_sq(p) < 0.0
                 assert quadratic_form_phi(p) < 0.0

@@ -252,6 +252,21 @@ class TestCompare:
             p = validate_params(l1, l2, omega_u * l1 * l1 / l2, z_u * l1 / math.sqrt(l2))
             assert compare(p, grid_for(p)) is True, (p.omega, p.z)
 
+    @pytest.mark.parametrize("z", [1e-5, -1e-5])
+    def test_small_frequency_agrees(self, z):
+        # |omega| = 1e-8: the L1 gap (about 1.4e-9) clears the relative shift
+        # 1e-14, where the old absolute floor 1e-6 raised PreconditionError.
+        p = validate_params(1.0, 1.0, -1e-8, z)
+        assert compare(p, grid_for(p)) is True
+
+    @pytest.mark.parametrize("omega, z", [(-1e12, 5e5), (-1e12, -5e5), (-1e12, -8e5),
+                                          (-1e16, 5e7), (-1e16, -8e7)])
+    def test_large_frequency_agrees(self, omega, z):
+        # The slope is about 2e-13 at omega = -1e12, so an absolute guard
+        # |slope| > 1e-9 refused every such point; the relative one does not.
+        p = validate_params(1.0, 1.0, omega, z)
+        assert compare(p, grid_for(p)) is True
+
     def test_shared_exclusion_near_threshold(self):
         zstar = vk.find_zstar()
         p = validate_params(1.0, 1.0, -2.0, zstar)

@@ -162,16 +162,21 @@ class TestNormSqQuadrature:
         assert math.isfinite(value) and value > 0.0
 
 
-class TestDnormDomegaClosed:
+def unit_slope(omega, z):
+    """-d/domega ||phi||^2 for lambda1 = lambda2 = 1; (omega, z) is validated."""
+    return vk.slope(validate_params(1.0, 1.0, omega, z))
+
+
+class TestUnitSlope:
     def test_threshold_sign_flip(self):
-        assert -vk.dnorm_domega_closed(-2.0, -0.86) > 0.0   # above the threshold
-        assert -vk.dnorm_domega_closed(-2.0, -0.9) < 0.0    # below the threshold
+        assert unit_slope(-2.0, -0.86) > 0.0   # above the threshold
+        assert unit_slope(-2.0, -0.9) < 0.0    # below the threshold
 
     def test_matches_finite_difference_grid(self):
         for z in (-0.9, -0.5, 0.0, 0.8, 2.0):
             for omega in (-1.5, -2.0, -3.0, -7.0, -20.0):
                 fd = _fd(lambda w: unit_charge(w, z), omega, 1e-5 * abs(omega))
-                closed = vk.dnorm_domega_closed(omega, z)
+                closed = -unit_slope(omega, z)
                 assert closed == pytest.approx(fd, rel=1e-6), (omega, z)
 
 
@@ -185,7 +190,7 @@ class TestDnormDomegaNumeric:
         for (omega, z) in [(-2.0, 1.0), (-3.0, -0.5), (-1.5, 0.0)]:
             p = validate_params(1.0, 1.0, omega, z)
             numeric = dnorm_domega_numeric(p)
-            closed = vk.dnorm_domega_closed(omega, z)
+            closed = -unit_slope(omega, z)
             assert numeric == pytest.approx(closed, rel=1e-5)
 
     def test_step_leaving_regime_rejected(self):
@@ -202,7 +207,15 @@ class TestPIndex:
 
     def test_nan_slope_is_degenerate(self):
         with pytest.raises(DegenerateError):
-            vk._index_of_slope(math.nan, validate_params(1.0, 1.0, -2.0, 1.0))
+            vk._index_of_slope(math.nan, validate_params(1.0, 1.0, -2.0, 1.0), unit_charge(-2.0, 1.0))
+
+    @pytest.mark.parametrize("omega", [-2e-8, -2.0, -2e6, -2e12, -2e16])
+    @pytest.mark.parametrize("z_over_nu", [0.5, -0.5, -0.9])
+    def test_guard_is_scale_free(self, omega, z_over_nu):
+        # For unit coefficients p = 1 exactly when Z > Z*, at every frequency; the
+        # slope falls like 1/|omega|, so an absolute guard refused |omega| >~ 1e9.
+        z = z_over_nu * math.sqrt(-omega)
+        assert vk.p_index(validate_params(1.0, 1.0, omega, z)) == (1 if z > vk.ZSTAR_REFERENCE else 0)
 
     def test_degenerate_near_threshold(self):
         # A strength within ~1e-10 of the threshold drives the slope under 1e-9.
@@ -216,12 +229,12 @@ class TestSignStructure:
     def test_uniform_sign_above_threshold(self):
         for z in (-0.8, -0.5, 0.0, 1.0, 3.0):
             omegas = np.linspace(-1.1 * max(1.0, z * z / 4.0) - 0.5, -30.0, 50)
-            assert all(-vk.dnorm_domega_closed(float(w), z) > 0.0 for w in omegas), z
+            assert all(unit_slope(float(w), z) > 0.0 for w in omegas), z
 
     def test_uniform_sign_below_threshold(self):
         for z in (-0.9, -1.5):
             omegas = np.linspace(-1.1 * z * z / 4.0 - 0.5, -30.0, 50)
-            assert all(-vk.dnorm_domega_closed(float(w), z) < 0.0 for w in omegas), z
+            assert all(unit_slope(float(w), z) < 0.0 for w in omegas), z
 
     def test_ar_positivity_grid(self):
         for (l1, l2) in ((2.0, -1.0), (4.0, -2.0)):
@@ -244,7 +257,7 @@ class TestFindZstar:
 
     def test_bracketing_signs(self):
         def g(z):
-            return min(-vk.dnorm_domega_closed(w, z) for w in vk.DEFAULT_PROBE_GRID)
+            return min(unit_slope(w, z) for w in vk.DEFAULT_PROBE_GRID)
 
         assert g(-0.86602) > 0.0
         assert g(-0.86603) < 0.0
@@ -264,7 +277,7 @@ class TestFindZstar:
         def evaluated(*args):
             raise AssertionError("slope evaluated")
 
-        monkeypatch.setattr(vk, "dnorm_domega_closed", evaluated)
+        monkeypatch.setattr(vk, "slope", evaluated)
         with pytest.raises(DomainError, match="bracket"):
             vk.find_zstar(z_lo=z_lo, z_hi=z_hi)
 
