@@ -2,8 +2,10 @@
 # Runs the installed `peakwave` console script end to end: writes one report
 # per command into OUTDIR, checks every header is standard JSON, checks the
 # usage errors that must exit 2 and the numerical errors that must exit 3,
-# and checks that importing the CLI loads no scipy.  Set PEAKWAVE to another launcher (say "python -m peakwave.cli") to
-# run it without installing the console script.
+# checks that each spectrum lists only eigenvalues below its essential edge,
+# and checks that importing the CLI loads no scipy.  Set PEAKWAVE to another
+# launcher (say "python -m peakwave.cli") to run it without installing the
+# console script.
 #
 #   .github/scripts/console-script.sh OUTDIR
 set -euo pipefail
@@ -27,6 +29,22 @@ for path in sys.argv[1:]:
     with open(path) as handle:
         text = handle.read() if path.endswith(".json") else handle.readline()[2:]
     json.loads(text, parse_constant=reject)
+PY
+
+# A spectrum lists only eigenvalues below its essential edge, ascending.  At
+# omega = -1e-12 the bracket up to the edge is 9.3e-12 wide and holds two.
+"${peakwave[@]}" spectrum --l1 1 --l2 1 --omega=-1e-12 --z 1e-7 --n 2001 --out "$out/spectrum-tiny.csv"
+python - "$out"/spectrum-full.csv "$out"/spectrum-even.csv "$out"/spectrum-tiny.csv <<'PY'
+import json, sys
+for path in sys.argv[1:]:
+    with open(path) as handle:
+        edge = json.loads(handle.readline()[2:])["essential_edge"]
+        handle.readline()
+        values = [float(line.split(",")[1]) for line in handle]
+    if not values or any(a >= b for a, b in zip(values, values[1:])) or values[-1] >= edge:
+        sys.exit(f"{path} lists {values}, not ascending below the edge {edge}")
+    if path.endswith("spectrum-tiny.csv") and len(values) != 2:
+        sys.exit(f"{path} lists {values}, not the two eigenvalues below the edge {edge}")
 PY
 
 # Each of these is a usage error: exit 2, whatever the sizes asked for.

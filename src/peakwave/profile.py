@@ -146,13 +146,15 @@ def _r_raw(arg, alpha: float, kappa: float):
     return np.clip(num / den, -_ONE_INSIDE, _ONE_INSIDE)
 
 
-def _shift_tanh(y: float, alpha: float, kappa: float) -> float:
+def _shift_tanh(y, alpha, kappa, sqrt=math.sqrt):
     # With t = tanh(nu*s) the definition R(s) = y becomes the quadratic
     #   y*(kappa - alpha)*t^2 - 2*kappa*t + y*(alpha + kappa) = 0,
     # whose root in (-1, 1) is, in the cancellation-free form,
     #   t = y*(alpha + kappa) / (kappa + sqrt(kappa^2 - y^2*(kappa^2 - alpha^2))).
+    # vk's charge passes complex y and kappa with sqrt = cmath.sqrt; at a real
+    # frequency it rounds to the same t that validate_params checked.
     disc = kappa * kappa - y * y * (kappa * kappa - alpha * alpha)
-    return y * (alpha + kappa) / (kappa + math.sqrt(disc))
+    return y * (alpha + kappa) / (kappa + sqrt(disc))
 
 
 def _r_inverse_raw(y: float, alpha: float, kappa: float, nu: float) -> float:

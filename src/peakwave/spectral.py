@@ -18,8 +18,10 @@ index is their sum n_even + n_odd.
 
 Eigenvalue counts come from Sturm/Sylvester inertia (negative pivots of the
 shifted triangular factorization) and eigenvalues from bisection on the
-count.  The stability argument needs only where the spectra sit relative to
-0, so no eigenvector is computed, and importing this module loads no scipy.
+count, on the Gershgorin bracket cut at a bound: a spectrum report bisects
+only the eigenvalues below the essential edge, the ones it lists.  The
+stability argument needs only where the spectra sit relative to 0, so no
+eigenvector is computed, and importing this module loads no scipy.
 `quadratic_form_discrete` samples the form (L1 phi, phi) on a grid.
 """
 
@@ -206,13 +208,24 @@ def inertia_below(op: TridiagonalOperator, shift: float) -> int:
     return count
 
 
-#: Width of the bracket at which eigenvalue bisection stops.
+#: Width, relative to its starting width when that is below 1, of the
+#: bracket at which eigenvalue bisection stops.
 _BISECTION_TOL = 1e-10
 
 
-def _eigenvalue_by_index(op: TridiagonalOperator, index: int) -> float:
+def _eigenvalue_by_index(op: TridiagonalOperator, index: int, upper: float) -> float:
+    """Eigenvalue `index` (0 the lowest) by bisection on the inertia count,
+    on the Gershgorin bracket with its upper end cut to `upper`.
+
+    The bracket must hold the eigenvalue (pass math.inf for the whole span).
+    Bisection stops at a width of 1e-10*min(1, hi - lo) of the starting
+    bracket: 1e-10 on a bracket at least 1 wide, and relative on a narrower
+    one, whose eigenvalues are too small for an absolute 1e-10 to tell apart.
+    """
     lo, hi = op.gershgorin_bounds()
-    while hi - lo > _BISECTION_TOL:
+    hi = min(hi, upper)
+    tol = _BISECTION_TOL * min(1.0, hi - lo)
+    while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
@@ -223,11 +236,18 @@ def _eigenvalue_by_index(op: TridiagonalOperator, index: int) -> float:
     return 0.5 * (lo + hi)
 
 
-def lowest_eigenvalues(op: TridiagonalOperator, k: int) -> list[float]:
-    """k smallest eigenvalues, ascending, by inertia bisection to 1e-10."""
+def lowest_eigenvalues(op: TridiagonalOperator, k: int, below: float) -> list[float]:
+    """The eigenvalues under `below`, ascending, at most k of them.
+
+    One inertia count at `below` gives how many there are, m; eigenvalues
+    0 .. min(k, m) - 1 are bisected on the Gershgorin bracket cut at `below`
+    (see `_eigenvalue_by_index` for the stop).  With below = math.inf these
+    are the k lowest eigenvalues, on the whole Gershgorin span.
+    """
     if not 1 <= k <= 5:
         raise DomainError(f"k must be between 1 and 5, got {k}")
-    return [_eigenvalue_by_index(op, j) for j in range(k)]
+    m = inertia_below(op, below)
+    return [_eigenvalue_by_index(op, j, below) for j in range(min(k, m))]
 
 
 def zero_exclusion_shift(grid: GridSpec, p: WaveParameters) -> float:
@@ -276,11 +296,12 @@ def _distance_to_zero(op: TridiagonalOperator, lowest: Sequence[float] = ()) -> 
     """Distance from 0 to the spectrum: the nearer of the eigenvalues either side.
 
     Eigenvalues 0, 1, ... already bisected are passed in `lowest`; any other
-    index is bisected here.
+    index is bisected here, on the whole Gershgorin span.
     """
     below = inertia_below(op, 0.0)
     either_side = range(max(below - 1, 0), below + 1)
-    return min(abs(lowest[j] if j < len(lowest) else _eigenvalue_by_index(op, j)) for j in either_side)
+    return min(abs(lowest[j] if j < len(lowest) else _eigenvalue_by_index(op, j, math.inf))
+               for j in either_side)
 
 
 def kernel_residual(p: WaveParameters, grid: GridSpec) -> KernelReport:
@@ -288,14 +309,18 @@ def kernel_residual(p: WaveParameters, grid: GridSpec) -> KernelReport:
     parity blocks (L2's lowest eigenvector is positive, hence even)."""
     l2_even, _ = parity_blocks(discretize_operator(OperatorKind.L2, p, grid))
     l1_blocks = parity_blocks(discretize_operator(OperatorKind.L1, p, grid))
-    return KernelReport(abs(_eigenvalue_by_index(l2_even, 0)), min(map(_distance_to_zero, l1_blocks)))
+    return KernelReport(abs(_eigenvalue_by_index(l2_even, 0, math.inf)),
+                        min(map(_distance_to_zero, l1_blocks)))
 
 
 @dataclass(frozen=True)
 class SpectrumReport:
-    """Discrete-spectrum summary of one operator realization; the bare defect
-    has no kernel to measure, so its `kernel_residual` is None.  `n_points`
-    is the size of the matrix measured (the even block's in the even sector)."""
+    """Discrete-spectrum summary of one operator realization.
+
+    `eigenvalues` are the lowest ones below `essential_edge`, ascending, at
+    most k of them.  The bare defect has no kernel to measure, so its
+    `kernel_residual` is None.  `n_points` is the size of the matrix measured
+    (the even block's in the even sector)."""
 
     negative_count: int
     eigenvalues: list[float]
@@ -306,25 +331,28 @@ class SpectrumReport:
 
 def spectrum_report(kind: OperatorKind, p: WaveParameters, grid: GridSpec, k: int = 3,
                     sector: Space = Space.FULL_H1) -> SpectrumReport:
-    """Negative count, k lowest eigenvalues, and the essential-spectrum edge.
+    """Negative count, the k lowest eigenvalues below the essential edge, and the edge.
 
-    The even sector is the even parity block.  Only eigenvalues below the
-    essential edge are listed (-omega for the linearized operators, 0 for the
-    bare defect); deeper entries would be box artifacts of the truncation.
+    The even sector is the even parity block.  The edge is -omega for the
+    linearized operators and 0 for the bare defect; eigenvalues above it
+    would be box artifacts of the truncation, so only those below it are
+    bisected, each once, on a bracket that ends at the edge.  The kernel
+    residual reuses them: L2's is its lowest eigenvalue (bisected on the
+    whole span when none is listed), L1's its distance to zero.
     """
     op = discretize_operator(kind, p, grid)
     if sector is Space.EVEN_H1:
         op = parity_blocks(op)[0]
     edge = 0.0 if kind is OperatorKind.FREE_WITH_DELTA else -p.omega
-    lams = lowest_eigenvalues(op, k)
+    lams = lowest_eigenvalues(op, k, edge)
     negative = inertia_below(op, -zero_exclusion_shift(grid, p))
     if kind is OperatorKind.L2:
-        resid = abs(lams[0])
+        resid = abs(lams[0] if lams else _eigenvalue_by_index(op, 0, math.inf))
     elif kind is OperatorKind.L1:
         resid = _distance_to_zero(op, lams)
     else:
         resid = None
-    return SpectrumReport(negative, [lam for lam in lams if lam < edge], resid, edge, op.size)
+    return SpectrumReport(negative, lams, resid, edge, op.size)
 
 
 def quadratic_form_discrete(p: WaveParameters, grid: GridSpec) -> float:

@@ -34,7 +34,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import BracketError, DegenerateError, DomainError, RegimeError
-from .profile import Regime, WaveParameters, validate_params
+from .profile import Regime, WaveParameters, _shift_tanh, validate_params
 
 __all__ = [
     "VkScanRow",
@@ -69,9 +69,9 @@ def _charge(p: WaveParameters, omega: complex) -> complex:
     nu = cmath.sqrt(-omega)
     kappa = cmath.sqrt(alpha * alpha - beta * omega)
     c = nu * root_beta / (kappa + alpha)
-    t = p.z * (alpha + kappa) / (
-        2.0 * nu * (kappa + cmath.sqrt(kappa * kappa - beta * p.z * p.z / 4.0))
-    )
+    # The shift's tanh(nu*b) by the very formula validate_params checked, so
+    # t < 1 and the charge stays positive at points one ulp inside the window.
+    t = _shift_tanh(p.z / (2.0 * nu), alpha, kappa, cmath.sqrt)
     # arctan(c) - arctan(c*t) and artanh(c) - artanh(c*t) as one term each
     # (the subtraction formulas hold because c^2*|t| < 1).
     if p.regime is Regime.ATTRACTIVE_ATTRACTIVE:

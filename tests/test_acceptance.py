@@ -92,7 +92,7 @@ def test_criterion_2_delta_bound_state():
     for target_h in (0.02, 0.01, 5e-3):
         grid = _grid_with_spacing(p.omega, target_h)
         op = spectral.discretize_operator(OperatorKind.FREE_WITH_DELTA, p, grid)
-        lam = spectral.lowest_eigenvalues(op, 1)[0]
+        lam = spectral.lowest_eigenvalues(op, 1, math.inf)[0]
         errors.append(abs(lam + 1.0))
         spacings.append(grid.spacing)
     assert errors[-1] < 2e-3

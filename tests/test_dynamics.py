@@ -136,7 +136,7 @@ class TestCnLinearStep:
         p = validate_params(1.0, 1.0, -2.0, 2.0)
         grid = spectral.default_grid(p, n_points=n)
         op = spectral.discretize_operator(OperatorKind.FREE_WITH_DELTA, p, grid)
-        return p, grid, spectral.lowest_eigenvalues(op, 1)[0], lapack_eigenvector(op, 0)
+        return p, grid, spectral.lowest_eigenvalues(op, 1, math.inf)[0], lapack_eigenvector(op, 0)
 
     def _phase_after(self, p, grid, vec, t_final, dt):
         u = FieldState(vec.astype(complex), grid, 0.0, p)

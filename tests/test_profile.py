@@ -385,6 +385,13 @@ class TestWindowEdges:
         with pytest.raises(RegimeError, match="artanh"):
             vk.p_index(p)
 
+    def test_charge_one_ulp_inside_the_lower_edge_is_not_negative(self):
+        # A draw of the property below: the charge once took tanh(nu*b) by a
+        # second formula that rounded it to 1 + 4e-16 and the charge to -7.6e-16.
+        p = validate_params(0.1, 1.0, -0.09643936157226564, 0.62109375)
+        row = vk.scan(p.lambda1, p.lambda2, [p.omega], [p.z])[0]
+        assert row.norm_sq >= 0.0 and math.isfinite(row.dnorm_domega)
+
     @given(edge_points())
     @settings(max_examples=400, deadline=None)
     def test_edge_points_are_rejected_or_finite(self, point):

@@ -46,7 +46,7 @@ def grid_for(p, n=2001):
 
 
 def lowest_eigenvalue(kind, p, grid):
-    return lowest_eigenvalues(discretize_operator(kind, p, grid), 1)[0]
+    return lowest_eigenvalues(discretize_operator(kind, p, grid), 1, math.inf)[0]
 
 
 class TestGridSpec:
@@ -202,7 +202,7 @@ class TestInertia:
 
     def test_consistency_with_eigenvalues(self):
         op = discretize_operator(OperatorKind.L1, P_AA_NEG, grid_for(P_AA_NEG))
-        for lam in lowest_eigenvalues(op, 2):
+        for lam in lowest_eigenvalues(op, 2, math.inf):
             delta = 1e-9 * max(1.0, abs(lam))
             assert inertia_below(op, lam + delta) - inertia_below(op, lam - delta) == 1
 
@@ -289,8 +289,8 @@ class TestParityBlocks:
 
     def test_blocks_share_the_spectrum(self):
         op = discretize_operator(OperatorKind.L1, P_AA_NEG, grid_for(P_AA_NEG))
-        full = lowest_eigenvalues(op, 3)
-        halves = sorted(lam for block in parity_blocks(op) for lam in lowest_eigenvalues(block, 2))
+        full = lowest_eigenvalues(op, 3, math.inf)
+        halves = sorted(lam for block in parity_blocks(op) for lam in lowest_eigenvalues(block, 2, math.inf))
         assert halves[:3] == pytest.approx(full, abs=1e-9)
 
 
@@ -319,7 +319,7 @@ class TestEigenpairs:
     def test_k_bound(self):
         op = discretize_operator(OperatorKind.L2, P_AA_POS, grid_for(P_AA_POS))
         with pytest.raises(DomainError):
-            lowest_eigenvalues(op, 6)
+            lowest_eigenvalues(op, 6, math.inf)
 
     def test_ground_state_parallel_to_wave(self):
         g = grid_for(P_AA_POS, 4001)
@@ -358,12 +358,50 @@ class TestEigenvaluesAgainstLapack:
             op = discretize_operator(kind, p, g)
             if sector is Space.EVEN_H1:
                 op = parity_blocks(op)[0]
-            lams = lowest_eigenvalues(op, 5)
+            lams = lowest_eigenvalues(op, 5, math.inf)
             ref = lapack_eigenvalues(op, 5)
             assert max(abs(a - b) for a, b in zip(lams, ref)) <= 1e-10, (p, kind, sector)
             report = spectrum_report(kind, p, g, k=3, sector=sector)
             below = [lam for lam in ref[:3] if lam < report.essential_edge]
-            assert report.eigenvalues == lams[:len(below)], (p, kind, sector)
+            assert report.eigenvalues == lowest_eigenvalues(op, 3, report.essential_edge), (p, kind, sector)
+            assert len(report.eigenvalues) == len(below), (p, kind, sector)
+            assert all(abs(a - b) <= 1e-10 for a, b in zip(report.eigenvalues, below)), (p, kind, sector)
+
+    # Other seeded points than POINTS.
+    LISTED_POINTS = seeded_points(2903, 6)
+
+    @pytest.mark.parametrize("kind", list(OperatorKind))
+    @pytest.mark.parametrize("sector", list(Space))
+    def test_report_lists_what_lies_below_the_edge(self, kind, sector):
+        # Exactly min(k, count below the edge) values: strictly increasing,
+        # under the edge, and LAPACK's to 1e-10.
+        for p in self.LISTED_POINTS:
+            g = grid_for(p, 1201)
+            op = discretize_operator(kind, p, g)
+            if sector is Space.EVEN_H1:
+                op = parity_blocks(op)[0]
+            report = spectrum_report(kind, p, g, k=3, sector=sector)
+            lams = report.eigenvalues
+            assert len(lams) == min(3, inertia_below(op, report.essential_edge)), (p, kind, sector)
+            assert all(a < b for a, b in zip(lams, lams[1:])), (p, kind, sector)
+            assert all(lam < report.essential_edge for lam in lams), (p, kind, sector)
+            ref = lapack_eigenvalues(op, 3)
+            assert all(abs(a - b) <= 1e-10 for a, b in zip(lams, ref)), (p, kind, sector)
+
+    def test_bracket_narrower_than_one_stops_relative_to_it(self):
+        # At omega = -1e-12 the bracket up to the edge is 9.3e-12 wide; an
+        # absolute stop of 1e-10 bisected nothing and returned one midpoint
+        # for both eigenvalues below the edge.  The stop 1e-10*width resolves
+        # them, to 1e-9*|omega| of LAPACK.
+        p = validate_params(1.0, 1.0, -1e-12, 1e-7)
+        g = grid_for(p, 2001)
+        op = discretize_operator(OperatorKind.L1, p, g)
+        report = spectrum_report(OperatorKind.L1, p, g, k=3)
+        ref = lapack_eigenvalues(op, 2)
+        assert len(report.eigenvalues) == 2
+        assert report.eigenvalues == pytest.approx(ref, rel=0.0, abs=1e-9 * -p.omega)
+        assert report.eigenvalues[0] < 0.0 < report.eigenvalues[1] < report.essential_edge
+        assert report.kernel_residual == report.eigenvalues[1]
 
 
 class TestKernelResidual:
@@ -397,16 +435,26 @@ class TestSpectrumReport:
     @pytest.mark.parametrize("kind,p", [(OperatorKind.L1, P_AA_POS), (OperatorKind.L1, P_AA_NEG),
                                         (OperatorKind.L2, P_AA_POS)])
     def test_each_eigenvalue_bisected_once(self, kind, p, monkeypatch):
+        # Each listed index once, on the bracket cut at the edge; any other
+        # index only when the kernel residual needs it, on the whole span.
         calls = collections.Counter()
         real = spectral._eigenvalue_by_index
 
-        def counting(op, index, *args, **kwargs):
-            calls[index] += 1
-            return real(op, index, *args, **kwargs)
+        def counting(op, index, upper):
+            calls[index, upper] += 1
+            return real(op, index, upper)
 
         monkeypatch.setattr(spectral, "_eigenvalue_by_index", counting)
-        spectrum_report(kind, p, grid_for(p), k=3)
-        assert calls == {0: 1, 1: 1, 2: 1}
+        report = spectrum_report(kind, p, grid_for(p), k=3)
+        listed = range(len(report.eigenvalues))
+        if kind is OperatorKind.L1:
+            below = inertia_below(discretize_operator(kind, p, grid_for(p)), 0.0)
+            residual = {j for j in (below - 1, below) if j >= 0}
+        else:
+            residual = {0}
+        expected = collections.Counter({(j, report.essential_edge): 1 for j in listed})
+        expected.update((j, math.inf) for j in residual if j not in listed)
+        assert calls == expected
 
     def test_free_delta_edge_is_zero(self):
         report = spectrum_report(OperatorKind.FREE_WITH_DELTA, P_DELTA, grid_for(P_DELTA), k=1)
@@ -418,7 +466,8 @@ class TestSpectrumReport:
     def test_n_points_is_the_size_measured(self, kind, sector, monkeypatch):
         sizes = []
         real = spectral.lowest_eigenvalues
-        monkeypatch.setattr(spectral, "lowest_eigenvalues", lambda op, k: sizes.append(op.size) or real(op, k))
+        monkeypatch.setattr(spectral, "lowest_eigenvalues",
+                            lambda op, k, below: sizes.append(op.size) or real(op, k, below))
         grid = grid_for(P_AA_NEG, 1201)
         report = spectrum_report(kind, P_AA_NEG, grid, k=1, sector=sector)
         assert report.n_points == sizes[0] == (1201 if sector is Space.FULL_H1 else 601)
