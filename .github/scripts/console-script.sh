@@ -85,15 +85,19 @@ dt_err=$(timeout 30 "${peakwave[@]}" simulate --l1 1 --l2 1 --omega -2 --z 1 --h
 case "$dt_err" in DomainError:*) ;; *) echo "simulate --dt 0 wrote: $dt_err" >&2; exit 1 ;; esac
 
 # A numerical error: exit 3.  Here the grid at |omega| = 1e151 is so fine
-# that its squared coupling 2/h^4 overflows, and the --n 3 grid (h = 21.2)
-# breaks the resolution bound, which simulate checks before it samples a bump.
+# that its squared coupling 2/h^4 overflows, the grid at |omega| = 1e-200 so
+# coarse that its squared coupling 1/h^4 underflows, the --n 3 grid (h = 21.2)
+# breaks the resolution bound, which simulate checks before it samples a bump,
+# and the slope's complex step 1e-20*|omega| rounds to 0 at |omega| = 1e-307.
 exits_3() {
   local code=0
   timeout 30 "${peakwave[@]}" "$@" || code=$?
   test "$code" -eq 3
 }
 exits_3 spectrum --l1 1 --l2 1 --omega=-1e151 --z 1
+exits_3 classify --l1 1 --l2 1 --omega=-1e-200 --z 5e-101
 exits_3 simulate --l1 1 --l2 1 --omega=-2 --z 1 --n 3 --perturbation odd --amplitude 1e-3
+exits_3 vk-scan --omega-min=-1e-307 --omega-max=-1e-307 --omega-points 1 --z-min 1e-154
 
 # Only `simulate` loads scipy, and only when it builds its stepper.
 python -c 'import sys, peakwave.cli; loaded = [m for m in sys.modules if m.split(".")[0] == "scipy"]; sys.exit(f"import peakwave.cli loaded {loaded}" if loaded else 0)'

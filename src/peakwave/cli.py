@@ -9,15 +9,15 @@ values of the library enums they select (`OperatorKind`, `Space` for both
 significant digits (lossless for binary64 round-trips).  Files are written to
 a temporary path and renamed, so no command leaves a partial file behind.
 
-`--outdir` needs `--out`, and so does `--format json` on `classify` and
-`find-zstar`, which otherwise print a one-line summary.  Exit codes: 0
-success, 2 parameter/usage error (a point within rounding of an edge of the
-window, a bad `simulate --dt`, `find-zstar --bracket` or `vk-scan` bound, a
-`--n` below 2 or above `MAX_GRID_POINTS`, a `simulate --amplitude` other than
-0 with `--perturbation none` or with a bump of zero discrete H^1 norm, a
-`simulate` of no step or more than `dynamics.MAX_STEPS`, a `vk-scan` of more
-than `MAX_SCAN_ROWS` rows), 3 numerical error (grid errors included), 4 I/O
-error.  A header holding NaN or Infinity is not written.
+`--format json` on `classify` and `find-zstar` needs `--out`, without which
+they print a one-line summary.  Exit codes: 0 success, 2 parameter/usage
+error (a point within rounding of an edge of the window, a bad
+`simulate --dt`, `find-zstar --bracket` or `vk-scan` bound, a `--n` below 2
+or above `MAX_GRID_POINTS`, a `simulate --amplitude` other than 0 with
+`--perturbation none` or with a bump of zero discrete H^1 norm, a `simulate`
+of no step or more than `dynamics.MAX_STEPS`, a `vk-scan` of more than
+`MAX_SCAN_ROWS` rows), 3 numerical error (grid errors included), 4 I/O error.
+A header holding NaN or Infinity is not written.
 """
 
 from __future__ import annotations
@@ -48,8 +48,6 @@ class RunConfig:
 
 
 def _format_value(value) -> str:
-    if isinstance(value, bool):
-        return "1" if value else "0"
     if isinstance(value, int):
         return str(value)
     if isinstance(value, str):
@@ -95,10 +93,7 @@ def _report(args, columns: list[str], rows, **fields) -> None:
     header = {"command": args.command}
     header.update({key: getattr(args, flag) for flag, key in _WAVE_KEYS.items() if hasattr(args, flag)})
     header.update(fields)
-    out = args.out
-    if out is not None and args.outdir is not None and not os.path.isabs(out):
-        out = os.path.join(args.outdir, out)
-    emit_report(rows, RunConfig(header, columns, out, args.format))
+    emit_report(rows, RunConfig(header, columns, args.out, args.format))
 
 
 def _add_wave_flags(parser: argparse.ArgumentParser) -> None:
@@ -116,7 +111,6 @@ def _add_choice(parser: argparse.ArgumentParser, flag: str, default: enum.Enum) 
 def _add_output_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", type=str, default=None, help="output file (stdout when omitted)")
     parser.add_argument("--format", choices=("csv", "json"), default="csv", help="output format")
-    parser.add_argument("--outdir", type=str, default=None, help="directory for relative output paths")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -155,12 +149,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_cls = sub.add_parser("classify", help="stability verdict, numeric and analytic")
     _add_wave_flags(p_cls)
     _add_choice(p_cls, "--space", Space.FULL_H1)
-    p_cls.add_argument("--n", type=int, default=2001)
+    p_cls.add_argument("--n", type=int, default=stability.NUMERIC_GRID_POINTS)
     _add_output_flags(p_cls)
 
     p_z = sub.add_parser("find-zstar", help="locate the slope-sign threshold Z*")
-    p_z.add_argument("--bracket", type=float, nargs=2, default=(-0.95, -0.75),
-                     metavar=("LO", "HI"))
+    p_z.add_argument("--bracket", type=float, nargs=2, default=vk.DEFAULT_BRACKET, metavar=("LO", "HI"))
     p_z.add_argument("--probes", type=float, nargs="+", default=list(vk.DEFAULT_PROBE_GRID))
     _add_output_flags(p_z)
 
@@ -249,7 +242,7 @@ def _cmd_find_zstar(args) -> int:
     print(f"Z* = {zstar:.9f}")
     if args.out is not None:
         _report(args, ["zstar"], [(zstar,)],
-                bracket_lo=lo, bracket_hi=hi, probes=list(args.probes), bisection_width=1e-7)
+                bracket_lo=lo, bracket_hi=hi, probes=list(args.probes), bisection_width=vk.BISECTION_WIDTH)
     return 0
 
 
@@ -305,8 +298,6 @@ _COMMANDS = {
 
 def _check_output_flags(args) -> None:
     """Reject output flags that would otherwise be dropped without a word."""
-    if args.out is None and args.outdir is not None:
-        raise DomainError("--outdir only places a relative --out path; give --out as well")
     if args.out is None and args.format == "json" and args.command in ("classify", "find-zstar"):
         raise DomainError(f"{args.command} writes its report only to --out; --format json needs --out")
 

@@ -4,8 +4,8 @@ The flow i u_t + u_xx + Z delta(x) u + lambda1 |u|^2 u + lambda2 |u|^4 u = 0
 is split into an exact pointwise phase rotation for the power nonlinearities
 and a Crank-Nicolson step for the linear defect part i u_t = A u, with A the
 bare-defect operator of `spectral.discretize_operator`.  The stepper is
-built from that operator, so `simulate` shares its grid contract (resolution
-and extent bounds, GridError otherwise).
+built from that operator, so `simulate` shares its grid contract (resolution,
+extent and coupling bounds, GridError otherwise).
 Strang composition of the two is second order in time and conserves the
 discrete charge to solver roundoff.
 
@@ -377,7 +377,7 @@ def simulate(
     the amplitude is finite, zero for kind `NONE` and, when a bump
     is added, at most a tenth of phi's discrete H^1 norm in magnitude, and
     the bump has a positive discrete H^1 norm on the grid; GridError if the
-    grid fails `discretize_operator`'s resolution or extent bound, and
+    grid fails one of `discretize_operator`'s bounds, and
     BlowupError if the amplitude exceeds one thousand times its initial peak
     or the field stops being finite.
     """

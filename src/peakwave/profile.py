@@ -195,14 +195,12 @@ class ProfileEvaluator:
         )
         return np.sqrt(phi_sq)
 
-    def slope_factor(self, x):
-        """-phi'(x)/phi(x) for x > 0, i.e. nu * R(|x| + b)."""
-        return self.root_minus_omega * _r_raw(self._arg(x), self.alpha, self.kappa)
-
     def derivative(self, x, side: Side = Side.RIGHT):
         """One-sided derivative; `side` only matters at x = 0."""
         x_arr = np.asarray(x, dtype=float)
         sign = np.sign(x_arr)
         side_sign = 1.0 if side is Side.RIGHT else -1.0
         sign = np.where(x_arr == 0.0, side_sign, sign)
-        return -sign * self.slope_factor(x_arr) * self.value(x_arr)
+        # -phi'(x)/phi(x) for x > 0, i.e. nu * R(|x| + b).
+        slope_factor = self.root_minus_omega * _r_raw(self._arg(x_arr), self.alpha, self.kappa)
+        return -sign * slope_factor * self.value(x_arr)

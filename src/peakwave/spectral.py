@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -144,10 +145,11 @@ def discretize_operator(kind: OperatorKind, p: WaveParameters, grid: GridSpec) -
     """Assemble the tridiagonal realization of L1, L2, or the bare defect.
 
     Preconditions: the grid must resolve the wave (h <= 0.05/sqrt(-omega)) and
-    contain it (L >= 30/sqrt(-omega)), and 2/h^4, the largest squared
-    coupling an inertia count forms (the even block's center row), must be
-    finite (so h^2 must be positive); GridError otherwise.  The bounds allow
-    relative slacks of 1e-12/0.05 and 1e-9/30 (1e-12 and 1e-9 at omega = -1).
+    contain it (L >= 30/sqrt(-omega)), and the squared couplings of an inertia
+    count must neither overflow (2/h^4, the even block's center row, so h^2 > 0)
+    nor underflow (1/h^4, below |omega| of about 1.3e-157 at 2001 nodes, where
+    a count would miss negative eigenvalues); GridError otherwise.  The bounds
+    allow relative slacks of 1e-12/0.05 and 1e-9/30 (1e-12 and 1e-9 at omega = -1).
     """
     nu = math.sqrt(-p.omega)
     h = grid.spacing
@@ -158,6 +160,8 @@ def discretize_operator(kind: OperatorKind, p: WaveParameters, grid: GridSpec) -
     even_coupling = math.sqrt(2.0) / h**2 if h**2 > 0.0 else math.inf
     if not math.isfinite(even_coupling * even_coupling):
         raise GridError(f"spacing h = {h} is so fine that the squared coupling 2/h^4 overflows")
+    if (1.0 / h**2) ** 2 < sys.float_info.min:
+        raise GridError(f"spacing h = {h} is so coarse that the squared coupling 1/h^4 underflows")
     x = grid.nodes()
     diag = 2.0 / h**2 + _potential(kind, p, x)
     off = np.full(grid.n_points - 1, -1.0 / h**2)
@@ -329,8 +333,8 @@ class SpectrumReport:
     n_points: int
 
 
-def spectrum_report(kind: OperatorKind, p: WaveParameters, grid: GridSpec, k: int = 3,
-                    sector: Space = Space.FULL_H1) -> SpectrumReport:
+def spectrum_report(kind: OperatorKind, p: WaveParameters, grid: GridSpec, k: int,
+                    sector: Space) -> SpectrumReport:
     """Negative count, the k lowest eigenvalues below the essential edge, and the edge.
 
     The even sector is the even parity block.  The edge is -omega for the

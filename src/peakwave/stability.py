@@ -64,13 +64,15 @@ class Provenance(enum.Enum):
 class Verdict:
     """Stability verdict with the indices that produced it."""
 
-    space: Space
     n_hessian: int
     p_index: int
     outcome: Outcome
     provenance: Provenance
     note: str = ""
 
+
+#: Grid size of a numeric verdict when the caller gives no grid (`classify --n`).
+NUMERIC_GRID_POINTS = 2001
 
 #: Half-width of the strength interval around the threshold excluded from
 #: classification (slope index degenerates there).
@@ -119,7 +121,7 @@ def _verdicts(n_full: int, n_even: int, p_idx: int, provenance: Provenance) -> d
             "full-space index difference is even; instability inherited from the "
             "invariant even sector"
         )
-    return {space: Verdict(space, n[space], p_idx, outcome[space], provenance, note[space])
+    return {space: Verdict(n[space], p_idx, outcome[space], provenance, note[space])
             for space in Space}
 
 
@@ -127,14 +129,14 @@ def _numeric_verdicts(p: WaveParameters, grid: GridSpec | None) -> dict[Space, V
     """Both numeric verdicts from one precondition check, one slope index and
     one pair of parity counts per operator."""
     if grid is None:
-        grid = spectral.default_grid(p, n_points=2001)
+        grid = spectral.default_grid(p, n_points=NUMERIC_GRID_POINTS)
     _check_preconditions(p, grid)
     p_idx = vk.p_index(p)
     even, odd = zip(*(spectral.parity_counts(kind, p, grid) for kind in (OperatorKind.L1, OperatorKind.L2)))
     return _verdicts(sum(even) + sum(odd), sum(even), p_idx, Provenance.NUMERIC_PIPELINE)
 
 
-def classify_numeric(p: WaveParameters, space: Space, grid: GridSpec | None = None) -> Verdict:
+def classify_numeric(p: WaveParameters, space: Space, grid: GridSpec) -> Verdict:
     """Verdict from discretized Morse indices (both sectors) and the measured charge slope."""
     return _numeric_verdicts(p, grid)[space]
 

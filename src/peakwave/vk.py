@@ -48,8 +48,12 @@ __all__ = [
 #: Slope threshold for lambda1 = lambda2 = 1, reproduced by find_zstar.
 ZSTAR_REFERENCE = -math.sqrt(3.0) / 2.0
 
-#: Default frequency probe grid for threshold detection.
+#: Default frequency probe grid and strength bracket (z_lo, z_hi) for threshold detection.
 DEFAULT_PROBE_GRID = (-1.5, -2.0, -3.0, -5.0, -10.0, -50.0)
+DEFAULT_BRACKET = (-0.95, -0.75)
+
+#: Bracket width at which find_zstar's bisection stops.
+BISECTION_WIDTH = 1e-7
 
 #: Imaginary frequency step of the complex-step derivative (at most 1e-20*|omega|).
 _COMPLEX_STEP = 1e-30
@@ -84,8 +88,11 @@ def _charge(p: WaveParameters, omega: complex) -> complex:
 
 
 def slope(p: WaveParameters) -> float:
-    """-d/domega ||phi||^2, by a complex step of min(1e-30, 1e-20*|omega|) of the closed-form charge."""
+    """-d/domega ||phi||^2, by a complex step of min(1e-30, 1e-20*|omega|) of the closed-form charge
+    (DegenerateError where the step rounds to 0, below |omega| of about 5e-304)."""
     step = min(_COMPLEX_STEP, 1e-20 * abs(p.omega))
+    if not step > 0.0:
+        raise DegenerateError(f"complex step 1e-20*|omega| rounds to 0 at omega={p.omega}")
     return -_charge(p, complex(p.omega, step)).imag / step
 
 
@@ -106,15 +113,12 @@ def p_index(p: WaveParameters) -> int:
     return _index_of_slope(slope(p), p, _charge(p, p.omega).real)
 
 
-def find_zstar(
-    omega_probe_grid=DEFAULT_PROBE_GRID,
-    z_lo: float = -0.95,
-    z_hi: float = -0.75,
-) -> float:
+def find_zstar(omega_probe_grid=DEFAULT_PROBE_GRID, z_lo: float = DEFAULT_BRACKET[0],
+               z_hi: float = DEFAULT_BRACKET[1]) -> float:
     """Threshold strength z* where the slope sign flips (unit coefficients).
 
     Bisects g(z) = min over the probe grid of -d/domega ||phi||^2 down to a
-    bracket width of 1e-7.  The minimum over frequencies is the conservative
+    bracket width of BISECTION_WIDTH.  The minimum over frequencies is the conservative
     detector: the sign is uniform in omega on either side of the threshold.
     DomainError unless finite z_lo < z_hi; BracketError with no sign change.
     """
@@ -134,7 +138,7 @@ def find_zstar(
         )
     lo, hi = z_lo, z_hi
     hi_positive = g_hi > 0.0
-    while hi - lo > 1e-7:
+    while hi - lo > BISECTION_WIDTH:
         mid = 0.5 * (lo + hi)
         if (g(mid) > 0.0) == hi_positive:
             hi = mid

@@ -211,6 +211,30 @@ class TestOverflowingConstants:
         assert "GridError" in err and "2/h^4" in err
 
 
+class TestVanishingScales:
+    """Frequencies so small that the grid's squared coupling 1/h^4 or the
+    slope's complex step rounds to 0 exit 3; they used to print a wrong
+    verdict (or count) with exit 0, or end in an untyped ZeroDivisionError."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["classify", "--l1", "1", "--l2", "1", "--omega=-1e-200", "--z", "5e-101"],
+         "GridError: spacing h = 3e+98 is so coarse that the squared coupling 1/h^4 underflows"),
+        (["spectrum", "--l1", "1", "--l2", "1", "--omega=-1e-300", "--z", "5e-151", "--n", "1201"],
+         "GridError: spacing h = 4.9999999999999997e+148 is so coarse"),
+        (["vk-scan", "--omega-min=-1e-307", "--omega-max=-1e-307", "--omega-points", "1",
+          "--z-min", "1e-154"], "DegenerateError: complex step 1e-20*|omega| rounds to 0"),
+    ], ids=["classify-coupling", "spectrum-coupling", "vk-scan-step"])
+    def test_exits_3(self, argv, message, capsys):
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (3, "")
+        assert err.startswith(message)
+
+    @pytest.mark.parametrize("z, full", [("5e-79", "OrbitallyStable"), ("-5e-79", "OrbitallyUnstable")])
+    def test_just_above_the_coupling_bound_agrees(self, z, full, capsys):
+        code, out, _ = run(["classify", "--l1", "1", "--l2", "1", "--omega=-1.4e-157", f"--z={z}"], capsys)
+        assert (code, out) == (0, f"{full} (numeric=analytic)\n")
+
+
 class TestSpectrumCommand:
     def test_header_counts(self, capsys):
         code, out, _ = run(
@@ -498,6 +522,16 @@ class TestSimulateCommand:
 
 
 class TestUsage:
+    WAVE = ["--l1", "1", "--l2", "1", "--omega", "-2", "--z", "1"]
+    VALID = {
+        "profile": WAVE,
+        "vk-scan": ["--omega-min", "-3", "--omega-max", "-2", "--z-min", "1"],
+        "spectrum": WAVE,
+        "classify": WAVE,
+        "find-zstar": [],
+        "simulate": WAVE,
+    }
+
     def test_missing_command_exits_2(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             cli.main([])
@@ -516,24 +550,23 @@ class TestUsage:
         assert code == 4
         assert "IOError" in err
 
-    def test_outdir_flag(self, capsys, tmp_path):
-        code, _, _ = run(
-            ["profile", "--l1", "1", "--l2", "1", "--omega", "-2", "--z", "1",
-             "--xmax", "5", "--n", "11", "--out", "rel.csv", "--outdir", str(tmp_path)], capsys)
-        assert code == 0
-        assert (tmp_path / "rel.csv").exists()
-
     @pytest.mark.parametrize("argv", [
         ["classify", "--l1", "1", "--l2", "1", "--omega", "-2", "--z", "1", "--format", "json"],
         ["find-zstar", "--format", "json"],
-        ["find-zstar", "--outdir", "."],
-        ["profile", "--l1", "1", "--l2", "1", "--omega", "-2", "--z", "1", "--n", "11", "--outdir", "."],
-        ["vk-scan", "--omega-min", "-3", "--omega-max", "-2", "--z-min", "1", "--outdir", "."],
     ])
     def test_output_flag_without_out_exits_2(self, argv, capsys):
         code, out, err = run(argv, capsys)
         assert (code, out) == (2, "")
         assert "DomainError" in err and "--out" in err
+
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_no_command_takes_outdir(self, command, tmp_path, capsys):
+        # --out names the file, directory and all; --outdir is no flag of any command.
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main([command, *self.VALID[command], "--out", "rel.csv", "--outdir", str(tmp_path)])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --outdir" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestGridCap:

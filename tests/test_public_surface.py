@@ -12,9 +12,13 @@ name: the space of a count or verdict is `spectral.Space` (the `--sector` of
 Each quantity has one formula: phi(0)^2 is the profile's value at 0 (its
 attractive-repulsive closed form `phi_center_sq` is a test oracle), and the
 unit-pair charge derivative is `-vk.slope`, so `vk.dnorm_domega_closed` is
-gone.
+gone.  Every field and default has a reader: a verdict is keyed by its space
+and does not repeat it, `-phi'/phi` is inlined in the one derivative that
+read `slope_factor`, and a grid, a count `k` or a sector no caller omits has
+no default.
 """
 
+import dataclasses
 import importlib
 import inspect
 import pkgutil
@@ -63,7 +67,7 @@ REMOVED = {
     "peakwave": [*_PROFILE_REMOVED, "phi_center_sq", "ConvergenceError", "StepError"],
     "peakwave.errors": ["ConvergenceError", "StepError"],
     "peakwave.profile": [*_PROFILE_REMOVED, "phi_center_sq", "_r_prime_raw"],
-    "peakwave.profile.ProfileEvaluator": ["second_derivative"],
+    "peakwave.profile.ProfileEvaluator": ["second_derivative", "slope_factor"],
     "peakwave.vk": ["norm_sq_closed", "dnorm_domega_closed"],
     "peakwave.spectral": ["morse_index", "lowest_eigenpairs", "dstein", "ConvergenceError", "Sector"],
     "peakwave.dynamics": [
@@ -96,3 +100,17 @@ def test_no_module_keeps_a_second_formula():
 def test_options_only_tests_set_are_gone():
     assert "output_stride" not in inspect.signature(dynamics.simulate).parameters
     assert "zstar" not in inspect.signature(stability.classify_analytic).parameters
+
+
+def test_defaults_no_caller_omits_are_gone():
+    params = {
+        "classify_numeric": inspect.signature(stability.classify_numeric).parameters,
+        "spectrum_report": inspect.signature(spectral.spectrum_report).parameters,
+    }
+    required = [("classify_numeric", "grid"), ("spectrum_report", "k"), ("spectrum_report", "sector")]
+    assert [(f, a) for f, a in required if params[f][a].default is not inspect.Parameter.empty] == []
+
+
+def test_verdict_has_no_space_field():
+    fields = [f.name for f in dataclasses.fields(stability.Verdict)]
+    assert fields == ["n_hessian", "p_index", "outcome", "provenance", "note"]

@@ -95,7 +95,7 @@ class TestDiscretizeOperator:
         # -1e155, zero_exclusion_shift would raise OverflowError).
         p = validate_params(1.0, 1.0, omega, 1.0)
         with pytest.raises(GridError, match="2/h\\^4"):
-            spectrum_report(OperatorKind.L1, p, grid_for(p, 4001))
+            spectrum_report(OperatorKind.L1, p, grid_for(p, 4001), k=3, sector=Space.FULL_H1)
 
     def test_even_block_coupling_sets_the_overflow_bound(self):
         # On the extent floor 30/nu at nu = 1e75, n = 6669 gives h = 8.998e-78:
@@ -107,6 +107,21 @@ class TestDiscretizeOperator:
         assert math.isfinite(1.0 / h**4) and not math.isfinite(2.0 / h**4)
         with pytest.raises(GridError, match="2/h\\^4"):
             discretize_operator(OperatorKind.FREE_WITH_DELTA, p, grid)
+
+    def test_underflowing_coupling_at_tiny_frequency(self):
+        # h ~ 1/sqrt(-omega), so at omega = -1e-300 the coupling 1/h^4 rounds
+        # to 0, and the count of L1 read 0 where the proven Morse index is 1.
+        p = validate_params(1.0, 1.0, -1e-300, 5e-151)
+        with pytest.raises(GridError, match="1/h\\^4 underflows"):
+            spectrum_report(OperatorKind.L1, p, grid_for(p, 1201), k=3, sector=Space.FULL_H1)
+
+    def test_smallest_coupling_sets_the_underflow_bound(self):
+        # At 2001 nodes 1/h^4 = omega^2/0.03^4 leaves the normal floats
+        # between |omega| = 1.4e-157 and 1.2e-157.
+        above, below = (validate_params(1.0, 1.0, omega, 1e-80) for omega in (-1.4e-157, -1.2e-157))
+        discretize_operator(OperatorKind.FREE_WITH_DELTA, above, grid_for(above))
+        with pytest.raises(GridError, match="1/h\\^4 underflows"):
+            discretize_operator(OperatorKind.FREE_WITH_DELTA, below, grid_for(below))
 
     def test_extent_bound_is_relative(self):
         # 30/sqrt(-omega) = 3e-10 is far below the old absolute slack 1e-9, which
@@ -396,7 +411,7 @@ class TestEigenvaluesAgainstLapack:
         p = validate_params(1.0, 1.0, -1e-12, 1e-7)
         g = grid_for(p, 2001)
         op = discretize_operator(OperatorKind.L1, p, g)
-        report = spectrum_report(OperatorKind.L1, p, g, k=3)
+        report = spectrum_report(OperatorKind.L1, p, g, k=3, sector=Space.FULL_H1)
         ref = lapack_eigenvalues(op, 2)
         assert len(report.eigenvalues) == 2
         assert report.eigenvalues == pytest.approx(ref, rel=0.0, abs=1e-9 * -p.omega)
@@ -427,7 +442,7 @@ class TestKernelResidual:
 
 class TestSpectrumReport:
     def test_listed_below_essential_edge(self):
-        report = spectrum_report(OperatorKind.L1, P_AA_NEG, grid_for(P_AA_NEG), k=3)
+        report = spectrum_report(OperatorKind.L1, P_AA_NEG, grid_for(P_AA_NEG), k=3, sector=Space.FULL_H1)
         assert report.essential_edge == -P_AA_NEG.omega
         assert report.negative_count == 2
         assert all(lam < report.essential_edge for lam in report.eigenvalues)
@@ -445,7 +460,7 @@ class TestSpectrumReport:
             return real(op, index, upper)
 
         monkeypatch.setattr(spectral, "_eigenvalue_by_index", counting)
-        report = spectrum_report(kind, p, grid_for(p), k=3)
+        report = spectrum_report(kind, p, grid_for(p), k=3, sector=Space.FULL_H1)
         listed = range(len(report.eigenvalues))
         if kind is OperatorKind.L1:
             below = inertia_below(discretize_operator(kind, p, grid_for(p)), 0.0)
@@ -457,7 +472,8 @@ class TestSpectrumReport:
         assert calls == expected
 
     def test_free_delta_edge_is_zero(self):
-        report = spectrum_report(OperatorKind.FREE_WITH_DELTA, P_DELTA, grid_for(P_DELTA), k=1)
+        report = spectrum_report(OperatorKind.FREE_WITH_DELTA, P_DELTA, grid_for(P_DELTA), k=1,
+                                 sector=Space.FULL_H1)
         assert report.essential_edge == 0.0
         assert report.negative_count == 1
 
@@ -488,7 +504,7 @@ class TestZeroExclusionShift:
         # the floor 1e-6*|omega| the shift is 3*h^2*omega^2 = 2.7e-11 (h = 300),
         # which counts it, as the proven n = 1 for Z > 0 requires.
         p = validate_params(1.0, 1.0, -1e-8, 1e-5)
-        report = spectrum_report(OperatorKind.L1, p, grid_for(p), k=2)
+        report = spectrum_report(OperatorKind.L1, p, grid_for(p), k=2, sector=Space.FULL_H1)
         assert report.eigenvalues[0] == pytest.approx(-2.92e-8, rel=1e-2)
         assert report.negative_count == 1
 

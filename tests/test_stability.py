@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from peakwave import validate_params
-from peakwave.errors import DegenerateError, PreconditionError
+from peakwave.errors import DegenerateError, GridError, PreconditionError
 from peakwave import spectral, stability, vk
 from peakwave.stability import Outcome, Provenance, Space, classify_analytic, classify_numeric, compare
 
@@ -146,7 +146,7 @@ class TestVerdictRule:
         even_note = ODD_NOTE if even_outcome is Outcome.ORBITALLY_UNSTABLE else ""
         expected = {Space.FULL_H1: (n_full, full_outcome, full_note),
                     Space.EVEN_H1: (n_even, even_outcome, even_note)}
-        assert verdicts == {space: stability.Verdict(space, n, p_idx, outcome, provenance, note)
+        assert verdicts == {space: stability.Verdict(n, p_idx, outcome, provenance, note)
                             for space, (n, outcome, note) in expected.items()}
 
 
@@ -175,7 +175,7 @@ class TestAnalyticClauses:
     def test_clause(self, point, space, expected):
         v = classify_analytic(validate_params(*point), space)
         assert (v.n_hessian, v.p_index, v.outcome, v.note) == expected
-        assert (v.space, v.provenance) == (space, Provenance.ANALYTIC_TABLE)
+        assert v.provenance is Provenance.ANALYTIC_TABLE
 
 
 class TestIndexRelations:
@@ -266,6 +266,18 @@ class TestCompare:
         # |slope| > 1e-9 refused every such point; the relative one does not.
         p = validate_params(1.0, 1.0, omega, z)
         assert compare(p, grid_for(p)) is True
+
+    @pytest.mark.parametrize("point", [(1.0, 1.0, -1e-200, 5e-101), (1.0, 1.0, -1e-200, -5e-101),
+                                       (2.0, -1.0, -1e-200, 5e-101), (2.0, -1.0, -1e-200, -5e-101)])
+    def test_underflowing_couplings_are_refused(self, point):
+        # On the default grid 1/h^4 = 1.2e-394 rounds to 0: the counts read 0
+        # negative eigenvalues, and compare returned False instead of raising.
+        with pytest.raises(GridError, match="1/h\\^4 underflows"):
+            compare(validate_params(*point))
+
+    @pytest.mark.parametrize("z", [5e-79, -5e-79])
+    def test_agrees_just_above_the_underflow_bound(self, z):
+        assert compare(validate_params(1.0, 1.0, -1.4e-157, z)) is True
 
     def test_shared_exclusion_near_threshold(self):
         zstar = vk.find_zstar()

@@ -102,6 +102,15 @@ class TestClosedFormAllCoefficients:
         expected = (unit_charge(omega + delta, 0.0) - unit_charge(omega - delta, 0.0)) / (2.0 * delta)
         assert -vk.slope(p) == pytest.approx(expected, rel=1e-7)
 
+    def test_step_rounding_to_zero_is_degenerate(self):
+        # 1e-20*|omega| rounds to 0 below |omega| of about 5e-304; the step 1e-320
+        # at omega = -1e-300 is subnormal but exact, and still valid above.
+        p = validate_params(1.0, 1.0, -1e-307, 1e-154)
+        with pytest.raises(DegenerateError, match="rounds to 0"):
+            vk.slope(p)
+        with pytest.raises(DegenerateError, match="rounds to 0"):
+            vk.scan(1.0, 1.0, [-1e-307], [1e-154])
+
     def test_threshold_is_root_three_over_two(self):
         assert vk.ZSTAR_REFERENCE == -math.sqrt(3.0) / 2.0
         for omega in (-1.0, -2.0, -10.0, -400.0):
