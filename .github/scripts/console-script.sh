@@ -2,8 +2,10 @@
 # Runs the installed `peakwave` console script end to end: writes one report
 # per command into OUTDIR, checks every header is standard JSON, checks the
 # usage errors that must exit 2 and the numerical errors that must exit 3,
-# checks that each spectrum lists only eigenvalues below its essential edge,
-# and checks that importing the CLI loads no scipy.  Set PEAKWAVE to another
+# checks that each spectrum lists only eigenvalues below its essential edge
+# and prints as its kernel residual the distance from 0 to the listed values
+# nearest it (null for the bare defect), and checks that importing the CLI
+# loads no scipy.  Set PEAKWAVE to another
 # launcher (say "python -m peakwave.cli") to run it without installing the
 # console script.
 #
@@ -17,11 +19,13 @@ read -r -a peakwave <<< "${PEAKWAVE:-peakwave}"
 "${peakwave[@]}" simulate --l1 1 --l2 1 --omega -2 --z 1 --n 1201 --horizon 0.5 --perturbation even --amplitude 1e-2 --format json --out "$out/simulate.json"
 "${peakwave[@]}" spectrum --l1 1 --l2 1 --omega -2 --z -1 --kind L1 --sector full --n 2001 --out "$out/spectrum-full.csv"
 "${peakwave[@]}" spectrum --l1 1 --l2 1 --omega -2 --z -1 --kind L1 --sector even --n 2001 --out "$out/spectrum-even.csv"
+"${peakwave[@]}" spectrum --l1 1 --l2 1 --omega -2 --z -1 --kind L2 --sector even --n 2001 --out "$out/spectrum-l2-even.csv"
 "${peakwave[@]}" spectrum --l1 1 --l2 1 --omega -2 --z -1 --kind free --n 1201 --format json --out "$out/spectrum-free.json"
 test -s "$out/profile.csv" && test -s "$out/classify.json" && test -s "$out/simulate.json"
-test -s "$out/spectrum-full.csv" && test -s "$out/spectrum-even.csv" && test -s "$out/spectrum-free.json"
+test -s "$out/spectrum-full.csv" && test -s "$out/spectrum-even.csv" && test -s "$out/spectrum-l2-even.csv"
+test -s "$out/spectrum-free.json"
 python - "$out"/classify.json "$out"/simulate.json "$out"/spectrum-free.json \
-  "$out"/profile.csv "$out"/spectrum-full.csv "$out"/spectrum-even.csv <<'PY'
+  "$out"/profile.csv "$out"/spectrum-full.csv "$out"/spectrum-even.csv "$out"/spectrum-l2-even.csv <<'PY'
 import json, sys
 def reject(constant):
     raise ValueError(f"{constant} is not standard JSON")
@@ -33,18 +37,31 @@ PY
 
 # A spectrum lists only eigenvalues below its essential edge, ascending.  At
 # omega = -1e-12 the bracket up to the edge is 9.3e-12 wide and holds two.
+# The kernel residual is min |v_j| over the listed values with j = b - 1 or
+# b, where b is how many of them lie below 0; the bare defect's is null.
 "${peakwave[@]}" spectrum --l1 1 --l2 1 --omega=-1e-12 --z 1e-7 --n 2001 --out "$out/spectrum-tiny.csv"
-python - "$out"/spectrum-full.csv "$out"/spectrum-even.csv "$out"/spectrum-tiny.csv <<'PY'
+python - "$out"/spectrum-full.csv "$out"/spectrum-even.csv "$out"/spectrum-l2-even.csv \
+  "$out"/spectrum-tiny.csv <<'PY'
 import json, sys
 for path in sys.argv[1:]:
     with open(path) as handle:
-        edge = json.loads(handle.readline()[2:])["essential_edge"]
+        header = json.loads(handle.readline()[2:])
         handle.readline()
         values = [float(line.split(",")[1]) for line in handle]
+    edge, residual = header["essential_edge"], header["kernel_residual"]
     if not values or any(a >= b for a, b in zip(values, values[1:])) or values[-1] >= edge:
         sys.exit(f"{path} lists {values}, not ascending below the edge {edge}")
     if path.endswith("spectrum-tiny.csv") and len(values) != 2:
         sys.exit(f"{path} lists {values}, not the two eigenvalues below the edge {edge}")
+    b = sum(v < 0.0 for v in values)
+    if b == len(values) or residual != min(abs(values[j]) for j in (b - 1, b) if j >= 0):
+        sys.exit(f"{path} prints the kernel residual {residual}, not the distance from 0 to {values}")
+PY
+python - "$out"/spectrum-free.json <<'PY'
+import json, sys
+residual = json.load(open(sys.argv[1]))["header"]["kernel_residual"]
+if residual is not None:
+    sys.exit(f"{sys.argv[1]} prints the kernel residual {residual} for the bare defect, not null")
 PY
 
 # Each of these is a usage error: exit 2, whatever the sizes asked for.

@@ -142,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_wave_flags(p_spec)
     _add_choice(p_spec, "--kind", OperatorKind.L1)
     _add_choice(p_spec, "--sector", Space.FULL_H1)
-    p_spec.add_argument("--n", type=int, default=4001)
+    p_spec.add_argument("--n", type=int, default=spectral.DEFAULT_GRID_POINTS)
     p_spec.add_argument("--k", type=int, default=3, help="number of lowest eigenvalues to list")
     _add_output_flags(p_spec)
 
@@ -163,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--amplitude", type=float, default=0.0)
     p_sim.add_argument("--horizon", type=float, default=10.0)
     p_sim.add_argument("--dt", type=float, default=None)
-    p_sim.add_argument("--n", type=int, default=4001)
+    p_sim.add_argument("--n", type=int, default=spectral.DEFAULT_GRID_POINTS)
     _add_output_flags(p_sim)
     return parser
 
@@ -249,7 +249,7 @@ def _cmd_find_zstar(args) -> int:
 def _cmd_simulate(args) -> int:
     p = validate_params(args.l1, args.l2, args.omega, args.z)
     grid = spectral.default_grid(p, _odd(args.n))
-    dt = args.dt if args.dt is not None else 0.25 * grid.spacing
+    dt = args.dt if args.dt is not None else dynamics.DEFAULT_STEP_PER_SPACING * grid.spacing
     perturbation = dynamics.Perturbation(dynamics.PerturbationKind(args.perturbation), args.amplitude)
     result = dynamics.simulate(p, perturbation, args.horizon, dt, grid)
     rows = [(r.time, r.energy, r.charge, r.orbital_distance) for r in result.rows]

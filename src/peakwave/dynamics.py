@@ -196,6 +196,9 @@ def _stepper(p: WaveParameters, grid: GridSpec, dt: float) -> _ParityCrankNicols
     return _ParityCrankNicolson(discretize_operator(OperatorKind.FREE_WITH_DELTA, p, grid), dt)
 
 
+#: Default step of `simulate` (and `simulate --dt`), as a multiple of the grid spacing.
+DEFAULT_STEP_PER_SPACING = 0.25
+
 #: Most Strang steps one `simulate` run may take (horizon_T / dt).
 MAX_STEPS = 10**7
 
@@ -386,7 +389,7 @@ def simulate(
     if grid is None:
         grid = default_grid(p)
     if dt is None:
-        dt = 0.25 * grid.spacing
+        dt = DEFAULT_STEP_PER_SPACING * grid.spacing
     _check_dt_cap(dt, grid)
     _check_positive_dt(dt)
     if horizon_T / dt > MAX_STEPS:

@@ -21,8 +21,11 @@ shifted triangular factorization) and eigenvalues from bisection on the
 count, on the Gershgorin bracket cut at a bound: a spectrum report bisects
 only the eigenvalues below the essential edge, the ones it lists.  The
 stability argument needs only where the spectra sit relative to 0, so no
-eigenvector is computed, and importing this module loads no scipy.
-`quadratic_form_discrete` samples the form (L1 phi, phi) on a grid.
+eigenvector is computed, and importing this module loads no scipy.  One
+function, `kernel_residual`, measures how far a realization is from its
+kernel fact (L2's zero mode, L1's trivial kernel); the spectrum report and
+the verdict's preconditions both read it.  `quadratic_form_discrete` samples
+the form (L1 phi, phi) on a grid.
 """
 
 from __future__ import annotations
@@ -44,7 +47,6 @@ __all__ = [
     "GridSpec",
     "TridiagonalOperator",
     "SpectrumReport",
-    "KernelReport",
     "default_grid",
     "discretize_operator",
     "parity_blocks",
@@ -99,7 +101,11 @@ class GridSpec:
         return GridSpec(self.half_width, 2 * self.n_points - 1)
 
 
-def default_grid(p: WaveParameters, n_points: int = 4001) -> GridSpec:
+#: Grid size of `default_grid` when the caller gives none (`spectrum --n`, `simulate --n`).
+DEFAULT_GRID_POINTS = 4001
+
+
+def default_grid(p: WaveParameters, n_points: int = DEFAULT_GRID_POINTS) -> GridSpec:
     """Grid at the precondition floor L = 30/sqrt(-omega)."""
     L = 30.0 / math.sqrt(-p.omega)
     return GridSpec(L, n_points)
@@ -282,39 +288,24 @@ def parity_counts(kind: OperatorKind, p: WaveParameters, grid: GridSpec) -> tupl
     return counts[0]
 
 
-@dataclass(frozen=True)
-class KernelReport:
-    """Numerical kernel checks of the linearized pair.
+def kernel_residual(kind: OperatorKind, op: TridiagonalOperator,
+                    lowest: Sequence[float] = ()) -> float | None:
+    """The kernel measure of one realization of `kind`: the line or one parity block.
 
-    `l2_zero_abs` is |lowest eigenvalue of L2| (tends to 0 at second order in
-    h: zero is an exact simple eigenvalue with eigenfunction phi).
-    `l1_distance_to_zero` is the distance from 0 to the spectrum of L1, which
-    stays bounded away from 0 for Z != 0 (trivial kernel).
+    L2 is nonnegative with zero a simple eigenvalue (eigenfunction phi), so its
+    measure is |lowest eigenvalue|, which tends to 0 at second order in h.  L1
+    has a trivial kernel for Z != 0, so its measure is the distance from 0 to
+    its spectrum: the nearer of the eigenvalues either side of 0.  The bare
+    defect has no kernel to measure: None.  Eigenvalues 0, 1, ... already
+    bisected are passed in `lowest`; any other index is bisected here, on the
+    whole Gershgorin span.
     """
-
-    l2_zero_abs: float
-    l1_distance_to_zero: float
-
-
-def _distance_to_zero(op: TridiagonalOperator, lowest: Sequence[float] = ()) -> float:
-    """Distance from 0 to the spectrum: the nearer of the eigenvalues either side.
-
-    Eigenvalues 0, 1, ... already bisected are passed in `lowest`; any other
-    index is bisected here, on the whole Gershgorin span.
-    """
-    below = inertia_below(op, 0.0)
-    either_side = range(max(below - 1, 0), below + 1)
+    if kind is OperatorKind.FREE_WITH_DELTA:
+        return None
+    # L2 takes no count: its eigenvalue at 0 is its lowest.
+    below = 0 if kind is OperatorKind.L2 else inertia_below(op, 0.0)
     return min(abs(lowest[j] if j < len(lowest) else _eigenvalue_by_index(op, j, math.inf))
-               for j in either_side)
-
-
-def kernel_residual(p: WaveParameters, grid: GridSpec) -> KernelReport:
-    """Measure the L2 zero mode and the spectral gap of L1 around zero, on the
-    parity blocks (L2's lowest eigenvector is positive, hence even)."""
-    l2_even, _ = parity_blocks(discretize_operator(OperatorKind.L2, p, grid))
-    l1_blocks = parity_blocks(discretize_operator(OperatorKind.L1, p, grid))
-    return KernelReport(abs(_eigenvalue_by_index(l2_even, 0, math.inf)),
-                        min(map(_distance_to_zero, l1_blocks)))
+               for j in range(max(below - 1, 0), below + 1))
 
 
 @dataclass(frozen=True)
@@ -340,9 +331,8 @@ def spectrum_report(kind: OperatorKind, p: WaveParameters, grid: GridSpec, k: in
     The even sector is the even parity block.  The edge is -omega for the
     linearized operators and 0 for the bare defect; eigenvalues above it
     would be box artifacts of the truncation, so only those below it are
-    bisected, each once, on a bracket that ends at the edge.  The kernel
-    residual reuses them: L2's is its lowest eigenvalue (bisected on the
-    whole span when none is listed), L1's its distance to zero.
+    bisected, each once, on a bracket that ends at the edge; `kernel_residual`
+    reuses them.
     """
     op = discretize_operator(kind, p, grid)
     if sector is Space.EVEN_H1:
@@ -350,13 +340,7 @@ def spectrum_report(kind: OperatorKind, p: WaveParameters, grid: GridSpec, k: in
     edge = 0.0 if kind is OperatorKind.FREE_WITH_DELTA else -p.omega
     lams = lowest_eigenvalues(op, k, edge)
     negative = inertia_below(op, -zero_exclusion_shift(grid, p))
-    if kind is OperatorKind.L2:
-        resid = abs(lams[0] if lams else _eigenvalue_by_index(op, 0, math.inf))
-    elif kind is OperatorKind.L1:
-        resid = _distance_to_zero(op, lams)
-    else:
-        resid = None
-    return SpectrumReport(negative, lams, resid, edge, op.size)
+    return SpectrumReport(negative, lams, kernel_residual(kind, op, lams), edge, op.size)
 
 
 def quadratic_form_discrete(p: WaveParameters, grid: GridSpec) -> float:

@@ -15,9 +15,10 @@ threshold are classified.
 
 One rule turns indices into verdicts, and both classifiers feed it.
 `classify_numeric` and `compare` share one numeric pass per parameter point:
-the kernel preconditions, the slope index p and each operator's negative
-counts (n_even, n_odd) on its two parity blocks are computed once; the full
-index is n_even + n_odd.  `classify_analytic` supplies the proven indices
+the kernel preconditions (`spectral.kernel_residual` of L2's even block and
+of L1's two blocks), the slope index p and each operator's negative counts
+(n_even, n_odd) on its two parity blocks are computed once; the full index
+is n_even + n_odd.  `classify_analytic` supplies the proven indices
 instead: n = 1 for Z >= 0 and 2 for Z < 0 on the full line, n = 1 in the
 even sector, and p = 1 except below the unit-coefficient threshold
 z* = -sqrt(3)/2 of a focusing pair (a focusing cubic with defocusing quintic
@@ -94,17 +95,21 @@ def _check_preconditions(p: WaveParameters, grid: GridSpec) -> None:
         raise PreconditionError(
             "Z = 0 carries a translation zero mode of L1; the phase-only criterion does not apply"
         )
-    report = spectral.kernel_residual(p, grid)
+    l2_even = spectral.parity_blocks(spectral.discretize_operator(OperatorKind.L2, p, grid))[0]
+    l1_blocks = spectral.parity_blocks(spectral.discretize_operator(OperatorKind.L1, p, grid))
+    # L2's lowest eigenvector is the discrete ground state: positive, hence even.
+    l2_zero = spectral.kernel_residual(OperatorKind.L2, l2_even)
+    l1_gap = min(spectral.kernel_residual(OperatorKind.L1, block) for block in l1_blocks)
     zero_tol = 1e-2 * max(1.0, abs(p.omega))
-    if report.l2_zero_abs > zero_tol:
+    if l2_zero > zero_tol:
         raise PreconditionError(
-            f"L2 lowest eigenvalue {report.l2_zero_abs} too far from 0 (tol {zero_tol}); "
+            f"L2 lowest eigenvalue {l2_zero} too far from 0 (tol {zero_tol}); "
             "kernel check failed at this grid"
         )
     gap_tol = spectral.zero_exclusion_shift(grid, p)
-    if report.l1_distance_to_zero <= gap_tol:
+    if l1_gap <= gap_tol:
         raise PreconditionError(
-            f"L1 spectrum approaches 0 within {report.l1_distance_to_zero}; "
+            f"L1 spectrum approaches 0 within {l1_gap}; "
             "trivial-kernel check failed at this grid"
         )
 

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import peakwave
-from peakwave import cli, dynamics, spectral, validate_params
+from peakwave import cli, dynamics, spectral, stability, validate_params
 from peakwave.dynamics import PerturbationKind
 from peakwave.spectral import OperatorKind, Space
 
@@ -401,6 +401,14 @@ class TestSimulateCommand:
         grid = spectral.default_grid(validate_params(1, 1, -9.85, 1), 1201)
         assert (header["half_width"], header["spacing"]) == (grid.half_width, grid.spacing)
 
+    def test_default_dt_is_the_library_step(self, capsys):
+        code, out, _ = run(
+            ["simulate", "--l1", "1", "--l2", "1", "--omega", "-2", "--z", "1",
+             "--horizon", "0.01", "--n", "1201"], capsys)
+        assert code == 0
+        header = strict_json(out.split("\n")[0][2:])
+        assert header["dt"] == dynamics.DEFAULT_STEP_PER_SPACING * header["spacing"]
+
     def test_under_resolved_grid_exits_3(self, capsys):
         # n = 401 at omega = -9.85 gives h = 0.048 against the bound 0.016.
         code, out, err = run(
@@ -519,6 +527,28 @@ class TestSimulateCommand:
         assert code == 2
         assert "DomainError" in err
         assert out == ""
+
+
+class TestLibraryDefaults:
+    """A numerical default the CLI states is read from the library's constant."""
+
+    @pytest.mark.parametrize("command,module,constant", [
+        ("spectrum", spectral, "DEFAULT_GRID_POINTS"),
+        ("simulate", spectral, "DEFAULT_GRID_POINTS"),
+        ("classify", stability, "NUMERIC_GRID_POINTS"),
+    ])
+    def test_grid_size_default_is_the_constant(self, command, module, constant, monkeypatch):
+        wave = ["--l1", "1", "--l2", "1", "--omega", "-2", "--z", "1"]
+        assert cli.build_parser().parse_args([command, *wave]).n == getattr(module, constant)
+        monkeypatch.setattr(module, constant, 1201)
+        assert cli.build_parser().parse_args([command, *wave]).n == 1201
+
+    def test_default_grid_reads_the_constant(self):
+        p = validate_params(1, 1, -2, 1)
+        assert spectral.default_grid(p).n_points == spectral.DEFAULT_GRID_POINTS == 4001
+
+    def test_default_step_is_a_quarter_spacing(self):
+        assert dynamics.DEFAULT_STEP_PER_SPACING == 0.25
 
 
 class TestUsage:

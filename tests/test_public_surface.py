@@ -15,7 +15,10 @@ unit-pair charge derivative is `-vk.slope`, so `vk.dnorm_domega_closed` is
 gone.  Every field and default has a reader: a verdict is keyed by its space
 and does not repeat it, `-phi'/phi` is inlined in the one derivative that
 read `slope_factor`, and a grid, a count `k` or a sector no caller omits has
-no default.
+no default.  One function measures the kernel of a realization,
+`spectral.kernel_residual(kind, op, lowest)`: the spectrum report prints it
+and the verdict's preconditions read it, so the pair-level `KernelReport`
+and its `_distance_to_zero` helper are gone.
 """
 
 import dataclasses
@@ -47,7 +50,7 @@ PUBLIC = {
     "peakwave.profile": ["Regime", "Side", "WaveParameters", "ProfileEvaluator", "validate_params"],
     "peakwave.vk": ["VkScanRow", "ZSTAR_REFERENCE", "slope", "p_index", "find_zstar", "scan"],
     "peakwave.spectral": [
-        "Space", "OperatorKind", "GridSpec", "TridiagonalOperator", "SpectrumReport", "KernelReport",
+        "Space", "OperatorKind", "GridSpec", "TridiagonalOperator", "SpectrumReport",
         "default_grid", "discretize_operator", "parity_blocks", "inertia_below", "lowest_eigenvalues",
         "parity_counts", "zero_exclusion_shift", "kernel_residual", "spectrum_report",
         "quadratic_form_discrete", "negative_direction_check",
@@ -69,7 +72,10 @@ REMOVED = {
     "peakwave.profile": [*_PROFILE_REMOVED, "phi_center_sq", "_r_prime_raw"],
     "peakwave.profile.ProfileEvaluator": ["second_derivative", "slope_factor"],
     "peakwave.vk": ["norm_sq_closed", "dnorm_domega_closed"],
-    "peakwave.spectral": ["morse_index", "lowest_eigenpairs", "dstein", "ConvergenceError", "Sector"],
+    "peakwave.spectral": [
+        "morse_index", "lowest_eigenpairs", "dstein", "ConvergenceError", "Sector", "KernelReport",
+        "_distance_to_zero",
+    ],
     "peakwave.dynamics": [
         "sampled_profile", "discrete_energy", "discrete_charge", "orbital_distance", "strang_step",
         "cn_linear_step", "nonlinear_phase_step",

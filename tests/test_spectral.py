@@ -419,25 +419,56 @@ class TestEigenvaluesAgainstLapack:
         assert report.kernel_residual == report.eigenvalues[1]
 
 
+def even_block(kind, p, grid):
+    return parity_blocks(discretize_operator(kind, p, grid))[0]
+
+
 class TestKernelResidual:
     def test_l2_zero_mode_small_at_reference_spacing(self):
         # h ~ 0.01: n chosen so spacing lands at the reference value.
         n = 2 * round(L_AA / 0.01) + 1
-        report = kernel_residual(P_AA_POS, GridSpec(L_AA, n))
-        assert report.l2_zero_abs < 5e-4
+        block = even_block(OperatorKind.L2, P_AA_POS, GridSpec(L_AA, n))
+        assert kernel_residual(OperatorKind.L2, block) < 5e-4
 
     def test_l2_zero_mode_second_order(self):
         values = []
         for n in (2001, 4001):
             g = grid_for(P_AA_POS, n)
-            values.append(kernel_residual(P_AA_POS, g).l2_zero_abs)
+            values.append(kernel_residual(OperatorKind.L2, even_block(OperatorKind.L2, P_AA_POS, g)))
         ratio = values[0] / values[1]
         assert 2.5 < ratio < 6.5
 
     def test_l1_gap_bounded_away_from_zero(self):
         for n in (2001, 4001):
-            report = kernel_residual(P_AA_NEG, grid_for(P_AA_NEG, n))
-            assert report.l1_distance_to_zero > 0.01
+            op = discretize_operator(OperatorKind.L1, P_AA_NEG, grid_for(P_AA_NEG, n))
+            for block in parity_blocks(op):
+                assert kernel_residual(OperatorKind.L1, block) > 0.01
+
+
+class TestOneKernelMeasure:
+    """The spectrum report prints the measure the verdict's preconditions read."""
+
+    @pytest.mark.parametrize("p", [P_AA_POS, P_AA_NEG, P_AR_POS])
+    @pytest.mark.parametrize("kind", [OperatorKind.L1, OperatorKind.L2])
+    @pytest.mark.parametrize("sector", list(Space))
+    def test_report_reads_kernel_residual(self, p, kind, sector):
+        g = grid_for(p)
+        report = spectrum_report(kind, p, g, k=3, sector=sector)
+        op = discretize_operator(kind, p, g)
+        if sector is Space.EVEN_H1:
+            op = parity_blocks(op)[0]
+        assert report.kernel_residual == kernel_residual(kind, op, report.eigenvalues)
+        # Bisected on the whole span instead of the bracket cut at the edge.
+        assert report.kernel_residual == pytest.approx(kernel_residual(kind, op), rel=0.0,
+                                                       abs=1e-9 * max(1.0, abs(p.omega)))
+
+    @pytest.mark.parametrize("sector", list(Space))
+    def test_bare_defect_has_none(self, sector):
+        g = grid_for(P_DELTA)
+        report = spectrum_report(OperatorKind.FREE_WITH_DELTA, P_DELTA, g, k=1, sector=sector)
+        op = discretize_operator(OperatorKind.FREE_WITH_DELTA, P_DELTA, g)
+        assert report.kernel_residual is None
+        assert kernel_residual(OperatorKind.FREE_WITH_DELTA, op) is None
 
 
 class TestSpectrumReport:
