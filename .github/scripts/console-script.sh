@@ -2,7 +2,8 @@
 # Runs the installed `peakwave` console script end to end: writes one report
 # per command into OUTDIR, checks every header is standard JSON, checks the
 # usage errors that must exit 2 and the numerical errors that must exit 3,
-# checks that each spectrum lists only eigenvalues below its essential edge
+# checks that an odd-bump run, which steps the full line, conserves its
+# charge to 1e-10 relative, checks that each spectrum lists only eigenvalues below its essential edge
 # and prints as its kernel residual the distance from 0 to the listed values
 # nearest it (null for the bare defect), and checks that importing the CLI
 # loads no scipy.  Set PEAKWAVE to another
@@ -17,14 +18,16 @@ read -r -a peakwave <<< "${PEAKWAVE:-peakwave}"
 "${peakwave[@]}" profile --l1 1 --l2 1 --omega -2 --z 1 --xmax 10 --n 21 --out "$out/profile.csv"
 "${peakwave[@]}" classify --l1 1 --l2 1 --omega -2 --z 1 --format json --out "$out/classify.json"
 "${peakwave[@]}" simulate --l1 1 --l2 1 --omega -2 --z 1 --n 1201 --horizon 0.5 --perturbation even --amplitude 1e-2 --format json --out "$out/simulate.json"
+"${peakwave[@]}" simulate --l1 1 --l2 1 --omega -2 --z -0.5 --n 1201 --horizon 0.5 --perturbation odd --amplitude 1e-2 --format json --out "$out/simulate-odd.json"
 "${peakwave[@]}" spectrum --l1 1 --l2 1 --omega -2 --z -1 --kind L1 --sector full --n 2001 --out "$out/spectrum-full.csv"
 "${peakwave[@]}" spectrum --l1 1 --l2 1 --omega -2 --z -1 --kind L1 --sector even --n 2001 --out "$out/spectrum-even.csv"
 "${peakwave[@]}" spectrum --l1 1 --l2 1 --omega -2 --z -1 --kind L2 --sector even --n 2001 --out "$out/spectrum-l2-even.csv"
 "${peakwave[@]}" spectrum --l1 1 --l2 1 --omega -2 --z -1 --kind free --n 1201 --format json --out "$out/spectrum-free.json"
 test -s "$out/profile.csv" && test -s "$out/classify.json" && test -s "$out/simulate.json"
+test -s "$out/simulate-odd.json"
 test -s "$out/spectrum-full.csv" && test -s "$out/spectrum-even.csv" && test -s "$out/spectrum-l2-even.csv"
 test -s "$out/spectrum-free.json"
-python - "$out"/classify.json "$out"/simulate.json "$out"/spectrum-free.json \
+python - "$out"/classify.json "$out"/simulate.json "$out"/simulate-odd.json "$out"/spectrum-free.json \
   "$out"/profile.csv "$out"/spectrum-full.csv "$out"/spectrum-even.csv "$out"/spectrum-l2-even.csv <<'PY'
 import json, sys
 def reject(constant):
@@ -33,6 +36,16 @@ for path in sys.argv[1:]:
     with open(path) as handle:
         text = handle.read() if path.endswith(".json") else handle.readline()[2:]
     json.loads(text, parse_constant=reject)
+PY
+
+# The odd bump starts with both parities, so it runs on the full line; the
+# Crank-Nicolson step is unitary and the phase keeps each modulus.
+python - "$out"/simulate-odd.json <<'PY'
+import json, sys
+charges = [float(row[2]) for row in json.load(open(sys.argv[1]))["rows"]]
+drift = max(abs(q - charges[0]) for q in charges) / charges[0]
+if len(charges) < 2 or not drift < 1e-10:
+    sys.exit(f"{sys.argv[1]} has a charge drift of {drift} over {len(charges)} rows, not below 1e-10")
 PY
 
 # A spectrum lists only eigenvalues below its essential edge, ascending.  At

@@ -9,42 +9,39 @@ extent and coupling bounds, GridError otherwise).
 Strang composition of the two is second order in time and conserves the
 discrete charge to solver roundoff.
 
-The Crank-Nicolson solve is performed on the even/odd parity blocks of the
-grid rather than on the full line.  This is not an optimization: an even
-field must stay exactly even (the continuum flow preserves parity), and at
-spectrally unstable parameters any rounding asymmetry of a generic
-tridiagonal solve is amplified exponentially through the odd unstable mode,
-destroying the parity of long runs.  Block solves keep the odd component of
-an even field identically zero.  That is also why an even field runs on the
-even block alone: when the initial samples are bitwise mirror-symmetric,
-`simulate` advances only their x >= 0 half (the paper's invariant subspace
-H^1_even) and unfolds it to the full line once, for the final state.  Any
-other field is advanced on both blocks.
+A start whose samples are bitwise mirror-symmetric (no bump, or an even
+one) runs on its x >= 0 half, the paper's invariant subspace H^1_even: the
+Crank-Nicolson matrix is the even half of the operator, so the run is exactly
+even by construction, which matters at spectrally unstable parameters, where
+any rounding asymmetry would grow exponentially through the odd unstable
+mode.  The half is unfolded to the full line once, for the final state.  Any
+other start runs on the full line and keeps no parity: the nonlinear phase
+mixes the parities of a field that has both.
 
-Both kernels are built for speed without giving that up.  Each parity block
-of the Crank-Nicolson matrix 1 + B, B = (i dt/2) A, is factored once per
-(parameters, grid, dt) as L D U with no row interchange, and the stepper is
-cached.  No interchange is needed for any dt: every pivot has real part at
-least 1, because the block is 1 + iS with S real symmetric up to a diagonal
-similarity.  By the Cayley identity (1 + B)^-1 (1 - B) = 2 (1 + B)^-1 - 1 a
-step is two unit band sweeps (BLAS tbsv) and one multiply by the reciprocal
-pivots per block; 1 - B is never applied.  scipy.linalg's BLAS module is
-imported when the first stepper is built, not with this module, so importing
-`dynamics` (and `cli`) loads numpy only and a command that never steps a
-field never loads scipy.  The rotation takes cos and sin of
-the real angle only on the window from the first to the last node where the
-angle is at least 2^-27 in magnitude; outside it the rounded phase is
-exactly (1, angle), so the window changes no bit.  `simulate` runs on raw
-arrays: between output rows the closing half rotation of one step and the
-opening half rotation of the next are applied as one full rotation, and on a
-recorded step one half-step phase is applied twice, before and after the
-row.  Rows come from one fused kernel over the array the loop steps (for an
-even run the x >= 0 half, weighted as its mirror image), which takes |u|^2
-as re^2 + im^2; the profile for the orbital distance is sampled once per
-run, and only the final state is unfolded and wrapped in a FieldState.
-The blow-up guard reads the |u|^2 the rotation already computes and also
-trips on NaN and inf, raising BlowupError.  A run may take at most
-`MAX_STEPS` steps.
+The Crank-Nicolson matrix 1 + B, B = (i dt/2) A, of the half or the line is
+factored once per (parameters, grid, dt, half) as L D U with no row
+interchange, and the stepper is cached.  No interchange is needed for any
+dt: every pivot has real part at least 1, because the matrix is 1 + iS with
+S real symmetric up to a diagonal similarity.  By the Cayley identity
+(1 + B)^-1 (1 - B) = 2 (1 + B)^-1 - 1 a step is two unit band sweeps (BLAS
+tbsv) around one multiply by twice the reciprocal pivots; 1 - B is never
+applied.  scipy.linalg's BLAS module is imported when the first stepper is
+built, not with this module, so importing `dynamics` (and `cli`) loads numpy
+only and a command that never steps a field never loads scipy.
+
+The rotation takes cos and sin of the real angle only on the window from the
+first to the last node where the angle is at least 2^-27 in magnitude;
+outside it the rounded phase is exactly (1, angle), so the window changes no
+bit.  `simulate` runs on raw arrays: between output rows the closing half
+rotation of one step and the opening half rotation of the next are applied
+as one full rotation, and on a recorded step one half-step phase is applied
+twice, before and after the row.  Rows come from one fused kernel over the
+array the loop steps (for an even run the x >= 0 half, weighted as its
+mirror image), which takes |u|^2 as re^2 + im^2; the profile for the orbital
+distance is sampled once per run, and only the final state is unfolded and
+wrapped in a FieldState.  The blow-up guard reads the |u|^2 the rotation
+already computes and also trips on NaN and inf, raising BlowupError.  A run
+may take at most `MAX_STEPS` steps.
 """
 
 from __future__ import annotations
@@ -112,76 +109,47 @@ def _unpivoted_ldu(lower: np.ndarray, diag: np.ndarray,
     return band, pivots
 
 
-def _band_solve(ztbsv, band: np.ndarray, scale: np.ndarray, b: np.ndarray,
-                overwrite: bool) -> np.ndarray:
-    """U^-1 (scale * L^-1 b) for the unit factors in `band` (see `_unpivoted_ldu`),
-    by two sweeps of the BLAS routine `ztbsv`."""
-    x = ztbsv(1, band, b, lower=1, diag=1, overwrite_x=overwrite)
-    x *= scale
-    return ztbsv(1, band, x, diag=1, overwrite_x=1)
+class _CrankNicolson:
+    """Cayley-transform stepper for i u_t = A u on one tridiagonal realization of A.
 
-
-class _ParityCrankNicolson:
-    """Cayley-transform stepper for i u_t = A u on the even/odd parity blocks of A.
-
-    A is a mirror-symmetric full-line tridiagonal operator.  With
-    B = (i dt/2) A the step is (1 + B)^-1 (1 - B) u = 2 (1 + B)^-1 u - u, so
-    only factors of each block of 1 + B are kept: L D U with unit bidiagonal
-    L and U and no row interchange (`_unpivoted_ldu`), formed once here, and
-    the reciprocal pivots 1/d.  No interchange is needed for any dt.  The
-    pivots depend only on the diagonal and the products lower*upper, and
-    those equal the ones of 1 + iS with S = (dt/2) times the symmetrized
-    block, S real.  So d_0 = 1 + i s_00 and
-    d_{j+1} = 1 + i s_{j+1,j+1} + s_{j,j+1}^2 / d_j, and Re d_j >= 1 gives
-    Re d_{j+1} >= 1: every pivot has real part at least 1, in rounded
-    arithmetic too, since each rounding keeps the sign of the term it
-    adds.  LAPACK gttrf compares |d| with |lower| and does interchange rows
-    at large dt (dt = 100h with Z > 0, say), which is why a short loop
-    forms the factors instead.  A block solve is two unit band sweeps
-    (BLAS ztbsv) around one multiply by 1/d.  A step solves for the doubled
-    even and odd parts of u, reassembles the full line and subtracts u.
-    The odd part of an even field is zero, so `step_even` advances such a
-    field on the even block alone, given and returned as its x >= 0 half,
-    multiplying by 2/d instead.  scipy's BLAS is bound here, at the first
-    stepper build, so that no other command loads scipy.
+    A is the mirror-symmetric full-line operator `op`, or with `half` its
+    even half: the x >= 0 half of an even field, whose center row couples
+    twice to its single distinct neighbor.  With B = (i dt/2) A the step is
+    (1 + B)^-1 (1 - B) v = 2 (1 + B)^-1 v - v, so only factors of 1 + B are
+    kept: L D U with unit bidiagonal L and U and no row interchange
+    (`_unpivoted_ldu`), formed once here, and twice the reciprocal pivots
+    2/d.  No interchange is needed for any dt.  The pivots depend only on
+    the diagonal and the products lower*upper, and those equal the ones of
+    1 + iS with S = (dt/2) times the symmetrized matrix, S real.  So
+    d_0 = 1 + i s_00 and d_{j+1} = 1 + i s_{j+1,j+1} + s_{j,j+1}^2 / d_j,
+    and Re d_j >= 1 gives Re d_{j+1} >= 1: every pivot has real part at
+    least 1, in rounded arithmetic too, since each rounding keeps the sign
+    of the term it adds.  LAPACK gttrf compares |d| with |lower| and does
+    interchange rows at large dt (dt = 100h with Z > 0, say), which is why a
+    short loop forms the factors instead.  A step is two unit band sweeps
+    (BLAS ztbsv) around one multiply by 2/d.  scipy's BLAS is bound here, at
+    the first stepper build, so that no other command loads scipy.
     """
 
-    def __init__(self, op: TridiagonalOperator, dt: float):
+    def __init__(self, op: TridiagonalOperator, dt: float, half: bool):
         from scipy.linalg.blas import ztbsv
 
         self._ztbsv = ztbsv
-        c = op.origin_row
-        diag, off = op.diagonal, op.offdiagonal
+        c = op.origin_row if half else 0
         gamma = 0.5j * dt
-        self._c = c
-        # Even block: v_j = u_{c+j}, j = 0..c; the center row couples twice
-        # to its single distinct neighbor.  Odd block: v_j = u_{c+j}, j >= 1.
-        even_lower = gamma * off[c:]
-        even_upper = even_lower.copy()
-        even_upper[0] *= 2.0
-        odd = gamma * off[c + 1:]
-        self._factors = []
-        for lower, dd, upper in ((even_lower, diag[c:], even_upper), (odd, diag[c + 1:], odd)):
-            band, pivots = _unpivoted_ldu(lower, 1.0 + gamma * dd, upper)
-            self._factors.append((band, 1.0 / pivots))
-        even_band, even_scale = self._factors[0]
-        self._even_twice = (even_band, even_scale + even_scale)
+        lower = gamma * op.offdiagonal[c:]
+        upper = lower
+        if half:
+            upper = lower.copy()
+            upper[0] *= 2.0
+        self._band, pivots = _unpivoted_ldu(lower, 1.0 + gamma * op.diagonal[c:], upper)
+        scale = 1.0 / pivots
+        self._twice = scale + scale
 
-    def step(self, u: np.ndarray) -> np.ndarray:
-        c = self._c
-        even_factors, odd_factors = self._factors
-        x_even = _band_solve(self._ztbsv, *even_factors, u[c:] + u[c::-1], True)
-        x_odd = _band_solve(self._ztbsv, *odd_factors, u[c + 1:] - u[c - 1::-1], True)
-        out = np.empty_like(u)
-        out[c] = x_even[0]
-        out[c + 1:] = x_even[1:] + x_odd
-        out[:c] = (x_even[1:] - x_odd)[::-1]
-        out -= u
-        return out
-
-    def step_even(self, v: np.ndarray) -> np.ndarray:
-        """`step` of the even field whose x >= 0 half is v, as its x >= 0 half."""
-        x = _band_solve(self._ztbsv, *self._even_twice, v, False)
+    def step(self, v: np.ndarray) -> np.ndarray:
+        x = self._ztbsv(1, self._band, v, lower=1, diag=1)
+        x *= self._twice
+        x = self._ztbsv(1, self._band, x, diag=1, overwrite_x=1)
         x -= v
         return x
 
@@ -192,8 +160,8 @@ def _unfold_even(v: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=16)
-def _stepper(p: WaveParameters, grid: GridSpec, dt: float) -> _ParityCrankNicolson:
-    return _ParityCrankNicolson(discretize_operator(OperatorKind.FREE_WITH_DELTA, p, grid), dt)
+def _stepper(p: WaveParameters, grid: GridSpec, dt: float, half: bool) -> _CrankNicolson:
+    return _CrankNicolson(discretize_operator(OperatorKind.FREE_WITH_DELTA, p, grid), dt, half)
 
 
 #: Default step of `simulate` (and `simulate --dt`), as a multiple of the grid spacing.
@@ -372,10 +340,10 @@ def simulate(
     Strang step and the opening half rotation of the next are applied as one
     full rotation; on a recorded step one half-step phase serves both.  A bitwise
     mirror-symmetric start (no bump or an even one) is advanced on its
-    x >= 0 half by the even-block solve alone, its rows are taken from that
-    half with mirror weights, and it is unfolded only for the final state.
-    The grid is checked (the stepper built) before phi and the bump are
-    sampled.  Raises DomainError unless `horizon_T` is finite and positive,
+    x >= 0 half by the even-half stepper, its rows are taken from that half
+    with mirror weights, and it is unfolded only for the final state; any
+    other start is advanced on the full line.  The grid is checked (the
+    operator assembled) before phi and the bump are sampled.  Raises DomainError unless `horizon_T` is finite and positive,
     horizon_T / dt is at most `MAX_STEPS` and rounds to at least one step,
     the amplitude is finite, zero for kind `NONE` and, when a bump
     is added, at most a tenth of phi's discrete H^1 norm in magnitude, and
@@ -401,7 +369,7 @@ def simulate(
         raise DomainError(f"perturbation amplitude must be finite, got {perturbation.amplitude}")
     if perturbation.kind is PerturbationKind.NONE and perturbation.amplitude != 0.0:
         raise DomainError(f"perturbation kind 'none' takes amplitude 0, got {perturbation.amplitude}")
-    stepper = _stepper(p, grid, dt)
+    discretize_operator(OperatorKind.FREE_WITH_DELTA, p, grid)  # GridError before any sampling
     phi = ProfileEvaluator.from_params(p).value(grid.nodes())
     u = _initial_state(perturbation, grid, phi)
     stride = max(1, steps // 400)
@@ -410,7 +378,7 @@ def simulate(
     if half:
         c = grid.center_index
         u, phi = u[c:], phi[c:]
-    advance = stepper.step_even if half else stepper.step
+    advance = _stepper(p, grid, dt, half).step
     observables = _Observables(p, grid, phi, half)
     rows = [SimRow(0.0, *observables(u))]
     t = 0.0

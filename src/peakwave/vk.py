@@ -87,13 +87,20 @@ def _charge(p: WaveParameters, omega: complex) -> complex:
     return 2.0 / root_beta * cmath.atanh(arg)
 
 
-def slope(p: WaveParameters) -> float:
-    """-d/domega ||phi||^2, by a complex step of min(1e-30, 1e-20*|omega|) of the closed-form charge
-    (DegenerateError where the step rounds to 0, below |omega| of about 5e-304)."""
+def _charge_and_slope(p: WaveParameters) -> tuple[float, float]:
+    """||phi||^2 and -d/domega ||phi||^2 from one complex step of the charge:
+    the real part of the charge at omega + i*step is the charge at omega."""
     step = min(_COMPLEX_STEP, 1e-20 * abs(p.omega))
     if not step > 0.0:
         raise DegenerateError(f"complex step 1e-20*|omega| rounds to 0 at omega={p.omega}")
-    return -_charge(p, complex(p.omega, step)).imag / step
+    value = _charge(p, complex(p.omega, step))
+    return value.real, -value.imag / step
+
+
+def slope(p: WaveParameters) -> float:
+    """-d/domega ||phi||^2, by a complex step of min(1e-30, 1e-20*|omega|) of the closed-form charge
+    (DegenerateError where the step rounds to 0, below |omega| of about 5e-304)."""
+    return _charge_and_slope(p)[1]
 
 
 def _index_of_slope(s: float, p: WaveParameters, norm_sq: float) -> int:
@@ -110,7 +117,8 @@ def _index_of_slope(s: float, p: WaveParameters, norm_sq: float) -> int:
 
 def p_index(p: WaveParameters) -> int:
     """Slope index: 1 when -d/domega ||phi||^2 > 0, else 0."""
-    return _index_of_slope(slope(p), p, _charge(p, p.omega).real)
+    norm_sq, s = _charge_and_slope(p)
+    return _index_of_slope(s, p, norm_sq)
 
 
 def find_zstar(omega_probe_grid=DEFAULT_PROBE_GRID, z_lo: float = DEFAULT_BRACKET[0],
@@ -165,7 +173,6 @@ def scan(lambda1: float, lambda2: float, omegas, zs) -> list[VkScanRow]:
     for z in zs:
         for omega in omegas:
             p = validate_params(lambda1, lambda2, omega, z)
-            s = slope(p)
-            norm_sq = _charge(p, p.omega).real
+            norm_sq, s = _charge_and_slope(p)
             rows.append(VkScanRow(omega, z, norm_sq, -s, _index_of_slope(s, p, norm_sq)))
     return rows

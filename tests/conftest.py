@@ -11,7 +11,7 @@ from peakwave import dynamics
 @pytest.fixture
 def nan_on_fifth_step(monkeypatch):
     """Make the cached Crank-Nicolson stepper put a NaN into its fifth result,
-    whether the run advances the full line (`step`) or an even half (`step_even`)."""
+    whether the run advances the full line or an even half."""
     real = dynamics._stepper
     count = itertools.count(1)
 
@@ -27,7 +27,4 @@ def nan_on_fifth_step(monkeypatch):
         def step(self, u):
             return poison(self.inner.step(u))
 
-        def step_even(self, v):
-            return poison(self.inner.step_even(v))
-
-    monkeypatch.setattr(dynamics, "_stepper", lambda p, grid, dt: Poisoned(real(p, grid, dt)))
+    monkeypatch.setattr(dynamics, "_stepper", lambda *key: Poisoned(real(*key)))

@@ -11,6 +11,10 @@ shares no code with the Crank-Nicolson stepper it checks.
 It is the reference for the even parity block sliced from the full-line
 operator.
 
+`oscillation_counts` gives the negative counts of the parity blocks of L1
+and L2 in closed form, by Sturm oscillation of phi' and a Robin comparison at
+the defect; it checks `spectral.parity_counts` with no matrix at all.
+
 `negative_direction_window` tests the paper's whole window for
 (L1 phi, phi) < 0, including the bounds `validate_params` already enforces,
 and takes phi(0)^2 from `phi_center_sq`, the closed form of the
@@ -36,8 +40,10 @@ takes phi'' from `second_derivative`, the closed form differentiated once
 more.  The full-line observables `discrete_energy`, `discrete_charge` and
 `orbital_distance`, and the one-step functions `cn_linear_step`,
 `nonlinear_phase_step` and `strang_step`, apply the private kernels
-`dynamics.simulate` runs on (its cached stepper, phase rotation and
-observables kernel) to a `FieldState`.
+`dynamics.simulate` runs on (its cached steppers, phase rotation and
+observables kernel) to a `FieldState`.  The steps choose the stepper as
+`simulate` does: bitwise mirror-symmetric samples step on their x >= 0 half
+and are unfolded after, any others on the full line.
 """
 
 import math
@@ -49,7 +55,8 @@ from scipy.integrate import IntegrationWarning, quad
 from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 
 from peakwave.dynamics import FieldState, _check_dt_cap, _check_positive_dt, _Observables, _phase, _stepper
-from peakwave.errors import DomainError, RegimeError
+from peakwave.dynamics import _unfold_even
+from peakwave.errors import DegenerateError, DomainError, RegimeError
 from peakwave.profile import ProfileEvaluator, Regime, Side, WaveParameters, validate_params
 from peakwave.profile import _coefficients, _r_inverse_raw, _r_raw
 from peakwave.spectral import GridSpec, OperatorKind, TridiagonalOperator
@@ -253,6 +260,29 @@ def negative_direction_window(p: WaveParameters) -> bool:
     return window and p.lambda1 / (2.0 * p.lambda2) + phi_center_sq(p) < 0.0
 
 
+def oscillation_counts(kind: OperatorKind, p: WaveParameters) -> tuple[int, int]:
+    """Negative eigenvalues (n_even, n_odd) of L1 or L2 by Sturm oscillation.
+
+    On x > 0 the decaying solution of L1 u = 0 is phi', which vanishes once
+    on (0, inf) exactly when Z < 0; the odd block is Dirichlet at 0 and the
+    even block Robin, u'(0) = -(Z/2) u(0), whose comparison reduces through
+    the first integral and the jump condition to the sign of sign(Z)*D,
+    D = lambda1/2 + (2/3) lambda2 phi(0)^2.  So L1 has
+    n_odd = [Z < 0] and n_even = [Z < 0] + [sign(Z)*D > 0]; DegenerateError
+    at Z = 0 (the translation zero mode) and at D = 0.  L2's decaying
+    solution is phi itself, with no zeros and exactly the Robin slope: (0, 0).
+    """
+    if kind is OperatorKind.L2:
+        return 0, 0
+    if kind is not OperatorKind.L1:
+        raise DomainError(f"oscillation counts are for L1 and L2, not {kind.value}")
+    d = p.lambda1 / 2.0 + (2.0 / 3.0) * p.lambda2 * float(ProfileEvaluator.from_params(p).value(0.0)) ** 2
+    if p.z == 0.0 or d == 0.0:
+        raise DegenerateError(f"oscillation counts need Z != 0 and D != 0, got Z = {p.z}, D = {d}")
+    negative = int(p.z < 0.0)
+    return negative + int(math.copysign(1.0, p.z) * d > 0.0), negative
+
+
 def r_map(s, p: WaveParameters):
     """Odd increasing diffeomorphism R -> (-1, 1) that fixes the profile shift."""
     alpha, kappa, nu = _coefficients(p)
@@ -343,6 +373,15 @@ def orbital_distance(u: FieldState, p: WaveParameters, phi: np.ndarray | None = 
     return _observables(u, p, phi)[2]
 
 
+def _linear_step(u: FieldState, v: np.ndarray, dt: float) -> np.ndarray:
+    """The Crank-Nicolson step of the complex samples v on u's grid, on the kernel
+    `simulate` would choose: a mirror-symmetric v steps on its x >= 0 half,
+    unfolded after, any other v on the full line."""
+    if not np.array_equal(v, v[::-1]):
+        return _stepper(u.params, u.grid, dt, False).step(v)
+    return _unfold_even(_stepper(u.params, u.grid, dt, True).step(v[u.grid.center_index:]))
+
+
 def cn_linear_step(u: FieldState, dt: float) -> FieldState:
     """One Crank-Nicolson step of the linear defect flow i u_t = A u.
 
@@ -350,8 +389,7 @@ def cn_linear_step(u: FieldState, dt: float) -> FieldState:
     conserved to better than 1e-13 relative per step.
     """
     _check_positive_dt(dt)
-    stepper = _stepper(u.params, u.grid, dt)
-    return FieldState(stepper.step(np.asarray(u.samples, dtype=complex)), u.grid, u.time + dt, u.params)
+    return FieldState(_linear_step(u, np.asarray(u.samples, dtype=complex), dt), u.grid, u.time + dt, u.params)
 
 
 def nonlinear_phase_step(u: FieldState, dt: float) -> FieldState:
@@ -368,6 +406,6 @@ def strang_step(u: FieldState, dt: float) -> FieldState:
     _check_positive_dt(dt)
     v = np.array(u.samples, dtype=complex)
     v *= _phase(v, 0.5 * dt, u.params)[0]
-    v = _stepper(u.params, u.grid, dt).step(v)
+    v = _linear_step(u, v, dt)
     v *= _phase(v, 0.5 * dt, u.params)[0]
     return FieldState(v, u.grid, u.time + dt, u.params)

@@ -168,6 +168,12 @@ class TestVkScanCommand:
         assert (code, out) == (2, "")
         assert "DomainError" in err and f"cap of {cli.MAX_SCAN_ROWS} rows" in err
 
+    def test_no_frequency_points_exits_2(self, capsys):
+        code, out, err = run(
+            ["vk-scan", "--omega-min", "-3", "--omega-max", "-2", "--omega-points", "0", "--z-min", "1"], capsys)
+        assert (code, out) == (2, "")
+        assert "DomainError" in err and "--omega-points must be >= 1" in err
+
     def test_slope_at_tiny_frequency(self, capsys):
         # ||phi||^2 ~ 4 sqrt(-omega) there, so d/domega ||phi||^2 ~ -2/sqrt(-omega).
         code, out, _ = run(
@@ -332,6 +338,13 @@ class TestClassifyCommand:
         assert code == 3
         assert "DegenerateError" in err
 
+    def test_l1_spectrum_near_zero_exits_3(self, capsys):
+        # Z = -1.99 at omega = -1 is just inside the window; L1's nearest
+        # eigenvalue lies 5e-4 from 0, inside the zero-exclusion shift.
+        code, out, err = run(["classify", "--l1", "1", "--l2", "1", "--omega", "-1", "--z", "-1.99"], capsys)
+        assert (code, out) == (3, "")
+        assert "PreconditionError" in err and "trivial-kernel check failed" in err
+
     def test_count_moving_under_refinement_exits_3(self, monkeypatch, capsys):
         # The refined n = 2001 grid has an odd block of 2000 rows; the kernel
         # check runs on the base grid's blocks and does not see the change.
@@ -435,7 +448,7 @@ class TestSimulateCommand:
         assert err.startswith("DomainError:") and "shorter than half a step" in err
 
     @pytest.mark.parametrize("n", ["3", "5"])
-    def test_grid_below_parity_block_minimum_exits_3(self, n, capsys):
+    def test_tiny_grid_exits_3(self, n, capsys):
         # The horizon spans steps of dt = h/4 (h = 21.2 and 10.6), so the grid is what fails.
         code, out, err = run(
             ["simulate", "--l1", "1", "--l2", "1", "--omega", "-2", "--z", "1",
@@ -579,6 +592,19 @@ class TestUsage:
              "--xmax", "5", "--n", "11", "--out", str(target)], capsys)
         assert code == 4
         assert "IOError" in err
+
+    def test_failed_replace_leaves_no_temporary_file(self, capsys, tmp_path):
+        # --out names an existing directory: the report is written to a
+        # temporary file beside it, which must go when the rename fails.
+        target = tmp_path / "taken"
+        target.mkdir()
+        code, out, err = run(
+            ["profile", "--l1", "1", "--l2", "1", "--omega", "-2", "--z", "1",
+             "--xmax", "5", "--n", "11", "--out", str(target)], capsys)
+        assert (code, out) == (4, "")
+        assert "IOError" in err
+        assert sorted(tmp_path.iterdir()) == [target]
+        assert list(target.iterdir()) == []
 
     @pytest.mark.parametrize("argv", [
         ["classify", "--l1", "1", "--l2", "1", "--omega", "-2", "--z", "1", "--format", "json"],

@@ -184,9 +184,9 @@ class TestCnLinearStep:
         assert dynamics._stepper.cache_info().currsize == 0
 
     @pytest.mark.parametrize("n", [3, 5])
-    def test_grid_below_parity_block_minimum_rejected(self, n):
-        # Far below the parity blocks' three rows, and far below the
-        # resolution bound of the operator the stepper factors.
+    def test_tiny_grid_rejected(self, n):
+        # n = 3 and 5 are far below the resolution bound of the operator the
+        # stepper factors.
         with pytest.raises(GridError, match="resolution bound"):
             cn_linear_step(make_state(P, n=n), 0.1)
 
@@ -216,15 +216,17 @@ class TestCnLinearStep:
         assert np.linalg.norm(lhs - rhs) < 1e-12 * np.linalg.norm(rhs)
 
     @pytest.mark.parametrize("z", [1.0, -0.5])
-    def test_step_even_is_the_even_half_of_step(self, z):
+    def test_half_kernel_agrees_with_the_full_line_on_an_even_field(self, z):
         p = validate_params(1.0, 1.0, -2.0, z)
         grid = spectral.default_grid(p, n_points=1201)
         x = grid.nodes()
         u = (1.0 - 0.4j) * ProfileEvaluator.from_params(p).value(x) + (0.2 + 0.3j) * np.exp(-x * x)
         assert np.array_equal(u, u[::-1])
-        stepper = dynamics._stepper(p, grid, 0.25 * grid.spacing)
+        dt = 0.25 * grid.spacing
+        full = dynamics._stepper(p, grid, dt, False).step(u)
         c = grid.center_index
-        assert np.array_equal(stepper.step_even(u[c:]), stepper.step(u)[c:])
+        half = dynamics._stepper(p, grid, dt, True).step(u[c:])
+        assert float(np.max(np.abs(half - full[c:]))) <= 1e-14 * float(np.max(np.abs(full)))
 
     def test_real_samples_step_like_complex(self):
         u = make_state(P)
@@ -234,7 +236,9 @@ class TestCnLinearStep:
 
 
 class PivotedReference:
-    """The parity-block stepper on LAPACK's pivoted tridiagonal LU (gttrf/gttrs)."""
+    """An independent Crank-Nicolson reference: the even and odd parity blocks
+    solved by LAPACK's pivoted tridiagonal LU (gttrf/gttrs), for the full-line
+    step (`step`) and the even-half step (`step_even`)."""
 
     def __init__(self, op, dt):
         c = op.origin_row
@@ -296,14 +300,16 @@ class TestUnpivotedFactors:
         grid = spectral.default_grid(p, n_points=4001)
         dt = 0.25 * grid.spacing
         op = self._operator(p, 4001)
-        stepper, reference = dynamics._ParityCrankNicolson(op, dt), PivotedReference(op, dt)
+        reference = PivotedReference(op, dt)
         phi = ProfileEvaluator.from_params(p).value(grid.nodes())
         c = grid.center_index
         odd = dynamics._initial_state(Perturbation(PerturbationKind.ODD_BUMP, 1e-2), grid, phi)
-        assert self._relative(stepper.step(odd), reference.step(odd)) <= 1e-13
+        full = dynamics._CrankNicolson(op, dt, half=False)
+        assert self._relative(full.step(odd), reference.step(odd)) <= 1e-13
         even = dynamics._initial_state(Perturbation(PerturbationKind.EVEN_BUMP, 1e-2), grid, phi)
         v = even[c:]
-        assert self._relative(stepper.step_even(v), reference.step_even(v)) <= 1e-13
+        half = dynamics._CrankNicolson(op, dt, half=True)
+        assert self._relative(half.step(v), reference.step_even(v)) <= 1e-13
 
     def test_matches_dense_solve_where_lapack_interchanges_rows(self):
         p = validate_params(*PIVOTING_POINT)
@@ -322,12 +328,13 @@ class TestUnpivotedFactors:
         out = cn_linear_step(FieldState(u, grid, 0.0, p), dt).samples
         assert np.linalg.norm(out - dense) <= 1e-12 * np.linalg.norm(dense)
 
+    @pytest.mark.parametrize("half", [True, False], ids=["half", "full"])
     @pytest.mark.parametrize("params, n, dt_factor", [
         *((params, 4001, 0.25) for params in ORBIT_POINTS),
         (PIVOTING_POINT, 1201, 100.0),
         ((1.0, 1.0, -2.0, -0.5), 1201, 1e4),
     ])
-    def test_every_stored_pivot_has_real_part_at_least_one(self, params, n, dt_factor, monkeypatch):
+    def test_every_stored_pivot_has_real_part_at_least_one(self, params, n, dt_factor, half, monkeypatch):
         p = validate_params(*params)
         op = self._operator(p, n)
         pivots = []
@@ -339,11 +346,11 @@ class TestUnpivotedFactors:
             return band, d
 
         monkeypatch.setattr(dynamics, "_unpivoted_ldu", recording_ldu)
-        stepper = dynamics._ParityCrankNicolson(op, dt_factor * op.spacing)
-        assert len(pivots) == 2
-        for d, (_, scale) in zip(pivots, stepper._factors):
-            assert float(np.min(d.real)) >= 1.0
-            assert np.array_equal(scale, 1.0 / d)
+        stepper = dynamics._CrankNicolson(op, dt_factor * op.spacing, half)
+        [d] = pivots
+        assert len(d) == (op.size - op.origin_row if half else op.size)
+        assert float(np.min(d.real)) >= 1.0
+        assert np.array_equal(stepper._twice, 2.0 * (1.0 / d))
 
 
 @pytest.mark.parametrize("dt", [math.inf, math.nan, 0.0, -1.0])
@@ -626,7 +633,7 @@ class TestSimulate:
                      grid=spectral.default_grid(P, n_points=1201))
 
     @pytest.mark.parametrize("n", [3, 5])
-    def test_grid_below_parity_block_minimum_rejected(self, n):
+    def test_tiny_grid_rejected(self, n):
         # The horizon spans steps of dt = h/4 (h = 21.2 and 10.6), so the grid is what fails.
         with pytest.raises(GridError, match="resolution bound"):
             simulate(P, Perturbation(PerturbationKind.NONE, 0.0), 10.0,
@@ -703,8 +710,9 @@ class TestSimulateEquivalence:
     # simulate records every max(1, steps // 400) steps: every step at 299
     # steps, every 2nd at 900 and every 7th at 2803, which ends off the
     # stride.  Between rows the half rotations merge, so the final state
-    # parts from the full-line steps by rounding that grows with the run
-    # (8e-14 after 900 steps, 2.6e-12 after 2803): the bound per run.
+    # parts from the one-step states by rounding that grows with the run
+    # (odd bump: 2.4e-13 after 900 steps, 4.4e-13 after 2803; even bump:
+    # 7.6e-14 and 1.6e-12): the bound per run.
     FINAL_TOL = {299: 1e-12, 900: 1e-12, 2803: 1e-11}
 
     def _strang_states(self, pert, dt, steps):
@@ -716,7 +724,7 @@ class TestSimulateEquivalence:
             states.append(u)
         return states
 
-    # An even bump runs simulate's half-line loop; strang_step steps the full line.
+    # An even bump runs on the x >= 0 half in simulate and in strang_step alike.
     @pytest.mark.parametrize("kind", [PerturbationKind.ODD_BUMP, PerturbationKind.EVEN_BUMP],
                              ids=["odd", "even"])
     def test_matches_repeated_strang_steps(self, kind):
@@ -738,6 +746,15 @@ class TestSimulateEquivalence:
     def test_even_start_at_unstable_point_stays_bitwise_even(self):
         p = validate_params(1.0, 1.0, -2.0, -0.5)
         result = simulate(p, Perturbation(PerturbationKind.EVEN_BUMP, 1e-2), 3.0,
+                          grid=spectral.default_grid(p, n_points=1201))
+        u = result.final.samples
+        assert np.array_equal(u, u[::-1])
+
+    def test_odd_kind_of_zero_amplitude_runs_on_the_even_half(self):
+        # The start is phi itself, so the kernel is chosen by the samples, not
+        # by the kind: full-line steps would lose parity by t = 20 here.
+        p = validate_params(1.0, 1.0, -2.0, -0.5)
+        result = simulate(p, Perturbation(PerturbationKind.ODD_BUMP, 0.0), 20.0,
                           grid=spectral.default_grid(p, n_points=1201))
         u = result.final.samples
         assert np.array_equal(u, u[::-1])
@@ -780,7 +797,8 @@ class TestSimulateEquivalence:
         dt = 0.25 * self.GRID.spacing
         simulate(P, self.PERT, 10 * dt, dt, self.GRID)
         simulate(P, self.PERT, 20 * dt, dt, self.GRID)
-        u = make_state(P, n=self.GRID.n_points)
+        phi = ProfileEvaluator.from_params(P).value(self.GRID.nodes())
+        u = FieldState(dynamics._initial_state(self.PERT, self.GRID, phi), self.GRID, 0.0, P)
         strang_step(cn_linear_step(u, dt), dt)
         info = dynamics._stepper.cache_info()
         assert (info.misses, info.currsize) == (1, 1)

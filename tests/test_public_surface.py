@@ -18,7 +18,11 @@ read `slope_factor`, and a grid, a count `k` or a sector no caller omits has
 no default.  One function measures the kernel of a realization,
 `spectral.kernel_residual(kind, op, lowest)`: the spectrum report prints it
 and the verdict's preconditions read it, so the pair-level `KernelReport`
-and its `_distance_to_zero` helper are gone.
+and its `_distance_to_zero` helper are gone.  `simulate` steps one
+Crank-Nicolson kernel, `dynamics._CrankNicolson`, on the even half of a
+mirror-symmetric start or on the full line: the parity-block stepper
+`_ParityCrankNicolson`, its even-half `step_even` and odd-block factors, and
+the `_band_solve` it shared with them are gone.
 """
 
 import dataclasses
@@ -78,7 +82,7 @@ REMOVED = {
     ],
     "peakwave.dynamics": [
         "sampled_profile", "discrete_energy", "discrete_charge", "orbital_distance", "strang_step",
-        "cn_linear_step", "nonlinear_phase_step",
+        "cn_linear_step", "nonlinear_phase_step", "_ParityCrankNicolson", "_band_solve",
     ],
 }
 
@@ -115,6 +119,14 @@ def test_defaults_no_caller_omits_are_gone():
     }
     required = [("classify_numeric", "grid"), ("spectrum_report", "k"), ("spectrum_report", "sector")]
     assert [(f, a) for f, a in required if params[f][a].default is not inspect.Parameter.empty] == []
+
+
+def test_one_crank_nicolson_kernel_holds_one_set_of_factors():
+    p = peakwave.validate_params(1.0, 1.0, -2.0, -0.5)
+    op = spectral.discretize_operator(spectral.OperatorKind.FREE_WITH_DELTA, p, spectral.default_grid(p, 1201))
+    assert [name for name in vars(dynamics._CrankNicolson) if not name.startswith("__")] == ["step"]
+    for half in (True, False):
+        assert sorted(vars(dynamics._CrankNicolson(op, 0.01, half))) == ["_band", "_twice", "_ztbsv"]
 
 
 def test_verdict_has_no_space_field():

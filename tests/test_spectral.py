@@ -19,6 +19,7 @@ from peakwave.spectral import (
     GridSpec,
     OperatorKind,
     Space,
+    TridiagonalOperator,
     discretize_operator,
     inertia_below,
     kernel_residual,
@@ -31,7 +32,7 @@ from peakwave.spectral import (
 )
 
 from oracles import even_sector_operator, lapack_eigenvalues, lapack_eigenvector
-from oracles import negative_direction_window, phi_center_sq, quadratic_form_phi
+from oracles import negative_direction_window, oscillation_counts, phi_center_sq, quadratic_form_phi
 
 P_AA_POS = validate_params(1.0, 1.0, -2.0, 1.0)
 P_AA_NEG = validate_params(1.0, 1.0, -2.0, -1.0)
@@ -215,6 +216,11 @@ class TestInertia:
         op = discretize_operator(OperatorKind.L1, P_AA_POS, grid_for(P_AA_POS))
         assert inertia_below(op, -1e-6) == 1
 
+    def test_zero_pivot_counts_as_an_infinitesimal_shift(self):
+        # [[0, 1], [1, 0]] has eigenvalues -1 and 1; its first pivot at shift 0 is exactly 0.
+        op = TridiagonalOperator(np.array([0.0, 0.0]), np.array([1.0]), 1.0, 0)
+        assert inertia_below(op, 0.0) == 1
+
     def test_consistency_with_eigenvalues(self):
         op = discretize_operator(OperatorKind.L1, P_AA_NEG, grid_for(P_AA_NEG))
         for lam in lowest_eigenvalues(op, 2, math.inf):
@@ -267,6 +273,18 @@ def seeded_points(seed, count):
     return [validate_params(*point) for point in points]
 
 
+@st.composite
+def oscillation_points(draw):
+    """(a, 1, -1, z) with a log-uniform on [1e-2, 1e2] and 1e-2 <= |z| <= 1.99, or
+    (2, -1, omega, Z) with Z and -omega 5 % inside their windows."""
+    sign = draw(st.sampled_from([1.0, -1.0]))
+    if draw(st.booleans()):
+        return validate_params(10.0 ** draw(st.floats(-2.0, 2.0)), 1.0, -1.0, sign * draw(st.floats(1e-2, 1.99)))
+    z = sign * draw(st.floats(0.05, 0.95)) * math.sqrt(3.0)
+    lo, hi = z * z / 4.0, 0.75
+    return validate_params(2.0, -1.0, -(lo + draw(st.floats(0.05, 0.95)) * (hi - lo)), z)
+
+
 class TestParityBlocks:
     """The parity blocks are slices of the full-line operator, and their
     counts add up to the count on the whole of it."""
@@ -301,6 +319,15 @@ class TestParityBlocks:
                 shift = -spectral.zero_exclusion_shift(grid, p)
                 assert n_even + n_odd == inertia_below(op, shift), (p, kind, grid.n_points)
             assert sum(parity_counts(kind, p, g)) == n_even + n_odd
+
+    @given(p=oscillation_points(), kind=st.sampled_from([OperatorKind.L1, OperatorKind.L2]))
+    @settings(max_examples=300, deadline=None)
+    def test_counts_are_the_oscillation_counts(self, p, kind):
+        try:
+            counts = parity_counts(kind, p, grid_for(p))
+        except InstabilityError:
+            return
+        assert counts == oscillation_counts(kind, p)
 
     def test_blocks_share_the_spectrum(self):
         op = discretize_operator(OperatorKind.L1, P_AA_NEG, grid_for(P_AA_NEG))

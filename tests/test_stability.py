@@ -101,6 +101,11 @@ class TestClassifyAnalytic:
         with pytest.raises(DegenerateError):
             classify_analytic(p, Space.FULL_H1)
 
+    def test_ar_zero_strength_is_degenerate(self):
+        p = validate_params(2.0, -1.0, -0.5, 0.0)
+        with pytest.raises(DegenerateError, match="Z != 0 only"):
+            classify_analytic(p, Space.FULL_H1)
+
     def test_degenerate_at_threshold(self):
         zstar = vk.find_zstar()
         p = validate_params(1.0, 1.0, -2.0, zstar)

@@ -73,6 +73,12 @@ class TestClosedFormAllCoefficients:
         assert row.norm_sq == pytest.approx(expected, rel=1e-10)
 
     @given(admissible_points)
+    @settings(max_examples=200, deadline=None)
+    def test_charge_is_the_real_part_of_the_complex_step(self, p):
+        # scan and p_index read the charge from the complex step the slope takes.
+        assert vk._charge_and_slope(p)[0] == vk._charge(p, p.omega).real
+
+    @given(admissible_points)
     @settings(max_examples=40, deadline=None)
     def test_slope_matches_finite_difference(self, p):
         expected = -dnorm_domega_numeric(p)
@@ -279,6 +285,10 @@ class TestFindZstar:
     def test_bracket_error(self):
         with pytest.raises(BracketError):
             vk.find_zstar(z_lo=-0.5, z_hi=-0.3)
+
+    def test_empty_probe_grid_is_a_bracket_error(self):
+        with pytest.raises(BracketError, match="probe grid is empty"):
+            vk.find_zstar(())
 
     @pytest.mark.parametrize("z_lo,z_hi", [(-0.75, -0.95), (-0.8, -0.8), (math.nan, -0.75),
                                            (-0.95, math.nan), (-math.inf, -0.75), (-0.95, math.inf)])
