@@ -3,10 +3,12 @@
 # per command into OUTDIR, checks every header is standard JSON, checks the
 # usage errors that must exit 2 and the numerical errors that must exit 3,
 # checks that an odd-bump run, which steps the full line, conserves its
-# charge to 1e-10 relative, checks that each spectrum lists only eigenvalues below its essential edge
-# and prints as its kernel residual the distance from 0 to the listed values
-# nearest it (null for the bare defect), and checks that importing the CLI
-# loads no scipy.  Set PEAKWAVE to another
+# charge to 1e-10 relative and an even run at a stable point its charge to
+# 1e-10 and its energy to 1e-5, checks that an --out naming a directory
+# exits 4 and leaves no temporary file, checks that each spectrum lists only
+# eigenvalues below its essential edge and prints as its kernel residual the
+# distance from 0 to the listed values nearest it (null for the bare defect),
+# and checks that importing the CLI loads no scipy.  Set PEAKWAVE to another
 # launcher (say "python -m peakwave.cli") to run it without installing the
 # console script.
 #
@@ -46,6 +48,19 @@ charges = [float(row[2]) for row in json.load(open(sys.argv[1]))["rows"]]
 drift = max(abs(q - charges[0]) for q in charges) / charges[0]
 if len(charges) < 2 or not drift < 1e-10:
     sys.exit(f"{sys.argv[1]} has a charge drift of {drift} over {len(charges)} rows, not below 1e-10")
+PY
+
+# The even bump at the stable point runs on the x >= 0 half, and each row
+# reads the |u|^2 of the rotation that ends its step: the charge still holds
+# to 1e-10 and the energy to 1e-5, relative, over every row.
+python - "$out"/simulate.json <<'PY'
+import json, sys
+rows = json.load(open(sys.argv[1]))["rows"]
+energies, charges = [float(row[1]) for row in rows], [float(row[2]) for row in rows]
+charge = max(abs(q - charges[0]) for q in charges) / charges[0]
+energy = max(abs(e - energies[0]) for e in energies) / abs(energies[0])
+if len(rows) < 2 or not (charge < 1e-10 and energy < 1e-5):
+    sys.exit(f"{sys.argv[1]} drifts {charge} in charge and {energy} in energy over {len(rows)} rows")
 PY
 
 # A spectrum lists only eigenvalues below its essential edge, ascending.  At
@@ -128,6 +143,18 @@ exits_3 spectrum --l1 1 --l2 1 --omega=-1e151 --z 1
 exits_3 classify --l1 1 --l2 1 --omega=-1e-200 --z 5e-101
 exits_3 simulate --l1 1 --l2 1 --omega=-2 --z 1 --n 3 --perturbation odd --amplitude 1e-3
 exits_3 vk-scan --omega-min=-1e-307 --omega-max=-1e-307 --omega-points 1 --z-min 1e-154
+
+# An --out that names an existing directory is an I/O error: exit 4, no
+# temporary file left beside it, and a message that names --out.
+mkdir -p "$out/taken"
+out_code=0
+out_err=$(timeout 30 "${peakwave[@]}" vk-scan --omega-min -3 --omega-max -1 --omega-points 3 --z-min 0.5 \
+  --out "$out/taken" 2>&1 >/dev/null) || out_code=$?
+test "$out_code" -eq 4
+if compgen -G "$out/.peakwave-*.tmp" > /dev/null; then
+  echo "vk-scan --out $out/taken left a temporary file in $out" >&2; exit 1
+fi
+case "$out_err" in *--out*) ;; *) echo "vk-scan --out $out/taken wrote: $out_err" >&2; exit 1 ;; esac
 
 # Only `simulate` loads scipy, and only when it builds its stepper.
 python -c 'import sys, peakwave.cli; loaded = [m for m in sys.modules if m.split(".")[0] == "scipy"]; sys.exit(f"import peakwave.cli loaded {loaded}" if loaded else 0)'

@@ -77,7 +77,10 @@ def emit_report(rows, cfg: RunConfig) -> None:
     try:
         with os.fdopen(fd, "w", newline="\n") as handle:
             handle.write(text)
-        os.replace(tmp_path, cfg.output_path)
+        try:
+            os.replace(tmp_path, cfg.output_path)
+        except IsADirectoryError as exc:
+            raise IsADirectoryError(exc.errno, "--out names a directory", cfg.output_path) from None
     except BaseException:
         if os.path.exists(tmp_path):
             os.unlink(tmp_path)

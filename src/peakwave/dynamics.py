@@ -5,7 +5,8 @@ is split into an exact pointwise phase rotation for the power nonlinearities
 and a Crank-Nicolson step for the linear defect part i u_t = A u, with A the
 bare-defect operator of `spectral.discretize_operator`.  The stepper is
 built from that operator, so `simulate` shares its grid contract (resolution,
-extent and coupling bounds, GridError otherwise).
+extent and coupling bounds, GridError otherwise), which it checks before it
+samples anything and without assembling the operator.
 Strang composition of the two is second order in time and conserves the
 discrete charge to solver roundoff.
 
@@ -29,19 +30,23 @@ applied.  scipy.linalg's BLAS module is imported when the first stepper is
 built, not with this module, so importing `dynamics` (and `cli`) loads numpy
 only and a command that never steps a field never loads scipy.
 
-The rotation takes cos and sin of the real angle only on the window from the
-first to the last node where the angle is at least 2^-27 in magnitude;
-outside it the rounded phase is exactly (1, angle), so the window changes no
-bit.  `simulate` runs on raw arrays: between output rows the closing half
-rotation of one step and the opening half rotation of the next are applied
-as one full rotation, and on a recorded step one half-step phase is applied
-twice, before and after the row.  Rows come from one fused kernel over the
-array the loop steps (for an even run the x >= 0 half, weighted as its
-mirror image), which takes |u|^2 as re^2 + im^2; the profile for the orbital
-distance is sampled once per run, and only the final state is unfolded and
-wrapped in a FieldState.  The blow-up guard reads the |u|^2 the rotation
-already computes and also trips on NaN and inf, raising BlowupError.  A run
-may take at most `MAX_STEPS` steps.
+The rotation is one kernel, `_Rotation`, which each run makes for itself:
+it owns the run's work arrays for |u|^2 = re^2 + im^2, the angle and the
+phase, and fills them in place at every call.  It takes cos and sin of the
+real angle only on the window from the first to the last node where the
+angle is at least 2^-27 in magnitude; outside it the rounded phase is
+exactly (1, angle), so the window changes no bit.  `simulate` runs on raw
+arrays: between output rows the closing half rotation of one step and the
+opening half rotation of the next are applied as one full rotation, and on
+a recorded step one half-step phase is applied twice, before and after the
+row.  Rows come from one fused kernel over the array the loop steps (for an
+even run the x >= 0 half, weighted as its mirror image), which reuses the
+rotation's |u|^2, that of the field before the rotation and so the rotated
+field's to rounding, and pairs the field with the profile in one product
+each; the profile for the orbital distance is sampled once per run, and
+only the final state is unfolded and wrapped in a FieldState.  The blow-up
+guard reads the same |u|^2 and also trips on NaN and inf, raising
+BlowupError.  A run may take at most `MAX_STEPS` steps.
 """
 
 from __future__ import annotations
@@ -56,6 +61,7 @@ import numpy as np
 from .errors import BlowupError, DomainError
 from .profile import ProfileEvaluator, WaveParameters
 from .spectral import GridSpec, OperatorKind, TridiagonalOperator, default_grid, discretize_operator
+from .spectral import _check_grid
 
 __all__ = [
     "FieldState",
@@ -174,8 +180,8 @@ MAX_STEPS = 10**7
 _TRIVIAL_ANGLE = 2.0**-27
 
 
-def _unit_phase(theta: np.ndarray) -> np.ndarray:
-    """cos(theta) + i sin(theta) of a real angle array, elementwise.
+def _unit_phase(theta: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """cos(theta) + i sin(theta) of a real angle array, elementwise, into `out`.
 
     For |theta| < 2^-27, cos(theta) = 1 - theta^2/2 + ... lies within half an
     ulp of 1 and sin(theta) within half an ulp of theta, so the correctly
@@ -185,31 +191,43 @@ def _unit_phase(theta: np.ndarray) -> np.ndarray:
     the phase is (1, theta) outside it.  A NaN angle does not open the
     window; outside it its phase is 1 + i NaN.
     """
-    phase = np.empty(theta.shape, dtype=complex)
-    phase.real = 1.0
-    phase.imag = theta
+    out.real = 1.0
+    out.imag = theta
     active = np.abs(theta) >= _TRIVIAL_ANGLE
     lo = int(active.argmax())
     hi = len(active) - int(active[::-1].argmax()) if active[lo] else lo
-    np.cos(theta[lo:hi], out=phase.real[lo:hi])
-    np.sin(theta[lo:hi], out=phase.imag[lo:hi])
-    return phase
+    np.cos(theta[lo:hi], out=out.real[lo:hi])
+    np.sin(theta[lo:hi], out=out.imag[lo:hi])
+    return out
 
 
-def _phase(v: np.ndarray, dt: float, p: WaveParameters) -> tuple[np.ndarray, np.ndarray]:
-    """The rotation exp(i dt (l1|v|^2 + l2|v|^4)) of v, and |v|^2.
+class _Rotation:
+    """The phase exp(i dt (l1|v|^2 + l2|v|^4)) of fields of one length, on work arrays.
 
-    Elementwise, so it never mixes parity; multiplying v by it keeps the
-    moduli to rounding, so one phase serves two equal rotations in a row.
+    A call fills `mod2` with |v|^2 = re^2 + im^2, forms the angle
+    (dt l2 |v|^2 + dt l1) |v|^2 in a scratch array and returns the phase in
+    a third array; all three are overwritten by the next call, so each run
+    makes its own rotation and no two runs share one.  The phase is
+    elementwise, so it never mixes parity; multiplying v by it keeps the
+    moduli to rounding, so one phase serves two equal rotations in a row,
+    and `mod2` stays |v|^2 of the rotated field to rounding.
     """
-    re, im = v.real, v.imag
-    mod2 = re * re
-    mod2 += im * im
-    theta = mod2 * mod2
-    theta *= p.lambda2
-    theta += p.lambda1 * mod2
-    theta *= dt
-    return _unit_phase(theta), mod2
+
+    def __init__(self, p: WaveParameters, size: int):
+        self._lambda1, self._lambda2 = p.lambda1, p.lambda2
+        self.mod2 = np.empty(size)
+        self._theta = np.empty(size)
+        self._phase = np.empty(size, dtype=complex)
+
+    def __call__(self, v: np.ndarray, dt: float) -> np.ndarray:
+        mod2, theta = self.mod2, self._theta
+        np.multiply(v.real, v.real, out=mod2)
+        np.multiply(v.imag, v.imag, out=theta)
+        mod2 += theta
+        np.multiply(mod2, dt * self._lambda2, out=theta)
+        theta += dt * self._lambda1
+        theta *= mod2
+        return _unit_phase(theta, self._phase)
 
 
 def _check_positive_dt(dt: float) -> None:
@@ -231,11 +249,13 @@ class _Observables:
     """Energy, charge and orbital distance of fields on one grid, in one pass.
 
     A field is given as its full-line samples or, with `half`, as the x >= 0
-    half of an even field.  A half is weighted as its mirror image on the
-    full line: the center node counts once, every other node and every
-    difference twice, and the two trapezoid ends are its last node.  |u|^2 is
-    re^2 + im^2; the squared norms of differences and of the distance are
-    vdot products.  `phi` is the profile of the orbit on the same nodes.
+    half of an even field, together with its |u|^2.  A half is weighted as
+    its mirror image on the full line: the center node counts once, every
+    other node and every difference twice, and the two trapezoid ends are
+    its last node.  The squared norms of differences and of the distance are
+    vdot products, and each pairing with the profile is one product of the
+    profile weights with the (re, im) pairs of the field or of its
+    differences.  `phi` is the profile of the orbit on the same nodes.
     """
 
     def __init__(self, p: WaveParameters, grid: GridSpec, phi: np.ndarray, half: bool = False):
@@ -250,28 +270,26 @@ class _Observables:
         self._trapezoid[-1] *= 0.5
         if not half:
             self._trapezoid[0] *= 0.5
-        self._phi = phi
+        self._phi = phi.astype(complex)
         self._d_phi = np.diff(phi)
         self._node_phi = nodes * phi
 
-    def __call__(self, v: np.ndarray) -> tuple[float, float, float]:
+    def __call__(self, v: np.ndarray, mod2: np.ndarray) -> tuple[float, float, float]:
         p, h, fold, nodes = self._p, self._h, self._fold, self._nodes
-        re, im = v.real, v.imag
-        mod2 = re * re
-        mod2 += im * im
-        dv = np.diff(v)
+        v = np.ascontiguousarray(v, dtype=complex)
+        dv = v[1:] - v[:-1]
         weighted = self._trapezoid * mod2
         quartic = h * float(weighted @ mod2)
         sextic = h * float(weighted @ (mod2 * mod2))
         energy = (0.5 * fold * float(np.vdot(dv, dv).real) / h - p.lambda1 / 4.0 * quartic
                   - p.lambda2 / 6.0 * sextic - p.z / 2.0 * float(mod2[self._center]))
         charge = 0.5 * h * float(nodes @ mod2)
-        phi, d_phi, node_phi = self._phi, self._d_phi, self._node_phi
-        theta = math.atan2(h * float(im @ node_phi) + fold * float(dv.imag @ d_phi) / h,
-                           h * float(re @ node_phi) + fold * float(dv.real @ d_phi) / h)
-        rotation = complex(math.cos(theta), math.sin(theta))
-        w = v - rotation * phi
-        dw = dv - rotation * d_phi
+        node_re, node_im = (self._node_phi @ v.view(float).reshape(-1, 2)).tolist()
+        diff_re, diff_im = (self._d_phi @ dv.view(float).reshape(-1, 2)).tolist()
+        theta = math.atan2(h * node_im + fold * diff_im / h, h * node_re + fold * diff_re / h)
+        w = self._phi * complex(math.cos(theta), math.sin(theta))
+        np.subtract(v, w, out=w)
+        dw = w[1:] - w[:-1]
         w_sq = fold * float(np.vdot(w, w).real) - (fold - 1.0) * abs(w[0]) ** 2
         distance = math.sqrt(h * w_sq + fold * float(np.vdot(dw, dw).real) / h)
         return energy, charge, distance
@@ -342,13 +360,14 @@ def simulate(
     mirror-symmetric start (no bump or an even one) is advanced on its
     x >= 0 half by the even-half stepper, its rows are taken from that half
     with mirror weights, and it is unfolded only for the final state; any
-    other start is advanced on the full line.  The grid is checked (the
-    operator assembled) before phi and the bump are sampled.  Raises DomainError unless `horizon_T` is finite and positive,
-    horizon_T / dt is at most `MAX_STEPS` and rounds to at least one step,
-    the amplitude is finite, zero for kind `NONE` and, when a bump
-    is added, at most a tenth of phi's discrete H^1 norm in magnitude, and
-    the bump has a positive discrete H^1 norm on the grid; GridError if the
-    grid fails one of `discretize_operator`'s bounds, and
+    other start is advanced on the full line.  The grid is checked before
+    phi and the bump are sampled, and the operator is assembled only when
+    the stepper is not cached.  Raises DomainError unless `horizon_T` is
+    finite and positive, horizon_T / dt is at most `MAX_STEPS` and rounds to
+    at least one step, the amplitude is finite, zero for kind `NONE` and,
+    when a bump is added, at most a tenth of phi's discrete H^1 norm in
+    magnitude, and the bump has a positive discrete H^1 norm on the grid;
+    GridError if the grid fails one of `discretize_operator`'s bounds, and
     BlowupError if the amplitude exceeds one thousand times its initial peak
     or the field stops being finite.
     """
@@ -369,7 +388,7 @@ def simulate(
         raise DomainError(f"perturbation amplitude must be finite, got {perturbation.amplitude}")
     if perturbation.kind is PerturbationKind.NONE and perturbation.amplitude != 0.0:
         raise DomainError(f"perturbation kind 'none' takes amplitude 0, got {perturbation.amplitude}")
-    discretize_operator(OperatorKind.FREE_WITH_DELTA, p, grid)  # GridError before any sampling
+    _check_grid(p, grid)  # GridError before any sampling
     phi = ProfileEvaluator.from_params(p).value(grid.nodes())
     u = _initial_state(perturbation, grid, phi)
     stride = max(1, steps // 400)
@@ -380,19 +399,21 @@ def simulate(
         u, phi = u[c:], phi[c:]
     advance = _stepper(p, grid, dt, half).step
     observables = _Observables(p, grid, phi, half)
-    rows = [SimRow(0.0, *observables(u))]
+    rotate = _Rotation(p, len(u))
+    phase = rotate(u, 0.5 * dt)
+    rows = [SimRow(0.0, *observables(u, rotate.mod2))]
+    u *= phase
     t = 0.0
-    u *= _phase(u, 0.5 * dt, p)[0]
     for i in range(steps):
         u = advance(u)
         t = t + dt
         record = (i + 1) % stride == 0 or i == steps - 1
-        phase, mod2 = _phase(u, 0.5 * dt if record else dt, p)
-        if not float(np.max(mod2)) <= guard_sq:
+        phase = rotate(u, 0.5 * dt if record else dt)
+        if not rotate.mod2.max() <= guard_sq:
             raise BlowupError(f"amplitude exceeded the blow-up guard or became non-finite at t = {t}")
         u *= phase
         if record:
-            rows.append(SimRow(t, *observables(u)))
+            rows.append(SimRow(t, *observables(u, rotate.mod2)))
             if i < steps - 1:
                 u *= phase
     return SimulationResult(rows, FieldState(_unfold_even(u) if half else u, grid, t, p))

@@ -147,16 +147,9 @@ def _potential(kind: OperatorKind, p: WaveParameters, x: np.ndarray) -> np.ndarr
     return -p.omega - p.lambda1 * phi_sq - p.lambda2 * phi_sq**2
 
 
-def discretize_operator(kind: OperatorKind, p: WaveParameters, grid: GridSpec) -> TridiagonalOperator:
-    """Assemble the tridiagonal realization of L1, L2, or the bare defect.
-
-    Preconditions: the grid must resolve the wave (h <= 0.05/sqrt(-omega)) and
-    contain it (L >= 30/sqrt(-omega)), and the squared couplings of an inertia
-    count must neither overflow (2/h^4, the even block's center row, so h^2 > 0)
-    nor underflow (1/h^4, below |omega| of about 1.3e-157 at 2001 nodes, where
-    a count would miss negative eigenvalues); GridError otherwise.  The bounds
-    allow relative slacks of 1e-12/0.05 and 1e-9/30 (1e-12 and 1e-9 at omega = -1).
-    """
+def _check_grid(p: WaveParameters, grid: GridSpec) -> None:
+    """GridError unless `grid` meets the preconditions of `discretize_operator`;
+    builds no array, so `dynamics.simulate` checks a grid before sampling on it."""
     nu = math.sqrt(-p.omega)
     h = grid.spacing
     if h > (0.05 + 1e-12) / nu:
@@ -168,6 +161,20 @@ def discretize_operator(kind: OperatorKind, p: WaveParameters, grid: GridSpec) -
         raise GridError(f"spacing h = {h} is so fine that the squared coupling 2/h^4 overflows")
     if (1.0 / h**2) ** 2 < sys.float_info.min:
         raise GridError(f"spacing h = {h} is so coarse that the squared coupling 1/h^4 underflows")
+
+
+def discretize_operator(kind: OperatorKind, p: WaveParameters, grid: GridSpec) -> TridiagonalOperator:
+    """Assemble the tridiagonal realization of L1, L2, or the bare defect.
+
+    Preconditions: the grid must resolve the wave (h <= 0.05/sqrt(-omega)) and
+    contain it (L >= 30/sqrt(-omega)), and the squared couplings of an inertia
+    count must neither overflow (2/h^4, the even block's center row, so h^2 > 0)
+    nor underflow (1/h^4, below |omega| of about 1.3e-157 at 2001 nodes, where
+    a count would miss negative eigenvalues); GridError otherwise.  The bounds
+    allow relative slacks of 1e-12/0.05 and 1e-9/30 (1e-12 and 1e-9 at omega = -1).
+    """
+    _check_grid(p, grid)
+    h = grid.spacing
     x = grid.nodes()
     diag = 2.0 / h**2 + _potential(kind, p, x)
     off = np.full(grid.n_points - 1, -1.0 / h**2)

@@ -40,10 +40,14 @@ takes phi'' from `second_derivative`, the closed form differentiated once
 more.  The full-line observables `discrete_energy`, `discrete_charge` and
 `orbital_distance`, and the one-step functions `cn_linear_step`,
 `nonlinear_phase_step` and `strang_step`, apply the private kernels
-`dynamics.simulate` runs on (its cached steppers, phase rotation and
-observables kernel) to a `FieldState`.  The steps choose the stepper as
-`simulate` does: bitwise mirror-symmetric samples step on their x >= 0 half
-and are unfolded after, any others on the full line.
+`dynamics.simulate` runs on (its cached steppers, rotation kernel and
+observables kernel) to a `FieldState`.  Each step makes its own rotation,
+as each run of `simulate` does, so its work arrays serve that step alone.
+The observables take |u|^2 as re^2 + im^2 of the field they are given, where
+a row of `simulate` reuses the |u|^2 of the rotation that ends its step, so
+they check that reuse.  The steps choose the stepper as `simulate` does:
+bitwise mirror-symmetric samples step on their x >= 0 half and are unfolded
+after, any others on the full line.
 """
 
 import math
@@ -54,7 +58,7 @@ import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 
-from peakwave.dynamics import FieldState, _check_dt_cap, _check_positive_dt, _Observables, _phase, _stepper
+from peakwave.dynamics import FieldState, _check_dt_cap, _check_positive_dt, _Observables, _Rotation, _stepper
 from peakwave.dynamics import _unfold_even
 from peakwave.errors import DegenerateError, DomainError, RegimeError
 from peakwave.profile import ProfileEvaluator, Regime, Side, WaveParameters, validate_params
@@ -348,7 +352,8 @@ def _observables(u: FieldState, p: WaveParameters,
     (sampled on u's grid when not given)."""
     if phi is None:
         phi = ProfileEvaluator.from_params(p).value(u.grid.nodes())
-    return _Observables(u.params, u.grid, phi)(u.samples)
+    v = u.samples
+    return _Observables(u.params, u.grid, phi)(v, v.real * v.real + v.imag * v.imag)
 
 
 def discrete_energy(u: FieldState) -> float:
@@ -396,7 +401,7 @@ def nonlinear_phase_step(u: FieldState, dt: float) -> FieldState:
     """Exact rotation u -> u * exp(i dt (l1|u|^2 + l2|u|^4)); moduli unchanged."""
     _check_positive_dt(dt)
     v = np.array(u.samples, dtype=complex)
-    v *= _phase(v, dt, u.params)[0]
+    v *= _Rotation(u.params, len(v))(v, dt)
     return FieldState(v, u.grid, u.time, u.params)
 
 
@@ -405,7 +410,8 @@ def strang_step(u: FieldState, dt: float) -> FieldState:
     _check_dt_cap(dt, u.grid)
     _check_positive_dt(dt)
     v = np.array(u.samples, dtype=complex)
-    v *= _phase(v, 0.5 * dt, u.params)[0]
+    rotate = _Rotation(u.params, len(v))
+    v *= rotate(v, 0.5 * dt)
     v = _linear_step(u, v, dt)
-    v *= _phase(v, 0.5 * dt, u.params)[0]
+    v *= rotate(v, 0.5 * dt)
     return FieldState(v, u.grid, u.time + dt, u.params)

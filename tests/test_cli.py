@@ -1,6 +1,7 @@
 """Command-line interface: schemas, determinism, round-trips, exit codes."""
 
 import csv
+import errno
 import json
 import math
 import os
@@ -602,7 +603,7 @@ class TestUsage:
             ["profile", "--l1", "1", "--l2", "1", "--omega", "-2", "--z", "1",
              "--xmax", "5", "--n", "11", "--out", str(target)], capsys)
         assert (code, out) == (4, "")
-        assert "IOError" in err
+        assert err == f"IOError: [Errno {errno.EISDIR}] --out names a directory: {str(target)!r}\n"
         assert sorted(tmp_path.iterdir()) == [target]
         assert list(target.iterdir()) == []
 

@@ -2,6 +2,7 @@
 the kernel-form oracle, and orbital-distance geometry."""
 
 import cmath
+import itertools
 import math
 import warnings
 
@@ -47,6 +48,13 @@ def distance_reference(u, p):
     pairing = complex(np.sum(v * phi) * h + np.sum(np.diff(v) * np.diff(phi)) / h)
     w = v - cmath.exp(1j * cmath.phase(pairing)) * phi
     return math.sqrt(float(np.sum(np.abs(w) ** 2)) * h + float(np.sum(np.abs(np.diff(w)) ** 2)) / h)
+
+
+def assert_same_run(a, b):
+    """Equal rows, and a final state equal bit for bit."""
+    assert a.rows == b.rows
+    assert a.final.time == b.final.time
+    assert np.array_equal(a.final.samples.view(np.int64), b.final.samples.view(np.int64))
 
 
 class TestFieldState:
@@ -127,8 +135,9 @@ class TestObservableOracles:
         charge = 0.5 * grid.spacing * float(np.sum(np.abs(u.samples) ** 2))
         assert discrete_charge(u) == pytest.approx(charge, rel=1e-13, abs=0.0)
         assert orbital_distance(u, P) == pytest.approx(distance_reference(u, P), rel=1e-13, abs=0.0)
-        half = dynamics._Observables(P, grid, phi[c:], half=True)(v)
-        assert half == pytest.approx(dynamics._Observables(P, grid, phi)(u.samples), rel=1e-13, abs=0.0)
+        half = dynamics._Observables(P, grid, phi[c:], half=True)(v, np.abs(v) ** 2)
+        full = dynamics._Observables(P, grid, phi)(u.samples, np.abs(u.samples) ** 2)
+        assert half == pytest.approx(full, rel=1e-13, abs=0.0)
 
 
 class TestCnLinearStep:
@@ -409,7 +418,7 @@ class TestWindowedPhase:
 
     @staticmethod
     def assert_bitwise(theta):
-        windowed = dynamics._unit_phase(theta)
+        windowed = dynamics._unit_phase(theta, np.empty(len(theta), dtype=complex))
         assert np.array_equal(windowed.view(np.int64), whole_array_phase(theta).view(np.int64))
 
     @pytest.mark.parametrize("amplitude", [0.0, 1e-9], ids=["zero", "tiny"])
@@ -677,6 +686,13 @@ class TestGridContract:
         with pytest.raises(GridError, match="extent bound"):
             simulate(P, Perturbation(PerturbationKind.ODD_BUMP, 1e-3), 0.05, grid=self.NARROW)
 
+    def test_a_cached_stepper_assembles_no_operator(self, monkeypatch):
+        # The grid check builds no array; only a stepper build assembles A.
+        grid = spectral.default_grid(P, n_points=1201)
+        first = simulate(P, Perturbation(PerturbationKind.NONE, 0.0), 0.05, grid=grid)
+        monkeypatch.setattr(dynamics, "discretize_operator", None)
+        assert_same_run(simulate(P, Perturbation(PerturbationKind.NONE, 0.0), 0.05, grid=grid), first)
+
     def test_odd_bump_on_unresolved_grid_is_a_grid_error(self):
         # n = 3 gives h = 21.2: the odd bump vanishes there, and the grid breaks
         # the resolution bound, which is reported first and with no warning.
@@ -700,6 +716,49 @@ class TestGridContract:
         u = make_state(P, n=self.NARROW.n_points, L=self.NARROW.half_width)
         with pytest.raises(GridError, match="extent bound"):
             step(u, 0.25 * u.grid.spacing)
+
+
+class TestRunWorkArrays:
+    """Each run rotates on work arrays of its own, so no run sees another's."""
+
+    GRID = spectral.default_grid(P, n_points=1201)
+
+    def _run(self, p, kind):
+        return simulate(p, Perturbation(kind, 1e-2), 0.3, grid=self.GRID)
+
+    @pytest.mark.parametrize("kind", [PerturbationKind.EVEN_BUMP, PerturbationKind.ODD_BUMP],
+                             ids=["even", "odd"])
+    def test_a_run_nested_in_another_reproduces_both(self, kind, monkeypatch):
+        # The inner run starts at the outer run's fourth row, while the outer
+        # one holds the phase it applies again after the row and the |u|^2
+        # the row reads; both runs step fields of the same length.
+        outer, inner = self._run(P, kind), self._run(UNSTABLE, kind)
+        rows, nested = itertools.count(), []
+        call = dynamics._Observables.__call__
+
+        def row_with_a_run_inside(obs, v, mod2):
+            if next(rows) == 3:
+                nested.append(self._run(UNSTABLE, kind))
+            return call(obs, v, mod2)
+
+        monkeypatch.setattr(dynamics._Observables, "__call__", row_with_a_run_inside)
+        outer_again = self._run(P, kind)
+        monkeypatch.undo()
+        assert len(nested) == 1
+        assert_same_run(outer_again, outer)
+        assert_same_run(nested[0], inner)
+
+    @pytest.mark.parametrize("kind", [PerturbationKind.EVEN_BUMP, PerturbationKind.ODD_BUMP],
+                             ids=["even", "odd"])
+    def test_runs_after_a_blowup_reproduce_a_clean_run(self, kind, nan_on_fifth_step, monkeypatch):
+        with pytest.raises(BlowupError):
+            self._run(P, kind)
+        after_blowup = self._run(P, kind)
+        again = self._run(P, kind)
+        monkeypatch.undo()
+        clean = self._run(P, kind)
+        assert_same_run(after_blowup, clean)
+        assert_same_run(again, clean)
 
 
 class TestSimulateEquivalence:
@@ -760,21 +819,22 @@ class TestSimulateEquivalence:
         assert np.array_equal(u, u[::-1])
 
     @staticmethod
-    def _even_run(p, monkeypatch):
-        """An even run and copies of the x >= 0 halves its rows are computed from."""
+    def _run_and_row_inputs(p, monkeypatch, kind=PerturbationKind.EVEN_BUMP):
+        """A run and copies of the arrays its rows are computed from: the
+        x >= 0 halves of an even run, the full line otherwise."""
         halves = []
         call = dynamics._Observables.__call__
         monkeypatch.setattr(dynamics._Observables, "__call__",
-                            lambda self, v: halves.append(v.copy()) or call(self, v))
+                            lambda self, v, mod2: halves.append(v.copy()) or call(self, v, mod2))
         grid = spectral.default_grid(p, n_points=1201)
-        result = simulate(p, Perturbation(PerturbationKind.EVEN_BUMP, 1e-2), 1.0, grid=grid)
+        result = simulate(p, Perturbation(kind, 1e-2), 1.0, grid=grid)
         monkeypatch.undo()
         return grid, result, halves
 
     def test_every_recorded_state_of_an_even_run_is_bitwise_even(self, monkeypatch):
         # Every row is computed from an x >= 0 half, so every recorded state
         # is even by construction; the final state is the last half unfolded.
-        grid, result, halves = self._even_run(UNSTABLE, monkeypatch)
+        grid, result, halves = self._run_and_row_inputs(UNSTABLE, monkeypatch)
         assert len(halves) == len(result.rows) > 2
         assert all(len(v) == grid.center_index + 1 for v in halves)
         u = result.final.samples
@@ -783,11 +843,25 @@ class TestSimulateEquivalence:
 
     @pytest.mark.parametrize("p", [P, UNSTABLE], ids=["stable", "unstable"])
     def test_even_rows_match_full_line_observables(self, p, monkeypatch):
-        grid, result, halves = self._even_run(p, monkeypatch)
+        grid, result, halves = self._run_and_row_inputs(p, monkeypatch)
         phi = ProfileEvaluator.from_params(p).value(grid.nodes())
         assert len(halves) == len(result.rows)
         for row, v in zip(result.rows, halves):
             u = FieldState(dynamics._unfold_even(v), grid, row.time, p)
+            assert row.energy == pytest.approx(discrete_energy(u), rel=1e-13, abs=0.0)
+            assert row.charge == pytest.approx(discrete_charge(u), rel=1e-13, abs=0.0)
+            assert abs(row.orbital_distance - orbital_distance(u, p, phi)) <= 1e-14
+
+    @pytest.mark.parametrize("p", [P, UNSTABLE], ids=["stable", "unstable"])
+    def test_full_line_rows_match_observables(self, p, monkeypatch):
+        # A row takes |u|^2 from the closing half rotation, computed before
+        # the field is rotated; the oracles take it from the rotated field.
+        grid, result, fields = self._run_and_row_inputs(p, monkeypatch, PerturbationKind.ODD_BUMP)
+        phi = ProfileEvaluator.from_params(p).value(grid.nodes())
+        assert len(fields) == len(result.rows) > 2
+        assert all(len(v) == grid.n_points for v in fields)
+        for row, v in zip(result.rows, fields):
+            u = FieldState(v, grid, row.time, p)
             assert row.energy == pytest.approx(discrete_energy(u), rel=1e-13, abs=0.0)
             assert row.charge == pytest.approx(discrete_charge(u), rel=1e-13, abs=0.0)
             assert abs(row.orbital_distance - orbital_distance(u, p, phi)) <= 1e-14

@@ -22,7 +22,8 @@ and its `_distance_to_zero` helper are gone.  `simulate` steps one
 Crank-Nicolson kernel, `dynamics._CrankNicolson`, on the even half of a
 mirror-symmetric start or on the full line: the parity-block stepper
 `_ParityCrankNicolson`, its even-half `step_even` and odd-block factors, and
-the `_band_solve` it shared with them are gone.
+the `_band_solve` it shared with them are gone.  `simulate` and the one-step
+oracles rotate with one kernel, `dynamics._Rotation`, so `_phase` is gone.
 """
 
 import dataclasses
@@ -82,7 +83,7 @@ REMOVED = {
     ],
     "peakwave.dynamics": [
         "sampled_profile", "discrete_energy", "discrete_charge", "orbital_distance", "strang_step",
-        "cn_linear_step", "nonlinear_phase_step", "_ParityCrankNicolson", "_band_solve",
+        "cn_linear_step", "nonlinear_phase_step", "_ParityCrankNicolson", "_band_solve", "_phase",
     ],
 }
 
