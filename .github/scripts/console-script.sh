@@ -5,7 +5,10 @@
 # checks that an odd-bump run, which steps the full line, conserves its
 # charge to 1e-10 relative and an even run at a stable point its charge to
 # 1e-10 and its energy to 1e-5, checks that an --out naming a directory
-# exits 4 and leaves no temporary file, checks that each spectrum lists only
+# exits 4 and leaves no temporary file, that an --out in a missing directory
+# exits 4 and names --out, that a report under umask 022 has mode 644, that
+# classify at Z = -0.5 is unstable in full and stable in the even sector with
+# both classifiers agreeing, checks that each spectrum lists only
 # eigenvalues below its essential edge and prints as its kernel residual the
 # distance from 0 to the listed values nearest it (null for the bare defect),
 # and checks that importing the CLI loads no scipy.  Set PEAKWAVE to another
@@ -155,6 +158,28 @@ if compgen -G "$out/.peakwave-*.tmp" > /dev/null; then
   echo "vk-scan --out $out/taken left a temporary file in $out" >&2; exit 1
 fi
 case "$out_err" in *--out*) ;; *) echo "vk-scan --out $out/taken wrote: $out_err" >&2; exit 1 ;; esac
+
+# An --out in a directory that does not exist is an I/O error too: exit 4,
+# and a message that names --out rather than a temporary file.
+out_code=0
+out_err=$(timeout 30 "${peakwave[@]}" vk-scan --omega-min -3 --omega-max -1 --omega-points 3 --z-min 0.5 \
+  --out "$out/missing/dir/x.csv" 2>&1 >/dev/null) || out_code=$?
+test "$out_code" -eq 4
+case "$out_err" in *--out*) ;; *) echo "vk-scan --out $out/missing/dir/x.csv wrote: $out_err" >&2; exit 1 ;; esac
+
+# A report gets the mode a plain open() gives it: 644 under umask 022.
+(umask 022 && timeout 30 "${peakwave[@]}" vk-scan --omega-min -3 --omega-max -1 --omega-points 3 --z-min 0.5 \
+  --out "$out/mode.csv")
+mode=$(stat -c %a "$out/mode.csv")
+test "$mode" = 644 || { echo "vk-scan --out under umask 022 wrote mode $mode, not 644" >&2; exit 1; }
+
+# Between the threshold and 0 the full space is unstable and the even sector
+# stable, and both classifiers say so.
+for space in full:OrbitallyUnstable even:OrbitallyStable; do
+  verdict=$(timeout 30 "${peakwave[@]}" classify --l1 1 --l2 1 --omega -2 --z -0.5 --space "${space%%:*}")
+  test "$verdict" = "${space#*:} (numeric=analytic)" \
+    || { echo "classify --space ${space%%:*} wrote: $verdict" >&2; exit 1; }
+done
 
 # Only `simulate` loads scipy, and only when it builds its stepper.
 python -c 'import sys, peakwave.cli; loaded = [m for m in sys.modules if m.split(".")[0] == "scipy"]; sys.exit(f"import peakwave.cli loaded {loaded}" if loaded else 0)'

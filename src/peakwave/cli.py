@@ -7,7 +7,8 @@ is self-describing and reruns are byte-identical.  Choice flags take the
 values of the library enums they select (`OperatorKind`, `Space` for both
 `--sector` and `--space`, `PerturbationKind`).  Floats are written with 17
 significant digits (lossless for binary64 round-trips).  Files are written to
-a temporary path and renamed, so no command leaves a partial file behind.
+a temporary path and renamed, so no command leaves a partial file behind;
+the file gets the mode `open()` would give it under the current umask.
 
 `--format json` on `classify` and `find-zstar` needs `--out`, without which
 they print a one-line summary.  Exit codes: 0 success, 2 parameter/usage
@@ -73,9 +74,16 @@ def emit_report(rows, cfg: RunConfig) -> None:
         sys.stdout.write(text)
         return
     directory = os.path.dirname(os.path.abspath(cfg.output_path)) or "."
-    fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".peakwave-", suffix=".tmp")
+    try:
+        fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".peakwave-", suffix=".tmp")
+    except (FileNotFoundError, NotADirectoryError) as exc:
+        raise type(exc)(exc.errno, "the directory of --out does not exist", directory) from None
+    umask = os.umask(0)
+    os.umask(umask)
     try:
         with os.fdopen(fd, "w", newline="\n") as handle:
+            # mkstemp creates 0600; give the report the mode a plain open() would.
+            os.fchmod(handle.fileno(), 0o666 & ~umask)
             handle.write(text)
         try:
             os.replace(tmp_path, cfg.output_path)
@@ -227,8 +235,8 @@ def _cmd_classify(args) -> int:
     p = validate_params(args.l1, args.l2, args.omega, args.z)
     space = Space(args.space)
     grid = spectral.default_grid(p, _odd(args.n))
-    numeric = stability.classify_numeric(p, space, grid)
-    analytic = stability.classify_analytic(p, space)
+    numeric = stability.classify_numeric(p, grid)[space]
+    analytic = stability.classify_analytic(p)[space]
     agreement = "numeric=analytic" if numeric.outcome is analytic.outcome else "numeric!=analytic"
     print(f"{numeric.outcome.value} ({agreement})")
     if args.out is not None:

@@ -13,12 +13,13 @@ inherited by the full space (an even field escaping the orbit witnesses
 escape in the full norm), which is how the unstable strengths below the
 threshold are classified.
 
-One rule turns indices into verdicts, and both classifiers feed it.
-`classify_numeric` and `compare` share one numeric pass per parameter point:
-the kernel preconditions (`spectral.kernel_residual` of L2's even block and
-of L1's two blocks), the slope index p and each operator's negative counts
-(n_even, n_odd) on its two parity blocks are computed once; the full index
-is n_even + n_odd.  `classify_analytic` supplies the proven indices
+One rule turns indices into verdicts, and both classifiers feed it; each
+returns both spaces' verdicts as a `{Space: Verdict}` dict, and `compare`
+compares the two dicts.  `classify_numeric` makes one pass per parameter
+point: the kernel preconditions (`spectral.kernel_residual` of L2's even
+block and of L1's two blocks), the slope index p and each operator's
+negative counts (n_even, n_odd) on its two parity blocks are computed once;
+the full index is n_even + n_odd.  `classify_analytic` supplies the proven indices
 instead: n = 1 for Z >= 0 and 2 for Z < 0 on the full line, n = 1 in the
 even sector, and p = 1 except below the unit-coefficient threshold
 z* = -sqrt(3)/2 of a focusing pair (a focusing cubic with defocusing quintic
@@ -130,24 +131,21 @@ def _verdicts(n_full: int, n_even: int, p_idx: int, provenance: Provenance) -> d
             for space in Space}
 
 
-def _numeric_verdicts(p: WaveParameters, grid: GridSpec | None) -> dict[Space, Verdict]:
+def classify_numeric(p: WaveParameters, grid: GridSpec) -> dict[Space, Verdict]:
     """Both numeric verdicts from one precondition check, one slope index and
     one pair of parity counts per operator."""
-    if grid is None:
-        grid = spectral.default_grid(p, n_points=NUMERIC_GRID_POINTS)
     _check_preconditions(p, grid)
     p_idx = vk.p_index(p)
     even, odd = zip(*(spectral.parity_counts(kind, p, grid) for kind in (OperatorKind.L1, OperatorKind.L2)))
     return _verdicts(sum(even) + sum(odd), sum(even), p_idx, Provenance.NUMERIC_PIPELINE)
 
 
-def classify_numeric(p: WaveParameters, space: Space, grid: GridSpec) -> Verdict:
-    """Verdict from discretized Morse indices (both sectors) and the measured charge slope."""
-    return _numeric_verdicts(p, grid)[space]
+def classify_analytic(p: WaveParameters) -> dict[Space, Verdict]:
+    """Both verdicts from the proven classification tables.
 
-
-def _analytic_verdicts(p: WaveParameters) -> dict[Space, Verdict]:
-    """Both verdicts from the proven index table."""
+    A focusing pair is compared with the unit-coefficient threshold
+    `vk.ZSTAR_REFERENCE` = -sqrt(3)/2 after scaling Z onto unit coefficients.
+    """
     if p.regime is Regime.ATTRACTIVE_REPULSIVE:
         if p.z == 0.0:
             raise DegenerateError("the attractive-repulsive classification covers Z != 0 only")
@@ -164,21 +162,14 @@ def _analytic_verdicts(p: WaveParameters) -> dict[Space, Verdict]:
     return _verdicts(1 if z_u >= 0.0 else 2, 1, p_idx, Provenance.ANALYTIC_TABLE)
 
 
-def classify_analytic(p: WaveParameters, space: Space) -> Verdict:
-    """Verdict from the proven classification tables.
-
-    A focusing pair is compared with the unit-coefficient threshold
-    `vk.ZSTAR_REFERENCE` = -sqrt(3)/2 after scaling Z onto unit coefficients.
-    """
-    return _analytic_verdicts(p)[space]
-
-
 def compare(p: WaveParameters, grid: GridSpec | None = None) -> bool:
     """True when the numeric and analytic classifiers agree in both spaces.
 
     Raises DegenerateError near the threshold (both classifiers decline
     there, which is a shared exclusion, not a disagreement).
     """
-    numeric = _numeric_verdicts(p, grid)
-    analytic = _analytic_verdicts(p)
+    if grid is None:
+        grid = spectral.default_grid(p, n_points=NUMERIC_GRID_POINTS)
+    numeric = classify_numeric(p, grid)
+    analytic = classify_analytic(p)
     return all(numeric[space].outcome is analytic[space].outcome for space in Space)

@@ -187,8 +187,7 @@ def test_criterion_6_classification_agreement():
     count = 0
     for p in _classification_grid_unit() + _classification_grid_ar():
         assert stability.compare(p) is True, (p.lambda1, p.lambda2, p.omega, p.z)
-        for space in (stability.Space.FULL_H1, stability.Space.EVEN_H1):
-            v = stability.classify_analytic(p, space)
+        for space, v in stability.classify_analytic(p).items():
             outcomes.add((p.regime.value, p.z > 0.0, p.z > vk.ZSTAR_REFERENCE, space.value, v.outcome.value))
         count += 1
     assert count == 200

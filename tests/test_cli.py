@@ -5,6 +5,7 @@ import errno
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -586,13 +587,35 @@ class TestUsage:
             cli.main(["profile", "--bogus", "1"])
         assert excinfo.value.code == 2
 
-    def test_unwritable_output_exits_4(self, capsys, tmp_path):
-        target = tmp_path / "no-such-dir" / "out.csv"
-        code, _, err = run(
+    @pytest.mark.parametrize("parent, code", [("no-such-dir", errno.ENOENT), ("a-file", errno.ENOTDIR)])
+    def test_unwritable_output_exits_4(self, capsys, tmp_path, parent, code):
+        # The message names the missing directory of --out, not the temporary
+        # file that could not be made in it.
+        (tmp_path / "a-file").touch()
+        target = tmp_path / parent / "out.csv"
+        exit_code, out, err = run(
             ["profile", "--l1", "1", "--l2", "1", "--omega", "-2", "--z", "1",
              "--xmax", "5", "--n", "11", "--out", str(target)], capsys)
-        assert code == 4
-        assert "IOError" in err
+        assert (exit_code, out) == (4, "")
+        assert err == (f"IOError: [Errno {code}] the directory of --out does not exist: "
+                       f"{str(target.parent)!r}\n")
+        assert sorted(tmp_path.iterdir()) == [tmp_path / "a-file"]
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+    def test_report_gets_the_mode_of_a_plain_open(self, capsys, tmp_path, umask, mode):
+        target = tmp_path / "out.csv"
+        previous = os.umask(umask)
+        try:
+            code, _, _ = run(
+                ["profile", "--l1", "1", "--l2", "1", "--omega", "-2", "--z", "1",
+                 "--xmax", "5", "--n", "11", "--out", str(target)], capsys)
+            with open(tmp_path / "plain.csv", "w"):
+                pass
+        finally:
+            os.umask(previous)
+        assert code == 0
+        assert stat.S_IMODE(target.stat().st_mode) == mode
+        assert stat.S_IMODE((tmp_path / "plain.csv").stat().st_mode) == mode
 
     def test_failed_replace_leaves_no_temporary_file(self, capsys, tmp_path):
         # --out names an existing directory: the report is written to a

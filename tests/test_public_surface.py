@@ -81,6 +81,7 @@ REMOVED = {
         "morse_index", "lowest_eigenpairs", "dstein", "ConvergenceError", "Sector", "KernelReport",
         "_distance_to_zero",
     ],
+    "peakwave.stability": ["_numeric_verdicts", "_analytic_verdicts"],
     "peakwave.dynamics": [
         "sampled_profile", "discrete_energy", "discrete_charge", "orbital_distance", "strang_step",
         "cn_linear_step", "nonlinear_phase_step", "_ParityCrankNicolson", "_band_solve", "_phase",
@@ -111,6 +112,8 @@ def test_no_module_keeps_a_second_formula():
 def test_options_only_tests_set_are_gone():
     assert "output_stride" not in inspect.signature(dynamics.simulate).parameters
     assert "zstar" not in inspect.signature(stability.classify_analytic).parameters
+    for classify in (stability.classify_numeric, stability.classify_analytic):
+        assert "space" not in inspect.signature(classify).parameters, classify.__name__
 
 
 def test_defaults_no_caller_omits_are_gone():

@@ -20,23 +20,23 @@ def grid_for(p, n=2001):
 class TestClassifyNumeric:
     def test_stable_positive_strength(self):
         p = validate_params(1.0, 1.0, -2.0, 1.0)
-        v = classify_numeric(p, Space.FULL_H1, grid_for(p))
+        v = classify_numeric(p, grid_for(p))[Space.FULL_H1]
         assert (v.n_hessian, v.p_index, v.outcome) == (1, 1, Outcome.ORBITALLY_STABLE)
         assert v.provenance is Provenance.NUMERIC_PIPELINE
 
     def test_unstable_negative_strength_full_space(self):
         p = validate_params(1.0, 1.0, -2.0, -0.5)
-        v = classify_numeric(p, Space.FULL_H1, grid_for(p))
+        v = classify_numeric(p, grid_for(p))[Space.FULL_H1]
         assert (v.n_hessian, v.p_index, v.outcome) == (2, 1, Outcome.ORBITALLY_UNSTABLE)
 
     def test_stable_negative_strength_even_space(self):
         p = validate_params(1.0, 1.0, -2.0, -0.5)
-        v = classify_numeric(p, Space.EVEN_H1, grid_for(p))
+        v = classify_numeric(p, grid_for(p))[Space.EVEN_H1]
         assert (v.n_hessian, v.p_index, v.outcome) == (1, 1, Outcome.ORBITALLY_STABLE)
 
     def test_below_threshold_inherits_even_instability(self):
         p = validate_params(1.0, 1.0, -2.0, -1.0)
-        v = classify_numeric(p, Space.FULL_H1, grid_for(p))
+        v = classify_numeric(p, grid_for(p))[Space.FULL_H1]
         assert v.outcome is Outcome.ORBITALLY_UNSTABLE
         assert (v.n_hessian, v.p_index) == (2, 0)
         assert "even sector" in v.note
@@ -44,13 +44,13 @@ class TestClassifyNumeric:
     def test_zero_strength_precondition(self):
         p = validate_params(1.0, 1.0, -2.0, 0.0)
         with pytest.raises(PreconditionError):
-            classify_numeric(p, Space.FULL_H1, grid_for(p))
+            classify_numeric(p, grid_for(p))
 
     def test_refinement_invariance(self):
         for z in (1.0, -0.5):
             p = validate_params(1.0, 1.0, -2.0, z)
-            coarse = classify_numeric(p, Space.FULL_H1, grid_for(p, 2001))
-            fine = classify_numeric(p, Space.FULL_H1, grid_for(p, 4001))
+            coarse = classify_numeric(p, grid_for(p, 2001))[Space.FULL_H1]
+            fine = classify_numeric(p, grid_for(p, 4001))[Space.FULL_H1]
             assert coarse.outcome is fine.outcome
             assert coarse.n_hessian == fine.n_hessian
 
@@ -58,32 +58,32 @@ class TestClassifyNumeric:
 class TestClassifyAnalytic:
     def test_ar_stable(self):
         p = validate_params(2.0, -1.0, -0.5, 1.0)
-        v = classify_analytic(p, Space.FULL_H1)
+        v = classify_analytic(p)[Space.FULL_H1]
         assert v.outcome is Outcome.ORBITALLY_STABLE
         assert v.provenance is Provenance.ANALYTIC_TABLE
 
     def test_ar_unstable_full(self):
         p = validate_params(2.0, -1.0, -0.5, -1.0)
-        assert classify_analytic(p, Space.FULL_H1).outcome is Outcome.ORBITALLY_UNSTABLE
+        assert classify_analytic(p)[Space.FULL_H1].outcome is Outcome.ORBITALLY_UNSTABLE
 
     def test_ar_stable_even(self):
         p = validate_params(2.0, -1.0, -0.5, -1.0)
-        assert classify_analytic(p, Space.EVEN_H1).outcome is Outcome.ORBITALLY_STABLE
+        assert classify_analytic(p)[Space.EVEN_H1].outcome is Outcome.ORBITALLY_STABLE
 
     def test_unit_below_threshold_unstable_everywhere(self):
         p = validate_params(1.0, 1.0, -2.0, -1.0)
-        assert classify_analytic(p, Space.EVEN_H1).outcome is Outcome.ORBITALLY_UNSTABLE
-        assert classify_analytic(p, Space.FULL_H1).outcome is Outcome.ORBITALLY_UNSTABLE
+        assert classify_analytic(p)[Space.EVEN_H1].outcome is Outcome.ORBITALLY_UNSTABLE
+        assert classify_analytic(p)[Space.FULL_H1].outcome is Outcome.ORBITALLY_UNSTABLE
 
     def test_unit_between_threshold_and_zero(self):
         p = validate_params(1.0, 1.0, -2.0, -0.5)
-        assert classify_analytic(p, Space.FULL_H1).outcome is Outcome.ORBITALLY_UNSTABLE
-        assert classify_analytic(p, Space.EVEN_H1).outcome is Outcome.ORBITALLY_STABLE
+        assert classify_analytic(p)[Space.FULL_H1].outcome is Outcome.ORBITALLY_UNSTABLE
+        assert classify_analytic(p)[Space.EVEN_H1].outcome is Outcome.ORBITALLY_STABLE
 
     def test_general_focusing_pair_scaled(self):
         # The scaled strength 1 * sqrt(2) / 2 > 0: the unit table says stable.
         p = validate_params(2.0, 2.0, -3.0, 1.0)
-        v = classify_analytic(p, Space.FULL_H1)
+        v = classify_analytic(p)[Space.FULL_H1]
         assert (v.n_hessian, v.p_index, v.outcome) == (1, 1, Outcome.ORBITALLY_STABLE)
         assert v.provenance is Provenance.ANALYTIC_TABLE
 
@@ -93,31 +93,30 @@ class TestClassifyAnalytic:
         l1, l2 = pair
         unit = validate_params(1.0, 1.0, -3.0, z_u)
         p = validate_params(l1, l2, -3.0 * l1 * l1 / l2, z_u * l1 / math.sqrt(l2))
-        for space in Space:
-            assert classify_analytic(p, space) == classify_analytic(unit, space)
+        assert classify_analytic(p) == classify_analytic(unit)
 
     def test_degenerate_at_scaled_threshold(self):
         p = validate_params(2.0, 3.0, -4.0, vk.ZSTAR_REFERENCE * 2.0 / math.sqrt(3.0))
         with pytest.raises(DegenerateError):
-            classify_analytic(p, Space.FULL_H1)
+            classify_analytic(p)
 
     def test_ar_zero_strength_is_degenerate(self):
         p = validate_params(2.0, -1.0, -0.5, 0.0)
         with pytest.raises(DegenerateError, match="Z != 0 only"):
-            classify_analytic(p, Space.FULL_H1)
+            classify_analytic(p)
 
     def test_degenerate_at_threshold(self):
         zstar = vk.find_zstar()
         p = validate_params(1.0, 1.0, -2.0, zstar)
         with pytest.raises(DegenerateError):
-            classify_analytic(p, Space.FULL_H1)
+            classify_analytic(p)
 
     def test_outcome_constant_in_frequency_for_ar(self):
         for z in (0.7, -0.7):
             outcomes = set()
             for omega in np.linspace(-0.70, -z * z / 4.0 - 0.05, 6):
                 p = validate_params(2.0, -1.0, float(omega), z)
-                outcomes.add(classify_analytic(p, Space.FULL_H1).outcome)
+                outcomes.add(classify_analytic(p)[Space.FULL_H1].outcome)
             assert len(outcomes) == 1
 
 
@@ -178,7 +177,7 @@ class TestAnalyticClauses:
         ],
     )
     def test_clause(self, point, space, expected):
-        v = classify_analytic(validate_params(*point), space)
+        v = classify_analytic(validate_params(*point))[space]
         assert (v.n_hessian, v.p_index, v.outcome, v.note) == expected
         assert v.provenance is Provenance.ANALYTIC_TABLE
 
@@ -187,18 +186,14 @@ class TestIndexRelations:
     @pytest.mark.parametrize("z", [0.5, 2.0])
     def test_even_equals_full_for_positive_strength(self, z):
         p = validate_params(1.0, 1.0, -2.0, z)
-        g = grid_for(p)
-        full = classify_numeric(p, Space.FULL_H1, g)
-        even = classify_numeric(p, Space.EVEN_H1, g)
-        assert even.n_hessian == full.n_hessian == 1
+        verdicts = classify_numeric(p, grid_for(p))
+        assert verdicts[Space.EVEN_H1].n_hessian == verdicts[Space.FULL_H1].n_hessian == 1
 
     @pytest.mark.parametrize("z", [-0.5, -1.2])
     def test_even_drops_one_for_negative_strength(self, z):
         p = validate_params(1.0, 1.0, -2.0, z)
-        g = grid_for(p)
-        full = classify_numeric(p, Space.FULL_H1, g)
-        even = classify_numeric(p, Space.EVEN_H1, g)
-        assert even.n_hessian == full.n_hessian - 1
+        verdicts = classify_numeric(p, grid_for(p))
+        assert verdicts[Space.EVEN_H1].n_hessian == verdicts[Space.FULL_H1].n_hessian - 1
 
 
 class TestCompare:
@@ -240,9 +235,13 @@ class TestCompare:
         counting(vk, "p_index")
         counting(spectral, "parity_counts")
         p = validate_params(*point)
-        assert compare(p, grid_for(p)) is True
+        verdicts = classify_numeric(p, grid_for(p))
         # L2's even block and L1's two blocks are measured once each, and one
         # (n_even, n_odd) pair per operator gives both spaces' indices.
+        assert calls == {"kernel_residual": 3, "p_index": 1, "parity_counts": 2}
+        assert list(verdicts) == list(Space)
+        calls.clear()
+        assert compare(p, grid_for(p)) is True
         assert calls == {"kernel_residual": 3, "p_index": 1, "parity_counts": 2}
 
     @pytest.mark.parametrize("pair", [(2.0, 3.0), (3.0, 2.0), (1.0, 0.1)])
