@@ -11,7 +11,9 @@
 # both classifiers agreeing, checks that each spectrum lists only
 # eigenvalues below its essential edge and prints as its kernel residual the
 # distance from 0 to the listed values nearest it (null for the bare defect),
-# and checks that importing the CLI loads no scipy.  Set PEAKWAVE to another
+# that the full and even sectors print the same lowest eigenvalue at
+# omega = -1e-12 and that a full-sector n_points is --n, and checks that
+# importing the CLI loads no scipy.  Set PEAKWAVE to another
 # launcher (say "python -m peakwave.cli") to run it without installing the
 # console script.
 #
@@ -70,7 +72,7 @@ PY
 # omega = -1e-12 the bracket up to the edge is 9.3e-12 wide and holds two.
 # The kernel residual is min |v_j| over the listed values with j = b - 1 or
 # b, where b is how many of them lie below 0; the bare defect's is null.
-"${peakwave[@]}" spectrum --l1 1 --l2 1 --omega=-1e-12 --z 1e-7 --n 2001 --out "$out/spectrum-tiny.csv"
+"${peakwave[@]}" spectrum --l1 1 --l2 1 --omega=-1e-12 --z 1e-7 --sector full --n 2001 --out "$out/spectrum-tiny.csv"
 python - "$out"/spectrum-full.csv "$out"/spectrum-even.csv "$out"/spectrum-l2-even.csv \
   "$out"/spectrum-tiny.csv <<'PY'
 import json, sys
@@ -93,6 +95,21 @@ import json, sys
 residual = json.load(open(sys.argv[1]))["header"]["kernel_residual"]
 if residual is not None:
     sys.exit(f"{sys.argv[1]} prints the kernel residual {residual} for the bare defect, not null")
+PY
+
+# Both sectors bisect the even block on the line's bracket, so at
+# omega = -1e-12 they print the same lowest eigenvalue, byte for byte.  The
+# full sector's n_points sums the sizes of its two blocks: the line's --n.
+"${peakwave[@]}" spectrum --l1 1 --l2 1 --omega=-1e-12 --z 1e-7 --sector even --n 2001 --out "$out/spectrum-tiny-even.csv"
+"${peakwave[@]}" spectrum --l1 1 --l2 1 --omega -2 --z -0.5 --sector full --n 2001 --out "$out/spectrum-unit.csv"
+python - "$out"/spectrum-tiny.csv "$out"/spectrum-tiny-even.csv "$out"/spectrum-unit.csv <<'PY'
+import json, sys
+full, even, unit = (open(path).read().split("\n") for path in sys.argv[1:])
+if full[2].split(",")[1] != even[2].split(",")[1]:
+    sys.exit(f"the full and even sectors list {full[2]} and {even[2]} as their lowest eigenvalue")
+n_points = json.loads(unit[0][2:])["n_points"]
+if n_points != 2001:
+    sys.exit(f"{sys.argv[3]} has n_points {n_points}, not the --n 2001 it was asked for")
 PY
 
 # Each of these is a usage error: exit 2, whatever the sizes asked for.

@@ -141,7 +141,7 @@ class _CrankNicolson:
         from scipy.linalg.blas import ztbsv
 
         self._ztbsv = ztbsv
-        c = op.origin_row if half else 0
+        c = op.size // 2 if half else 0
         gamma = 0.5j * dt
         lower = gamma * op.offdiagonal[c:]
         upper = lower

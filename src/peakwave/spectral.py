@@ -7,25 +7,24 @@ condition g'(0+) - g'(0-) = -Z g(0):
     L1 = -d^2/dx^2 - omega - 3*lambda1*phi^2 - 5*lambda2*phi^4
     L2 = -d^2/dx^2 - omega -   lambda1*phi^2 -   lambda2*phi^4
 
-plus the free operator with the bare defect (no potential).  Each is realized
-as a symmetric tridiagonal matrix on a uniform grid symmetric about the
-defect: three-point Laplacian, potential on the diagonal, and -Z/h lumped on
-the center node.  Its even and odd parity blocks are slices of it
-(`parity_blocks`): the even one is the half-line reduction with the flux
-condition f'(0+) = -(Z/2) f(0), the odd one the Dirichlet half-line operator.
-Negative counts are made per block by `parity_counts`; the full-line Morse
-index is their sum n_even + n_odd.
+plus the free operator with the bare defect (no potential).  Each is
+assembled as a symmetric tridiagonal matrix on a uniform grid symmetric about
+the defect: three-point Laplacian, potential on the diagonal, and -Z/h lumped
+on the center node.  It commutes with x -> -x, and its one realization is the
+pair of parity blocks sliced from it (`parity_blocks`): the even one is the
+half-line reduction with the flux condition f'(0+) = -(Z/2) f(0), the odd one
+the Dirichlet half-line operator.  The full line is both blocks, the even
+sector the even one, and a count on the line is n_even + n_odd.
 
-Eigenvalue counts come from Sturm/Sylvester inertia (negative pivots of the
-shifted triangular factorization) and eigenvalues from bisection on the
-count, on the Gershgorin bracket cut at a bound: a spectrum report bisects
-only the eigenvalues below the essential edge, the ones it lists.  The
-stability argument needs only where the spectra sit relative to 0, so no
-eigenvector is computed, and importing this module loads no scipy.  One
-function, `kernel_residual`, measures how far a realization is from its
-kernel fact (L2's zero mode, L1's trivial kernel); the spectrum report and
-the verdict's preconditions both read it.  `quadratic_form_discrete` samples
-the form (L1 phi, phi) on a grid.
+Counts come from Sturm/Sylvester inertia (negative pivots of the shifted
+triangular factorization) and eigenvalues from bisection on the count, on the
+line's Gershgorin bracket (both blocks carry it) cut at a bound: a spectrum
+report bisects only the eigenvalues below the essential edge, the ones it
+lists.  No eigenvector is computed, and importing this module loads no scipy.
+`kernel_residual` measures how far the blocks are from the kernel facts (L2's
+zero mode, L1's trivial kernel); the spectrum report and the verdict's
+preconditions both read it.  `quadratic_form_discrete` samples the form
+(L1 phi, phi) on a grid.
 """
 
 from __future__ import annotations
@@ -113,13 +112,13 @@ def default_grid(p: WaveParameters, n_points: int = DEFAULT_GRID_POINTS) -> Grid
 
 @dataclass(frozen=True, eq=False)
 class TridiagonalOperator:
-    """Symmetric tridiagonal matrix; `origin_row` is its first row at x >= 0
-    (the defect row on the full line, 0 in a parity block)."""
+    """Symmetric tridiagonal matrix whose spectrum lies in `bracket` = (lo, hi):
+    a line's Gershgorin enclosure, which its parity blocks carry too."""
 
     diagonal: np.ndarray
     offdiagonal: np.ndarray
     spacing: float
-    origin_row: int
+    bracket: tuple[float, float]
 
     @property
     def size(self) -> int:
@@ -130,12 +129,6 @@ class TridiagonalOperator:
         out[:-1] += self.offdiagonal * v[1:]
         out[1:] += self.offdiagonal * v[:-1]
         return out
-
-    def gershgorin_bounds(self) -> tuple[float, float]:
-        radius = np.zeros(self.size)
-        radius[:-1] += np.abs(self.offdiagonal)
-        radius[1:] += np.abs(self.offdiagonal)
-        return float(np.min(self.diagonal - radius)), float(np.max(self.diagonal + radius))
 
 
 def _potential(kind: OperatorKind, p: WaveParameters, x: np.ndarray) -> np.ndarray:
@@ -179,7 +172,9 @@ def discretize_operator(kind: OperatorKind, p: WaveParameters, grid: GridSpec) -
     diag = 2.0 / h**2 + _potential(kind, p, x)
     off = np.full(grid.n_points - 1, -1.0 / h**2)
     diag[grid.center_index] -= p.z / h
-    return TridiagonalOperator(diag, off, h, grid.center_index)
+    # Every row's Gershgorin radius is at most 2/h^2.
+    bracket = (float(np.min(diag)) - 2.0 / h**2, float(np.max(diag)) + 2.0 / h**2)
+    return TridiagonalOperator(diag, off, h, bracket)
 
 
 class Space(enum.Enum):
@@ -190,17 +185,18 @@ class Space(enum.Enum):
 
 
 def parity_blocks(op: TridiagonalOperator) -> tuple[TridiagonalOperator, TridiagonalOperator]:
-    """Even and odd blocks of a full-line operator, as slices of it.
+    """Even and odd blocks of a full-line operator, as slices of it at its center row.
 
     On the x >= 0 half of an even vector the center row couples twice to its
     neighbor; symmetrizing scales that coupling by sqrt(2) (the ghost-point
     closure of f'(0+) = -(Z/2) f(0)).  The odd block is Dirichlet on x > 0.
+    Each block's spectrum is part of the line's, so both carry its bracket.
     """
-    c, h = op.origin_row, op.spacing
+    c, h = op.size // 2, op.spacing
     even_off = op.offdiagonal[c:].copy()
     even_off[0] = -math.sqrt(2.0) / h**2
-    return (TridiagonalOperator(op.diagonal[c:], even_off, h, 0),
-            TridiagonalOperator(op.diagonal[c + 1:], op.offdiagonal[c + 1:], h, 0))
+    return (TridiagonalOperator(op.diagonal[c:], even_off, h, op.bracket),
+            TridiagonalOperator(op.diagonal[c + 1:], op.offdiagonal[c + 1:], h, op.bracket))
 
 
 def inertia_below(op: TridiagonalOperator, shift: float) -> int:
@@ -232,14 +228,14 @@ _BISECTION_TOL = 1e-10
 
 def _eigenvalue_by_index(op: TridiagonalOperator, index: int, upper: float) -> float:
     """Eigenvalue `index` (0 the lowest) by bisection on the inertia count,
-    on the Gershgorin bracket with its upper end cut to `upper`.
+    on `op.bracket` with its upper end cut to `upper`.
 
     The bracket must hold the eigenvalue (pass math.inf for the whole span).
     Bisection stops at a width of 1e-10*min(1, hi - lo) of the starting
     bracket: 1e-10 on a bracket at least 1 wide, and relative on a narrower
     one, whose eigenvalues are too small for an absolute 1e-10 to tell apart.
     """
-    lo, hi = op.gershgorin_bounds()
+    lo, hi = op.bracket
     hi = min(hi, upper)
     tol = _BISECTION_TOL * min(1.0, hi - lo)
     while hi - lo > tol:
@@ -257,9 +253,9 @@ def lowest_eigenvalues(op: TridiagonalOperator, k: int, below: float) -> list[fl
     """The eigenvalues under `below`, ascending, at most k of them.
 
     One inertia count at `below` gives how many there are, m; eigenvalues
-    0 .. min(k, m) - 1 are bisected on the Gershgorin bracket cut at `below`
-    (see `_eigenvalue_by_index` for the stop).  With below = math.inf these
-    are the k lowest eigenvalues, on the whole Gershgorin span.
+    0 .. min(k, m) - 1 are bisected on `op.bracket` cut at `below` (see
+    `_eigenvalue_by_index` for the stop).  With below = math.inf these are
+    the k lowest eigenvalues, on the whole bracket.
     """
     if not 1 <= k <= 5:
         raise DomainError(f"k must be between 1 and 5, got {k}")
@@ -295,24 +291,25 @@ def parity_counts(kind: OperatorKind, p: WaveParameters, grid: GridSpec) -> tupl
     return counts[0]
 
 
-def kernel_residual(kind: OperatorKind, op: TridiagonalOperator,
-                    lowest: Sequence[float] = ()) -> float | None:
-    """The kernel measure of one realization of `kind`: the line or one parity block.
+def kernel_residual(kind: OperatorKind, blocks: Sequence[TridiagonalOperator],
+                    lowest: Sequence[Sequence[float]] = ((), ())) -> float | None:
+    """The kernel measure of a realization of `kind`, given as its parity
+    blocks (even first; the even one alone is the even sector).
 
-    L2 is nonnegative with zero a simple eigenvalue (eigenfunction phi), so its
-    measure is |lowest eigenvalue|, which tends to 0 at second order in h.  L1
-    has a trivial kernel for Z != 0, so its measure is the distance from 0 to
-    its spectrum: the nearer of the eigenvalues either side of 0.  The bare
-    defect has no kernel to measure: None.  Eigenvalues 0, 1, ... already
-    bisected are passed in `lowest`; any other index is bisected here, on the
-    whole Gershgorin span.
+    L2 is nonnegative with zero a simple eigenvalue, whose eigenfunction phi
+    is positive, hence even: the measure is |lowest eigenvalue of the even
+    block|, which tends to 0 at second order in h.  L1 has a trivial kernel
+    for Z != 0: the measure is the distance from 0 to the nearest eigenvalue
+    on either side, over all blocks.  The bare defect has none: None.
+    lowest[b] holds eigenvalues 0, 1, ... of blocks[b] already bisected; any
+    other index is bisected here, on the whole bracket.
     """
     if kind is OperatorKind.FREE_WITH_DELTA:
         return None
-    # L2 takes no count: its eigenvalue at 0 is its lowest.
-    below = 0 if kind is OperatorKind.L2 else inertia_below(op, 0.0)
-    return min(abs(lowest[j] if j < len(lowest) else _eigenvalue_by_index(op, j, math.inf))
-               for j in range(max(below - 1, 0), below + 1))
+    # L2 reads the even block and takes no count: its eigenvalue at 0 is the lowest.
+    below = [0] if kind is OperatorKind.L2 else [inertia_below(block, 0.0) for block in blocks]
+    return min(abs(lowest[b][j] if j < len(lowest[b]) else _eigenvalue_by_index(blocks[b], j, math.inf))
+               for b, m in enumerate(below) for j in range(max(m - 1, 0), m + 1))
 
 
 @dataclass(frozen=True)
@@ -321,8 +318,8 @@ class SpectrumReport:
 
     `eigenvalues` are the lowest ones below `essential_edge`, ascending, at
     most k of them.  The bare defect has no kernel to measure, so its
-    `kernel_residual` is None.  `n_points` is the size of the matrix measured
-    (the even block's in the even sector)."""
+    `kernel_residual` is None.  `n_points` is the summed size of the parity
+    blocks measured (the line's in the full sector)."""
 
     negative_count: int
     eigenvalues: list[float]
@@ -335,19 +332,22 @@ def spectrum_report(kind: OperatorKind, p: WaveParameters, grid: GridSpec, k: in
                     sector: Space) -> SpectrumReport:
     """Negative count, the k lowest eigenvalues below the essential edge, and the edge.
 
-    The even sector is the even parity block.  The edge is -omega for the
-    linearized operators and 0 for the bare defect; eigenvalues above it
-    would be box artifacts of the truncation, so only those below it are
-    bisected, each once, on a bracket that ends at the edge; `kernel_residual`
-    reuses them.
+    The full sector is both parity blocks, the even sector the even one: the
+    count sums the blocks' counts and the list is the k lowest of theirs.
+    The edge is -omega for the linearized operators and 0 for the bare
+    defect; eigenvalues above it would be box artifacts of the truncation, so
+    only those below it are bisected, each once, on a bracket that ends at
+    the edge; `kernel_residual` reuses them.
     """
-    op = discretize_operator(kind, p, grid)
+    blocks = parity_blocks(discretize_operator(kind, p, grid))
     if sector is Space.EVEN_H1:
-        op = parity_blocks(op)[0]
+        blocks = blocks[:1]
     edge = 0.0 if kind is OperatorKind.FREE_WITH_DELTA else -p.omega
-    lams = lowest_eigenvalues(op, k, edge)
-    negative = inertia_below(op, -zero_exclusion_shift(grid, p))
-    return SpectrumReport(negative, lams, kernel_residual(kind, op, lams), edge, op.size)
+    lowest = [lowest_eigenvalues(block, k, edge) for block in blocks]
+    shift = -zero_exclusion_shift(grid, p)
+    return SpectrumReport(sum(inertia_below(block, shift) for block in blocks),
+                          sorted(lam for lams in lowest for lam in lams)[:k],
+                          kernel_residual(kind, blocks, lowest), edge, sum(block.size for block in blocks))
 
 
 def quadratic_form_discrete(p: WaveParameters, grid: GridSpec) -> float:

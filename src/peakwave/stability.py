@@ -16,10 +16,10 @@ threshold are classified.
 One rule turns indices into verdicts, and both classifiers feed it; each
 returns both spaces' verdicts as a `{Space: Verdict}` dict, and `compare`
 compares the two dicts.  `classify_numeric` makes one pass per parameter
-point: the kernel preconditions (`spectral.kernel_residual` of L2's even
-block and of L1's two blocks), the slope index p and each operator's
-negative counts (n_even, n_odd) on its two parity blocks are computed once;
-the full index is n_even + n_odd.  `classify_analytic` supplies the proven indices
+point: the kernel preconditions (`spectral.kernel_residual` of each
+operator's parity blocks), the slope index p and each operator's negative
+counts (n_even, n_odd) on its two parity blocks are computed once; the full
+index is n_even + n_odd.  `classify_analytic` supplies the proven indices
 instead: n = 1 for Z >= 0 and 2 for Z < 0 on the full line, n = 1 in the
 even sector, and p = 1 except below the unit-coefficient threshold
 z* = -sqrt(3)/2 of a focusing pair (a focusing cubic with defocusing quintic
@@ -96,11 +96,9 @@ def _check_preconditions(p: WaveParameters, grid: GridSpec) -> None:
         raise PreconditionError(
             "Z = 0 carries a translation zero mode of L1; the phase-only criterion does not apply"
         )
-    l2_even = spectral.parity_blocks(spectral.discretize_operator(OperatorKind.L2, p, grid))[0]
-    l1_blocks = spectral.parity_blocks(spectral.discretize_operator(OperatorKind.L1, p, grid))
-    # L2's lowest eigenvector is the discrete ground state: positive, hence even.
-    l2_zero = spectral.kernel_residual(OperatorKind.L2, l2_even)
-    l1_gap = min(spectral.kernel_residual(OperatorKind.L1, block) for block in l1_blocks)
+    l2_zero, l1_gap = (
+        spectral.kernel_residual(kind, spectral.parity_blocks(spectral.discretize_operator(kind, p, grid)))
+        for kind in (OperatorKind.L2, OperatorKind.L1))
     zero_tol = 1e-2 * max(1.0, abs(p.omega))
     if l2_zero > zero_tol:
         raise PreconditionError(

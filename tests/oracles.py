@@ -116,7 +116,8 @@ def even_sector_operator(kind: OperatorKind, p, grid: GridSpec) -> TridiagonalOp
     The half line [0, L] holds grid.center_index + 1 nodes from the defect
     out.  The ghost value f(-h) = f(h) turns the center row into
     (2 f_0 - 2 f_1)/h^2 - (Z/h) f_0; the similarity that makes the matrix
-    symmetric scales its first coupling to -sqrt(2)/h^2.
+    symmetric scales its first coupling to -sqrt(2)/h^2.  Its bracket is its
+    own Gershgorin enclosure, not the line's that the sliced block carries.
     """
     m = grid.center_index + 1
     h = grid.half_width / (m - 1)
@@ -131,7 +132,10 @@ def even_sector_operator(kind: OperatorKind, p, grid: GridSpec) -> TridiagonalOp
     diag[0] -= p.z / h
     off = np.full(m - 1, -1.0 / h**2)
     off[0] = -math.sqrt(2.0) / h**2
-    return TridiagonalOperator(diag, off, h, 0)
+    radius = np.zeros(m)
+    radius[:-1] -= off
+    radius[1:] -= off
+    return TridiagonalOperator(diag, off, h, (float(np.min(diag - radius)), float(np.max(diag + radius))))
 
 
 def lapack_eigenvalues(op: TridiagonalOperator, k: int) -> list[float]:

@@ -250,7 +250,7 @@ class PivotedReference:
     step (`step`) and the even-half step (`step_even`)."""
 
     def __init__(self, op, dt):
-        c = op.origin_row
+        c = op.size // 2
         diag, off = op.diagonal, op.offdiagonal
         gamma = 0.5j * dt
         self.c = c
@@ -357,7 +357,7 @@ class TestUnpivotedFactors:
         monkeypatch.setattr(dynamics, "_unpivoted_ldu", recording_ldu)
         stepper = dynamics._CrankNicolson(op, dt_factor * op.spacing, half)
         [d] = pivots
-        assert len(d) == (op.size - op.origin_row if half else op.size)
+        assert len(d) == (op.size // 2 + 1 if half else op.size)
         assert float(np.min(d.real)) >= 1.0
         assert np.array_equal(stepper._twice, 2.0 * (1.0 / d))
 

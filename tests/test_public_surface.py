@@ -15,10 +15,13 @@ unit-pair charge derivative is `-vk.slope`, so `vk.dnorm_domega_closed` is
 gone.  Every field and default has a reader: a verdict is keyed by its space
 and does not repeat it, `-phi'/phi` is inlined in the one derivative that
 read `slope_factor`, and a grid, a count `k` or a sector no caller omits has
-no default.  One function measures the kernel of a realization,
-`spectral.kernel_residual(kind, op, lowest)`: the spectrum report prints it
-and the verdict's preconditions read it, so the pair-level `KernelReport`
-and its `_distance_to_zero` helper are gone.  `simulate` steps one
+no default.  One function measures the kernel of a realization, read as its
+parity blocks, `spectral.kernel_residual(kind, blocks, lowest)`: the
+spectrum report prints it and the verdict's preconditions read it, so the
+pair-level `KernelReport` and its `_distance_to_zero` helper are gone.  The
+parity blocks are the only realization counted and bisected, and they carry
+the line's Gershgorin `bracket`, so `TridiagonalOperator` has no
+`origin_row` and no `gershgorin_bounds`.  `simulate` steps one
 Crank-Nicolson kernel, `dynamics._CrankNicolson`, on the even half of a
 mirror-symmetric start or on the full line: the parity-block stepper
 `_ParityCrankNicolson`, its even-half `step_even` and odd-block factors, and
@@ -81,6 +84,7 @@ REMOVED = {
         "morse_index", "lowest_eigenpairs", "dstein", "ConvergenceError", "Sector", "KernelReport",
         "_distance_to_zero",
     ],
+    "peakwave.spectral.TridiagonalOperator": ["origin_row", "gershgorin_bounds"],
     "peakwave.stability": ["_numeric_verdicts", "_analytic_verdicts"],
     "peakwave.dynamics": [
         "sampled_profile", "discrete_energy", "discrete_charge", "orbital_distance", "strang_step",

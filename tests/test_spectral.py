@@ -74,10 +74,11 @@ class TestGridSpec:
     def test_parity_blocks_of_a_grid(self):
         p = validate_params(1.0, 1.0, -2.0, -1.0)
         g = GridSpec(30.0, 2401)
-        even, odd = parity_blocks(discretize_operator(OperatorKind.L1, p, g))
+        line = discretize_operator(OperatorKind.L1, p, g)
+        even, odd = parity_blocks(line)
         assert (even.size, odd.size) == (1201, 1200)
         assert even.spacing == odd.spacing == g.spacing
-        assert even.origin_row == odd.origin_row == 0
+        assert even.bracket == odd.bracket == line.bracket
 
 
 class TestDiscretizeOperator:
@@ -207,10 +208,16 @@ class TestDeltaBoundState:
 
 class TestInertia:
     def test_gershgorin_extremes(self):
+        # The line's Gershgorin bracket holds LAPACK's extreme eigenvalues of
+        # the line and of both its blocks, which carry that bracket.
         op = discretize_operator(OperatorKind.L1, P_AA_POS, grid_for(P_AA_POS))
-        lo, hi = op.gershgorin_bounds()
-        assert inertia_below(op, lo - 1.0) == 0
-        assert inertia_below(op, hi + 1.0) == op.size
+        lo, hi = op.bracket
+        for matrix in (op, *parity_blocks(op)):
+            assert matrix.bracket == (lo, hi)
+            spectrum = lapack_eigenvalues(matrix, matrix.size)
+            assert lo < spectrum[0] and spectrum[-1] < hi
+            assert inertia_below(matrix, lo) == 0
+            assert inertia_below(matrix, hi) == matrix.size
 
     def test_single_negative_eigenvalue_positive_strength(self):
         op = discretize_operator(OperatorKind.L1, P_AA_POS, grid_for(P_AA_POS))
@@ -218,7 +225,7 @@ class TestInertia:
 
     def test_zero_pivot_counts_as_an_infinitesimal_shift(self):
         # [[0, 1], [1, 0]] has eigenvalues -1 and 1; its first pivot at shift 0 is exactly 0.
-        op = TridiagonalOperator(np.array([0.0, 0.0]), np.array([1.0]), 1.0, 0)
+        op = TridiagonalOperator(np.array([0.0, 0.0]), np.array([1.0]), 1.0, (-1.0, 1.0))
         assert inertia_below(op, 0.0) == 1
 
     def test_consistency_with_eigenvalues(self):
@@ -303,9 +310,10 @@ class TestParityBlocks:
             assert even.spacing == ref.spacing
 
     def test_odd_block_is_the_dirichlet_slice(self):
-        op = discretize_operator(OperatorKind.L1, P_AA_NEG, grid_for(P_AA_NEG))
+        g = grid_for(P_AA_NEG)
+        op = discretize_operator(OperatorKind.L1, P_AA_NEG, g)
         _, odd = parity_blocks(op)
-        c = op.origin_row
+        c = g.center_index
         assert np.array_equal(odd.diagonal, op.diagonal[c + 1:])
         assert np.array_equal(odd.offdiagonal, op.offdiagonal[c + 1:])
 
@@ -328,6 +336,12 @@ class TestParityBlocks:
         except InstabilityError:
             return
         assert counts == oscillation_counts(kind, p)
+        if kind is OperatorKind.L1:
+            # Dirichlet at 0 restricts L1 to two copies of the odd block, with
+            # deficiency index 1: n <= 2 n_odd + 1, with equality exactly when Z > 0.
+            n_even, n_odd = counts
+            assert n_even + n_odd <= 2 * n_odd + 1
+            assert (n_even + n_odd == 2 * n_odd + 1) is (p.z > 0.0)
 
     def test_blocks_share_the_spectrum(self):
         op = discretize_operator(OperatorKind.L1, P_AA_NEG, grid_for(P_AA_NEG))
@@ -405,7 +419,9 @@ class TestEigenvaluesAgainstLapack:
             assert max(abs(a - b) for a, b in zip(lams, ref)) <= 1e-10, (p, kind, sector)
             report = spectrum_report(kind, p, g, k=3, sector=sector)
             below = [lam for lam in ref[:3] if lam < report.essential_edge]
-            assert report.eigenvalues == lowest_eigenvalues(op, 3, report.essential_edge), (p, kind, sector)
+            blocks = blocks_of(kind, p, g)[:1 if sector is Space.EVEN_H1 else 2]
+            shares = [lowest_eigenvalues(block, 3, report.essential_edge) for block in blocks]
+            assert report.eigenvalues == sorted(lam for share in shares for lam in share)[:3], (p, kind, sector)
             assert len(report.eigenvalues) == len(below), (p, kind, sector)
             assert all(abs(a - b) <= 1e-10 for a, b in zip(report.eigenvalues, below)), (p, kind, sector)
 
@@ -430,46 +446,68 @@ class TestEigenvaluesAgainstLapack:
             ref = lapack_eigenvalues(op, 3)
             assert all(abs(a - b) <= 1e-10 for a, b in zip(lams, ref)), (p, kind, sector)
 
-    def test_bracket_narrower_than_one_stops_relative_to_it(self):
+    @pytest.mark.parametrize("sector", list(Space))
+    def test_bracket_narrower_than_one_stops_relative_to_it(self, sector):
         # At omega = -1e-12 the bracket up to the edge is 9.3e-12 wide; an
         # absolute stop of 1e-10 bisected nothing and returned one midpoint
-        # for both eigenvalues below the edge.  The stop 1e-10*width resolves
-        # them, to 1e-9*|omega| of LAPACK.
+        # for both eigenvalues below the full line's edge.  The stop
+        # 1e-10*width resolves them, to 1e-9*|omega| of LAPACK.  The even
+        # block bisects on the line's bracket: its own Gershgorin bracket
+        # reaches 56 times lower, and that stop missed LAPACK by 8.2e-21.
         p = validate_params(1.0, 1.0, -1e-12, 1e-7)
         g = grid_for(p, 2001)
         op = discretize_operator(OperatorKind.L1, p, g)
-        report = spectrum_report(OperatorKind.L1, p, g, k=3, sector=Space.FULL_H1)
+        if sector is Space.EVEN_H1:
+            op = parity_blocks(op)[0]
+        report = spectrum_report(OperatorKind.L1, p, g, k=3, sector=sector)
         ref = lapack_eigenvalues(op, 2)
-        assert len(report.eigenvalues) == 2
-        assert report.eigenvalues == pytest.approx(ref, rel=0.0, abs=1e-9 * -p.omega)
-        assert report.eigenvalues[0] < 0.0 < report.eigenvalues[1] < report.essential_edge
-        assert report.kernel_residual == report.eigenvalues[1]
+        listed = 2 if sector is Space.FULL_H1 else 1
+        assert len(report.eigenvalues) == listed
+        assert report.eigenvalues == pytest.approx(ref[:listed], rel=0.0, abs=1e-9 * -p.omega)
+        assert report.eigenvalues[0] < 0.0 < ref[1]
+        assert (ref[1] < report.essential_edge) is (sector is Space.FULL_H1)
+        # The nearest eigenvalue above 0: listed, or bisected on the whole bracket.
+        lo, hi = op.bracket
+        assert report.kernel_residual == pytest.approx(ref[1], rel=0.0, abs=spectral._BISECTION_TOL * (hi - lo))
+        if sector is Space.FULL_H1:
+            assert report.kernel_residual == report.eigenvalues[1]
+
+    @pytest.mark.parametrize("kind", [OperatorKind.L1, OperatorKind.L2])
+    @pytest.mark.parametrize("p", [validate_params(1.0, 1.0, -1e-12, 1e-7), P_AA_NEG], ids=["tiny", "unit"])
+    def test_sectors_list_the_even_block_alike(self, p, kind):
+        # Both sectors bisect the even block on the line's bracket, so each
+        # even eigenvalue among the full sector's k lowest is the same float
+        # there (-2.920830475595112e-12 and -2.9208304837653256e-12 at tiny
+        # omega when the even block bisected on its own bracket).
+        g = grid_for(p, 2001)
+        full = spectrum_report(kind, p, g, k=3, sector=Space.FULL_H1).eigenvalues
+        even = spectrum_report(kind, p, g, k=3, sector=Space.EVEN_H1).eigenvalues
+        shared = [lam for lam in even if len(full) < 3 or lam <= full[-1]]
+        assert shared and all(lam in full for lam in shared), (full, even)
 
 
-def even_block(kind, p, grid):
-    return parity_blocks(discretize_operator(kind, p, grid))[0]
+def blocks_of(kind, p, grid):
+    return parity_blocks(discretize_operator(kind, p, grid))
 
 
 class TestKernelResidual:
     def test_l2_zero_mode_small_at_reference_spacing(self):
         # h ~ 0.01: n chosen so spacing lands at the reference value.
         n = 2 * round(L_AA / 0.01) + 1
-        block = even_block(OperatorKind.L2, P_AA_POS, GridSpec(L_AA, n))
-        assert kernel_residual(OperatorKind.L2, block) < 5e-4
+        blocks = blocks_of(OperatorKind.L2, P_AA_POS, GridSpec(L_AA, n))
+        assert kernel_residual(OperatorKind.L2, blocks) < 5e-4
 
     def test_l2_zero_mode_second_order(self):
         values = []
         for n in (2001, 4001):
             g = grid_for(P_AA_POS, n)
-            values.append(kernel_residual(OperatorKind.L2, even_block(OperatorKind.L2, P_AA_POS, g)))
+            values.append(kernel_residual(OperatorKind.L2, blocks_of(OperatorKind.L2, P_AA_POS, g)))
         ratio = values[0] / values[1]
         assert 2.5 < ratio < 6.5
 
     def test_l1_gap_bounded_away_from_zero(self):
         for n in (2001, 4001):
-            op = discretize_operator(OperatorKind.L1, P_AA_NEG, grid_for(P_AA_NEG, n))
-            for block in parity_blocks(op):
-                assert kernel_residual(OperatorKind.L1, block) > 0.01
+            assert kernel_residual(OperatorKind.L1, blocks_of(OperatorKind.L1, P_AA_NEG, grid_for(P_AA_NEG, n))) > 0.01
 
 
 class TestOneKernelMeasure:
@@ -481,21 +519,22 @@ class TestOneKernelMeasure:
     def test_report_reads_kernel_residual(self, p, kind, sector):
         g = grid_for(p)
         report = spectrum_report(kind, p, g, k=3, sector=sector)
-        op = discretize_operator(kind, p, g)
+        blocks = blocks_of(kind, p, g)
         if sector is Space.EVEN_H1:
-            op = parity_blocks(op)[0]
-        assert report.kernel_residual == kernel_residual(kind, op, report.eigenvalues)
-        # Bisected on the whole span instead of the bracket cut at the edge.
-        assert report.kernel_residual == pytest.approx(kernel_residual(kind, op), rel=0.0,
+            blocks = blocks[:1]
+        shares = [lowest_eigenvalues(block, 3, report.essential_edge) for block in blocks]
+        assert report.eigenvalues == sorted(lam for share in shares for lam in share)[:3]
+        assert report.kernel_residual == kernel_residual(kind, blocks, shares)
+        # Bisected on the whole bracket instead of the bracket cut at the edge.
+        assert report.kernel_residual == pytest.approx(kernel_residual(kind, blocks), rel=0.0,
                                                        abs=1e-9 * max(1.0, abs(p.omega)))
 
     @pytest.mark.parametrize("sector", list(Space))
     def test_bare_defect_has_none(self, sector):
         g = grid_for(P_DELTA)
         report = spectrum_report(OperatorKind.FREE_WITH_DELTA, P_DELTA, g, k=1, sector=sector)
-        op = discretize_operator(OperatorKind.FREE_WITH_DELTA, P_DELTA, g)
         assert report.kernel_residual is None
-        assert kernel_residual(OperatorKind.FREE_WITH_DELTA, op) is None
+        assert kernel_residual(OperatorKind.FREE_WITH_DELTA, blocks_of(OperatorKind.FREE_WITH_DELTA, P_DELTA, g)) is None
 
 
 class TestSpectrumReport:
@@ -508,25 +547,28 @@ class TestSpectrumReport:
     @pytest.mark.parametrize("kind,p", [(OperatorKind.L1, P_AA_POS), (OperatorKind.L1, P_AA_NEG),
                                         (OperatorKind.L2, P_AA_POS)])
     def test_each_eigenvalue_bisected_once(self, kind, p, monkeypatch):
-        # Each listed index once, on the bracket cut at the edge; any other
-        # index only when the kernel residual needs it, on the whole span.
+        # Per block, each listed index once, on the bracket cut at the edge;
+        # any other index only when the kernel residual needs it, on the
+        # whole bracket.  The blocks differ in size, which tells them apart.
         calls = collections.Counter()
         real = spectral._eigenvalue_by_index
 
         def counting(op, index, upper):
-            calls[index, upper] += 1
+            calls[op.size, index, upper] += 1
             return real(op, index, upper)
 
         monkeypatch.setattr(spectral, "_eigenvalue_by_index", counting)
         report = spectrum_report(kind, p, grid_for(p), k=3, sector=Space.FULL_H1)
-        listed = range(len(report.eigenvalues))
-        if kind is OperatorKind.L1:
-            below = inertia_below(discretize_operator(kind, p, grid_for(p)), 0.0)
-            residual = {j for j in (below - 1, below) if j >= 0}
-        else:
-            residual = {0}
-        expected = collections.Counter({(j, report.essential_edge): 1 for j in listed})
-        expected.update((j, math.inf) for j in residual if j not in listed)
+        expected = collections.Counter()
+        for b, block in enumerate(blocks_of(kind, p, grid_for(p))):
+            listed = range(min(3, inertia_below(block, report.essential_edge)))
+            expected.update((block.size, j, report.essential_edge) for j in listed)
+            if kind is OperatorKind.L1:
+                below = inertia_below(block, 0.0)
+                residual = {j for j in (below - 1, below) if j >= 0}
+            else:
+                residual = {0} if b == 0 else set()
+            expected.update((block.size, j, math.inf) for j in residual if j not in listed)
         assert calls == expected
 
     def test_free_delta_edge_is_zero(self):
@@ -544,7 +586,7 @@ class TestSpectrumReport:
                             lambda op, k, below: sizes.append(op.size) or real(op, k, below))
         grid = grid_for(P_AA_NEG, 1201)
         report = spectrum_report(kind, P_AA_NEG, grid, k=1, sector=sector)
-        assert report.n_points == sizes[0] == (1201 if sector is Space.FULL_H1 else 601)
+        assert report.n_points == sum(sizes) == (1201 if sector is Space.FULL_H1 else 601)
 
 
 class TestZeroExclusionShift:

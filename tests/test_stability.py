@@ -236,13 +236,13 @@ class TestCompare:
         counting(spectral, "parity_counts")
         p = validate_params(*point)
         verdicts = classify_numeric(p, grid_for(p))
-        # L2's even block and L1's two blocks are measured once each, and one
+        # Each operator's kernel is measured once on its parity blocks, and one
         # (n_even, n_odd) pair per operator gives both spaces' indices.
-        assert calls == {"kernel_residual": 3, "p_index": 1, "parity_counts": 2}
+        assert calls == {"kernel_residual": 2, "p_index": 1, "parity_counts": 2}
         assert list(verdicts) == list(Space)
         calls.clear()
         assert compare(p, grid_for(p)) is True
-        assert calls == {"kernel_residual": 3, "p_index": 1, "parity_counts": 2}
+        assert calls == {"kernel_residual": 2, "p_index": 1, "parity_counts": 2}
 
     @pytest.mark.parametrize("pair", [(2.0, 3.0), (3.0, 2.0), (1.0, 0.1)])
     def test_agreement_general_focusing_pairs(self, pair):
