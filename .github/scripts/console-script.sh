@@ -5,9 +5,11 @@
 # checks that an odd-bump run, which steps the full line, conserves its
 # charge to 1e-10 relative and an even run at a stable point its charge to
 # 1e-10 and its energy to 1e-5, checks that an --out naming a directory
-# exits 4 and leaves no temporary file, that an --out in a missing directory
-# exits 4 and names --out, that a report under umask 022 has mode 644, that
-# classify at Z = -0.5 is unstable in full and stable in the even sector with
+# or ends in a separator exits 4 and leaves no temporary file, that an --out
+# in a missing directory exits 4 and names --out, that a FIFO --out is
+# written through and stays a FIFO, that a report under umask 022 has mode
+# 644, that classify where L1's gap and the slope index both fail exits 3
+# naming the gap, that classify at Z = -0.5 is unstable in full and stable in the even sector with
 # both classifiers agreeing, checks that each spectrum lists only
 # eigenvalues below its essential edge and prints as its kernel residual the
 # distance from 0 to the listed values nearest it (null for the bare defect),
@@ -184,11 +186,42 @@ out_err=$(timeout 30 "${peakwave[@]}" vk-scan --omega-min -3 --omega-max -1 --om
 test "$out_code" -eq 4
 case "$out_err" in *--out*) ;; *) echo "vk-scan --out $out/missing/dir/x.csv wrote: $out_err" >&2; exit 1 ;; esac
 
+# An --out ending in a separator names a directory too: exit 4, a message
+# that names --out, and no temporary file beside it.
+out_code=0
+out_err=$(timeout 30 "${peakwave[@]}" vk-scan --omega-min -3 --omega-max -1 --omega-points 3 --z-min 0.5 \
+  --out "$out/taken/" 2>&1 >/dev/null) || out_code=$?
+test "$out_code" -eq 4
+if compgen -G "$out/.peakwave-*.tmp" > /dev/null || compgen -G "$out/taken/.peakwave-*.tmp" > /dev/null; then
+  echo "vk-scan --out $out/taken/ left a temporary file" >&2; exit 1
+fi
+case "$out_err" in *--out*) ;; *) echo "vk-scan --out $out/taken/ wrote: $out_err" >&2; exit 1 ;; esac
+
+# A FIFO is written through, as open() writes it: its reader gets the report
+# and the FIFO is still there afterwards.
+mkfifo "$out/pipe"
+timeout 30 cat "$out/pipe" > "$out/from-pipe.csv" &
+reader=$!
+timeout 30 "${peakwave[@]}" vk-scan --omega-min -3 --omega-max -1 --omega-points 3 --z-min 0.5 --out "$out/pipe"
+wait "$reader"
+timeout 30 "${peakwave[@]}" vk-scan --omega-min -3 --omega-max -1 --omega-points 3 --z-min 0.5 \
+  | cmp - "$out/from-pipe.csv"
+[ -p "$out/pipe" ] || { echo "vk-scan --out $out/pipe replaced the FIFO" >&2; exit 1; }
+
 # A report gets the mode a plain open() gives it: 644 under umask 022.
 (umask 022 && timeout 30 "${peakwave[@]}" vk-scan --omega-min -3 --omega-max -1 --omega-points 3 --z-min 0.5 \
   --out "$out/mode.csv")
 mode=$(stat -c %a "$out/mode.csv")
 test "$mode" = 644 || { echo "vk-scan --out under umask 022 wrote mode $mode, not 644" >&2; exit 1; }
+
+# Where L1's gap and the slope index both fail, the gap is checked first:
+# exit 3, nothing on stdout, and the precondition named.
+cls_code=0
+cls_err=$(timeout 30 "${peakwave[@]}" classify --l1 1 --l2 1 --omega -0.19 --z -0.8660254037844386 \
+  2>&1 >"$out/coincidence.txt") || cls_code=$?
+test "$cls_code" -eq 3 && test ! -s "$out/coincidence.txt"
+case "$cls_err" in "PreconditionError: L1 spectrum approaches 0"*) ;;
+  *) echo "classify at the coincidence wrote: $cls_err" >&2; exit 1 ;; esac
 
 # Between the threshold and 0 the full space is unstable and the even sector
 # stable, and both classifiers say so.

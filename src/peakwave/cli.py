@@ -6,9 +6,11 @@ coefficient and wave flags the command takes (`lambda1`, `lambda2`, `omega`,
 is self-describing and reruns are byte-identical.  Choice flags take the
 values of the library enums they select (`OperatorKind`, `Space` for both
 `--sector` and `--space`, `PerturbationKind`).  Floats are written with 17
-significant digits (lossless for binary64 round-trips).  Files are written to
-a temporary path and renamed, so no command leaves a partial file behind;
-the file gets the mode `open()` would give it under the current umask.
+significant digits (lossless for binary64 round-trips).  `--out` is written
+as `open(path, "w")` writes it, with the mode it gives a new file under the
+current umask, through a link to the file it names and through a FIFO or
+device; a regular file is written to a temporary path and renamed, so no
+command leaves a partial file behind.
 
 `--format json` on `classify` and `find-zstar` needs `--out`, without which
 they print a one-line summary.  Exit codes: 0 success, 2 parameter/usage
@@ -17,7 +19,9 @@ error (a point within rounding of an edge of the window, a bad
 or above `MAX_GRID_POINTS`, a `simulate --amplitude` other than 0 with
 `--perturbation none` or with a bump of zero discrete H^1 norm, a `simulate`
 of no step or more than `dynamics.MAX_STEPS`, a `vk-scan` of more than
-`MAX_SCAN_ROWS` rows), 3 numerical error (grid errors included), 4 I/O error.
+`MAX_SCAN_ROWS` rows, an empty `--out`), 3 numerical error (grid errors
+included), 4 I/O error (an `--out` naming a directory or ending in a
+separator, or in a missing directory).
 A header holding NaN or Infinity is not written.
 """
 
@@ -25,16 +29,17 @@ from __future__ import annotations
 
 import argparse
 import enum
+import errno
 import json
 import math
 import os
+import stat
 import sys
-import tempfile
 from dataclasses import dataclass
 
 from . import dynamics, spectral, stability, vk
 from .errors import DomainError, GridError, PeakwaveError, RegimeError
-from .profile import ProfileEvaluator, Side, validate_params
+from .profile import ProfileEvaluator, validate_params
 from .spectral import GridSpec, OperatorKind, Space
 
 __all__ = ["main", "RunConfig", "emit_report"]
@@ -57,7 +62,12 @@ def _format_value(value) -> str:
 
 
 def emit_report(rows, cfg: RunConfig) -> None:
-    """Write rows deterministically as CSV or JSON (stdout when no path)."""
+    """Write rows deterministically as CSV or JSON (stdout when no path).
+
+    A path is written as `open(path, "w")` would write it, but no partial
+    regular file is left: a link is followed to the file it names, which is
+    written as a temporary file beside it and renamed over it; a FIFO or
+    device is written through.  An OSError of a directory names `--out`."""
     header_json = json.dumps(cfg.header, sort_keys=True, allow_nan=False)
     if cfg.fmt == "json":
         payload = {
@@ -70,25 +80,35 @@ def emit_report(rows, cfg: RunConfig) -> None:
         lines = ["# " + header_json, ",".join(cfg.columns)]
         lines.extend(",".join(_format_value(v) for v in row) for row in rows)
         text = "\n".join(lines) + "\n"
-    if cfg.output_path is None:
+    path = cfg.output_path
+    if path is None:
         sys.stdout.write(text)
         return
-    directory = os.path.dirname(os.path.abspath(cfg.output_path)) or "."
+    if not os.path.basename(path):
+        raise IsADirectoryError(errno.EISDIR, "--out names a directory", path)
     try:
-        fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".peakwave-", suffix=".tmp")
+        mode = os.stat(path).st_mode
+    except (FileNotFoundError, NotADirectoryError):
+        mode = stat.S_IFREG  # made by the rename below
+    if not (stat.S_ISREG(mode) or stat.S_ISDIR(mode)):
+        with open(path, "w", newline="\n") as handle:
+            handle.write(text)
+        return
+    target = os.path.realpath(path)
+    directory = os.path.dirname(target)
+    tmp_path = os.path.join(directory, f".peakwave-{os.urandom(8).hex()}.tmp")
+    try:
+        # 0o666 cut by the umask, the mode a plain open() gives a new file.
+        fd = os.open(tmp_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0), 0o666)
     except (FileNotFoundError, NotADirectoryError) as exc:
         raise type(exc)(exc.errno, "the directory of --out does not exist", directory) from None
-    umask = os.umask(0)
-    os.umask(umask)
     try:
         with os.fdopen(fd, "w", newline="\n") as handle:
-            # mkstemp creates 0600; give the report the mode a plain open() would.
-            os.fchmod(handle.fileno(), 0o666 & ~umask)
             handle.write(text)
         try:
-            os.replace(tmp_path, cfg.output_path)
+            os.replace(tmp_path, target)
         except IsADirectoryError as exc:
-            raise IsADirectoryError(exc.errno, "--out names a directory", cfg.output_path) from None
+            raise IsADirectoryError(exc.errno, "--out names a directory", path) from None
     except BaseException:
         if os.path.exists(tmp_path):
             os.unlink(tmp_path)
@@ -189,7 +209,7 @@ def _cmd_profile(args) -> int:
     except GridError as exc:
         raise DomainError(f"--xmax {args.xmax} is too large: {exc}") from None
     ev = ProfileEvaluator.from_params(p)
-    rows = list(zip(x.tolist(), ev.value(x).tolist(), ev.derivative(x, Side.RIGHT).tolist()))
+    rows = list(zip(x.tolist(), ev.value(x).tolist(), ev.derivative(x).tolist()))
     _report(args, ["x", "phi", "dphi"], rows,
             regime=p.regime.value, shift_b=ev.shift_b, xmax=args.xmax, n=n)
     return 0
@@ -309,6 +329,8 @@ _COMMANDS = {
 
 def _check_output_flags(args) -> None:
     """Reject output flags that would otherwise be dropped without a word."""
+    if args.out == "":
+        raise DomainError("--out must name a file, got ''")
     if args.out is None and args.format == "json" and args.command in ("classify", "find-zstar"):
         raise DomainError(f"{args.command} writes its report only to --out; --format json needs --out")
 

@@ -305,7 +305,7 @@ class PerturbationKind(enum.Enum):
 @dataclass(frozen=True)
 class Perturbation:
     kind: PerturbationKind
-    amplitude: float = 0.0
+    amplitude: float
 
 
 @dataclass(frozen=True)

@@ -70,10 +70,10 @@ class Verdict:
     p_index: int
     outcome: Outcome
     provenance: Provenance
-    note: str = ""
+    note: str
 
 
-#: Grid size of a numeric verdict when the caller gives no grid (`classify --n`).
+#: Grid size of the numeric verdict `compare` reads, and the default of `classify --n`.
 NUMERIC_GRID_POINTS = 2001
 
 #: Half-width of the strength interval around the threshold excluded from
@@ -160,14 +160,13 @@ def classify_analytic(p: WaveParameters) -> dict[Space, Verdict]:
     return _verdicts(1 if z_u >= 0.0 else 2, 1, p_idx, Provenance.ANALYTIC_TABLE)
 
 
-def compare(p: WaveParameters, grid: GridSpec | None = None) -> bool:
-    """True when the numeric and analytic classifiers agree in both spaces.
+def compare(p: WaveParameters) -> bool:
+    """True when the numeric and analytic classifiers agree in both spaces,
+    the numeric one on the default grid of `NUMERIC_GRID_POINTS` nodes.
 
     Raises DegenerateError near the threshold (both classifiers decline
     there, which is a shared exclusion, not a disagreement).
     """
-    if grid is None:
-        grid = spectral.default_grid(p, n_points=NUMERIC_GRID_POINTS)
-    numeric = classify_numeric(p, grid)
+    numeric = classify_numeric(p, spectral.default_grid(p, n_points=NUMERIC_GRID_POINTS))
     analytic = classify_analytic(p)
     return all(numeric[space].outcome is analytic[space].outcome for space in Space)

@@ -8,6 +8,7 @@ import os
 import stat
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -601,18 +602,28 @@ class TestUsage:
                        f"{str(target.parent)!r}\n")
         assert sorted(tmp_path.iterdir()) == [tmp_path / "a-file"]
 
+    PROFILE = ["profile", "--l1", "1", "--l2", "1", "--omega", "-2", "--z", "1", "--xmax", "5", "--n", "11"]
+
     @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
-    def test_report_gets_the_mode_of_a_plain_open(self, capsys, tmp_path, umask, mode):
+    def test_report_gets_the_mode_of_a_plain_open(self, capsys, tmp_path, monkeypatch, umask, mode):
+        # The report is made with the umask in force; reading, setting or
+        # applying it by hand would raise here.
         target = tmp_path / "out.csv"
-        previous = os.umask(umask)
+        set_umask = os.umask
+        previous = set_umask(umask)
+
+        def refuse(*args):
+            raise AssertionError("the report set its own mode")
+
         try:
-            code, _, _ = run(
-                ["profile", "--l1", "1", "--l2", "1", "--omega", "-2", "--z", "1",
-                 "--xmax", "5", "--n", "11", "--out", str(target)], capsys)
+            monkeypatch.setattr(os, "umask", refuse)
+            monkeypatch.setattr(os, "fchmod", refuse, raising=False)
+            code, _, _ = run([*self.PROFILE, "--out", str(target)], capsys)
+            monkeypatch.undo()
             with open(tmp_path / "plain.csv", "w"):
                 pass
         finally:
-            os.umask(previous)
+            set_umask(previous)
         assert code == 0
         assert stat.S_IMODE(target.stat().st_mode) == mode
         assert stat.S_IMODE((tmp_path / "plain.csv").stat().st_mode) == mode
@@ -629,6 +640,58 @@ class TestUsage:
         assert err == f"IOError: [Errno {errno.EISDIR}] --out names a directory: {str(target)!r}\n"
         assert sorted(tmp_path.iterdir()) == [target]
         assert list(target.iterdir()) == []
+
+    @pytest.mark.parametrize("name", ["taken", "new"])
+    def test_trailing_separator_names_out(self, capsys, tmp_path, monkeypatch, name):
+        # A name ending in a separator is a directory, existing or not; no
+        # temporary file is made anywhere, the working directory's parent
+        # included.
+        (tmp_path / "cwd").mkdir()
+        (tmp_path / "taken").mkdir()
+        monkeypatch.chdir(tmp_path / "cwd")
+        target = str(tmp_path / name) + os.sep
+        code, out, err = run([*self.PROFILE, "--out", target], capsys)
+        assert (code, out) == (4, "")
+        assert err == f"IOError: [Errno {errno.EISDIR}] --out names a directory: {target!r}\n"
+        assert sorted(tmp_path.rglob("*")) == [tmp_path / "cwd", tmp_path / "taken"]
+
+    def test_empty_out_exits_2(self, capsys, tmp_path, monkeypatch):
+        (tmp_path / "cwd").mkdir()
+        monkeypatch.chdir(tmp_path / "cwd")
+        code, out, err = run([*self.PROFILE, "--out", ""], capsys)
+        assert (code, out, err) == (2, "", "DomainError: --out must name a file, got ''\n")
+        assert sorted(tmp_path.rglob("*")) == [tmp_path / "cwd"]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs on this platform")
+    def test_fifo_is_written_through(self, capsys, tmp_path):
+        # A reader of the pipe gets the report, and the pipe stays a pipe.
+        report = run(self.PROFILE, capsys)[1]
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_text()), daemon=True)
+        reader.start()
+        code, out, err = run([*self.PROFILE, "--out", str(fifo)], capsys)
+        reader.join(timeout=30)
+        assert (code, out, err) == (0, "", "")
+        assert received == [report]
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        assert sorted(tmp_path.iterdir()) == [fifo]
+
+    @pytest.mark.parametrize("target_exists", [True, False], ids=["to-a-file", "dangling"])
+    def test_link_is_written_through(self, capsys, tmp_path, target_exists):
+        # The file a link names gets the report, as open() would write it;
+        # the link stays and no temporary file is left beside either.
+        report = run(self.PROFILE, capsys)[1]
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        if target_exists:
+            target.write_text("old\n")
+        link.symlink_to(target.name)
+        code, out, err = run([*self.PROFILE, "--out", str(link)], capsys)
+        assert (code, out, err) == (0, "", "")
+        assert os.readlink(link) == target.name
+        assert target.read_text() == report
+        assert sorted(tmp_path.iterdir()) == [link, target]
 
     @pytest.mark.parametrize("argv", [
         ["classify", "--l1", "1", "--l2", "1", "--omega", "-2", "--z", "1", "--format", "json"],

@@ -14,8 +14,10 @@ attractive-repulsive closed form `phi_center_sq` is a test oracle), and the
 unit-pair charge derivative is `-vk.slope`, so `vk.dnorm_domega_closed` is
 gone.  Every field and default has a reader: a verdict is keyed by its space
 and does not repeat it, `-phi'/phi` is inlined in the one derivative that
-read `slope_factor`, and a grid, a count `k` or a sector no caller omits has
-no default.  One function measures the kernel of a realization, read as its
+read `slope_factor`, and a grid, a count `k`, a sector, an amplitude or a
+note no caller omits has no default.  `compare`, whose one grid in use is
+the default, takes none, and `cli` takes the derivative's default side, so
+it does not import `Side`.  One function measures the kernel of a realization, read as its
 parity blocks, `spectral.kernel_residual(kind, blocks, lowest)`: the
 spectrum report prints it and the verdict's preconditions read it, so the
 pair-level `KernelReport` and its `_distance_to_zero` helper are gone.  The
@@ -35,7 +37,7 @@ import inspect
 import pkgutil
 
 import peakwave
-from peakwave import dynamics, spectral, stability
+from peakwave import cli, dynamics, spectral, stability
 
 PUBLIC = {
     "peakwave": [
@@ -127,6 +129,15 @@ def test_defaults_no_caller_omits_are_gone():
     }
     required = [("classify_numeric", "grid"), ("spectrum_report", "k"), ("spectrum_report", "sector")]
     assert [(f, a) for f, a in required if params[f][a].default is not inspect.Parameter.empty] == []
+    fields = [f for cls in (dynamics.Perturbation, stability.Verdict) for f in dataclasses.fields(cls)]
+    assert [f.name for f in fields if f.default is not dataclasses.MISSING] == []
+
+
+def test_settings_with_one_value_in_use_are_gone():
+    # compare reads the default grid, its only one in use, and the command
+    # line takes the derivative's default side.
+    assert list(inspect.signature(stability.compare).parameters) == ["p"]
+    assert not hasattr(cli, "Side")
 
 
 def test_one_crank_nicolson_kernel_holds_one_set_of_factors():

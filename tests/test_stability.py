@@ -3,13 +3,15 @@
 import collections
 import math
 import random
+import re
 
 import numpy as np
 import pytest
 
 from peakwave import validate_params
-from peakwave.errors import DegenerateError, GridError, PreconditionError
+from peakwave.errors import DegenerateError, GridError, InstabilityError, PreconditionError
 from peakwave import spectral, stability, vk
+from peakwave.spectral import OperatorKind
 from peakwave.stability import Outcome, Provenance, Space, classify_analytic, classify_numeric, compare
 
 
@@ -53,6 +55,69 @@ class TestClassifyNumeric:
             fine = classify_numeric(p, grid_for(p, 4001))[Space.FULL_H1]
             assert coarse.outcome is fine.outcome
             assert coarse.n_hessian == fine.n_hessian
+
+
+class TestErrorOrder:
+    """A point that fails several checks raises the first in one order: Z = 0,
+    L2's zero check, L1's gap, the slope index's DegenerateError, then L1's
+    and L2's counts moving under refinement."""
+
+    POINT = (1.0, 1.0, -2.0, -1.0)
+    #: Each failure, in that order, with the error and message it raises alone.
+    FAILURES = {
+        "z0": (PreconditionError, "Z = 0 carries a translation zero mode of L1"),
+        "l2_zero": (PreconditionError, "L2 lowest eigenvalue 1.0 too far from 0"),
+        "l1_gap": (PreconditionError, "L1 spectrum approaches 0 within 0.0;"),
+        "p_index": (DegenerateError, "slope index made degenerate"),
+        "l1_count": (InstabilityError, "odd negative count of L1 changed under refinement"),
+        "l2_count": (InstabilityError, "odd negative count of L2 changed under refinement"),
+    }
+
+    def arm(self, monkeypatch, failures):
+        """The point, with `failures` made to fail on its default grid."""
+        z = 0.0 if "z0" in failures else self.POINT[3]
+        residual = {kind: value for name, kind, value in
+                    (("l2_zero", OperatorKind.L2, 1.0), ("l1_gap", OperatorKind.L1, 0.0)) if name in failures}
+        real_residual = spectral.kernel_residual
+        monkeypatch.setattr(spectral, "kernel_residual",
+                            lambda kind, blocks: residual[kind] if kind in residual else real_residual(kind, blocks))
+        if "p_index" in failures:
+            def degenerate(p):
+                raise DegenerateError("slope index made degenerate")
+            monkeypatch.setattr(vk, "p_index", degenerate)
+        if {"l1_count", "l2_count"} & failures:
+            # The refined grid's odd blocks have 2000 rows, for both operators alike.
+            real_count = spectral.inertia_below
+            monkeypatch.setattr(spectral, "inertia_below",
+                                lambda op, shift: real_count(op, shift) + (op.size == 2000))
+        return validate_params(*self.POINT[:3], z)
+
+    @pytest.mark.parametrize("earlier, later", list(zip(FAILURES, list(FAILURES)[1:])))
+    def test_earlier_error_wins(self, earlier, later, monkeypatch):
+        p = self.arm(monkeypatch, {earlier, later})
+        error, message = self.FAILURES[earlier]
+        with pytest.raises(error, match=re.escape(message)):
+            classify_numeric(p, grid_for(p))
+        # The later check fails too: alone it raises its own error.  L2's
+        # count only moves with L1's, so it is counted on its own.
+        monkeypatch.undo()
+        p = self.arm(monkeypatch, {later})
+        error, message = self.FAILURES[later]
+        with pytest.raises(error, match=re.escape(message)):
+            if later == "l2_count":
+                spectral.parity_counts(OperatorKind.L2, p, grid_for(p))
+            else:
+                classify_numeric(p, grid_for(p))
+
+    def test_gap_wins_over_a_degenerate_slope_at_a_real_point(self):
+        # Near the threshold at omega = -0.19 the slope index alone is
+        # degenerate, and L1's nearest eigenvalue lies inside the shift.
+        p = validate_params(1.0, 1.0, -0.19, -math.sqrt(3.0) / 2.0)
+        with pytest.raises(DegenerateError):
+            vk.p_index(p)
+        with pytest.raises(PreconditionError,
+                           match=re.escape("L1 spectrum approaches 0 within 3.381880454612713e-05;")):
+            classify_numeric(p, grid_for(p))
 
 
 class TestClassifyAnalytic:
@@ -209,7 +274,7 @@ class TestCompare:
     )
     def test_agreement(self, point):
         p = validate_params(*point)
-        assert compare(p, grid_for(p)) is True
+        assert compare(p) is True
 
     @pytest.mark.parametrize(
         "point",
@@ -241,7 +306,7 @@ class TestCompare:
         assert calls == {"kernel_residual": 2, "p_index": 1, "parity_counts": 2}
         assert list(verdicts) == list(Space)
         calls.clear()
-        assert compare(p, grid_for(p)) is True
+        assert compare(p) is True
         assert calls == {"kernel_residual": 2, "p_index": 1, "parity_counts": 2}
 
     @pytest.mark.parametrize("pair", [(2.0, 3.0), (3.0, 2.0), (1.0, 0.1)])
@@ -255,14 +320,14 @@ class TestCompare:
                 z_u = rng.uniform(-1.8, 2.2)
             omega_u = -rng.uniform(max(1.3 * z_u * z_u / 4.0 + 0.2, 1.2), 6.0)
             p = validate_params(l1, l2, omega_u * l1 * l1 / l2, z_u * l1 / math.sqrt(l2))
-            assert compare(p, grid_for(p)) is True, (p.omega, p.z)
+            assert compare(p) is True, (p.omega, p.z)
 
     @pytest.mark.parametrize("z", [1e-5, -1e-5])
     def test_small_frequency_agrees(self, z):
         # |omega| = 1e-8: the L1 gap (about 1.4e-9) clears the relative shift
         # 1e-14, where the old absolute floor 1e-6 raised PreconditionError.
         p = validate_params(1.0, 1.0, -1e-8, z)
-        assert compare(p, grid_for(p)) is True
+        assert compare(p) is True
 
     @pytest.mark.parametrize("omega, z", [(-1e12, 5e5), (-1e12, -5e5), (-1e12, -8e5),
                                           (-1e16, 5e7), (-1e16, -8e7)])
@@ -270,7 +335,7 @@ class TestCompare:
         # The slope is about 2e-13 at omega = -1e12, so an absolute guard
         # |slope| > 1e-9 refused every such point; the relative one does not.
         p = validate_params(1.0, 1.0, omega, z)
-        assert compare(p, grid_for(p)) is True
+        assert compare(p) is True
 
     @pytest.mark.parametrize("point", [(1.0, 1.0, -1e-200, 5e-101), (1.0, 1.0, -1e-200, -5e-101),
                                        (2.0, -1.0, -1e-200, 5e-101), (2.0, -1.0, -1e-200, -5e-101)])
@@ -288,4 +353,4 @@ class TestCompare:
         zstar = vk.find_zstar()
         p = validate_params(1.0, 1.0, -2.0, zstar)
         with pytest.raises(DegenerateError):
-            compare(p, grid_for(p))
+            compare(p)
